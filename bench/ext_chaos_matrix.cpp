@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     telemetry::Hub hub;
     runner_config.telemetry = &hub;
     // Full observability for the showcase: the in-sim cost profiler rides
-    // the instrumented dispatch loop and lands in the manifest's "profile"
+    // the profiled dispatch loop and lands in the manifest's "profile"
     // table (dispatch counts deterministic, cycle columns not).
     sim::DispatchProfiler profiler;
     runner_config.profiler = &profiler;

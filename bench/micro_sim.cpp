@@ -408,17 +408,17 @@ int run_json_mode(const char* path) {
 
 /// Telemetry-overhead mode: the same recurring-timer hot loop, with and
 /// without a telemetry::Hub installed on the simulator. The disabled
-/// configuration exercises the hoisted no-telemetry dispatch loop (its cost
-/// must be the pre-telemetry core's); the enabled one pays one counter
-/// increment plus a high-water compare per event. Acceptance (ISSUE 5):
-/// enabled stays within 3% of disabled. Best-of-reps on both sides damps
+/// configuration runs the no-observer dispatch loop instantiation (its
+/// cost must be the pre-telemetry core's); the enabled one pays one
+/// high-water compare per event. Acceptance: enabled stays within 3% of
+/// disabled. Best-of-reps on both sides damps
 /// scheduler noise; interleaving reps would be better statistics, but
 /// best-of already discards the slow tail.
 int run_telemetry_json_mode(const char* path) {
-  // "full": hub plus the in-sim cost profiler, i.e. the instrumented
-  // dispatch loop with a per-event type probe and sampled cycle
-  // attribution — the everything-on observability configuration. Spans
-  // and windowed series are owned by the same hub; this loop has no flows
+  // "full": hub plus the in-sim cost profiler, i.e. the hub+profiler
+  // dispatch loop instantiation with a per-event type probe and sampled
+  // cycle attribution — the everything-on observability configuration.
+  // Spans and windowed series are owned by the same hub; this loop has no flows
   // or links, so their cost shows up in the chaos/emulab gates instead,
   // where it is a null test plus indexed stores per packet.
   //

@@ -10,10 +10,10 @@
 #include <string>
 
 #include "net/topology.h"
-#include "net/tracer.h"
 #include "schemes/factory.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
+#include "telemetry/hub.h"
 #include "transport/agent.h"
 
 using namespace halfback;
@@ -104,15 +104,16 @@ int main(int argc, char** argv) {
   transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
   transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
 
-  net::PacketTracer tracer{simulator};
   std::uint32_t bottleneck_drops = 0;
   dumbbell.bottleneck_forward->queue().set_drop_callback(
       [&](const net::Packet& p) {
         if (p.type == net::PacketType::data) ++bottleneck_drops;
       });
+  // trace=1: every flow and link gets a flight-recorder tape, printed below.
+  telemetry::Hub hub;
   if (args.trace) {
-    tracer.tap_queue(*dumbbell.bottleneck_forward, "bottleneck");
-    tracer.tap_node(network.node(dumbbell.receivers[0]), "receiver");
+    hub.instrument_network(network);
+    sender_host.set_telemetry(&hub);
   }
   if (args.loss > 0) {
     // Random loss on the bottleneck via a Bernoulli packet filter.
@@ -133,7 +134,10 @@ int main(int argc, char** argv) {
   }
   simulator.run_until(sim::Time::seconds(300));
 
-  if (args.trace) std::fputs(tracer.timeline().c_str(), stdout);
+  for (std::size_t i = 0; i < hub.recorder().tape_count(); ++i) {
+    const telemetry::Tape& tape = hub.recorder().tape_at(i);
+    if (tape.size() > 0) std::fputs(telemetry::render_tape(tape).c_str(), stdout);
+  }
 
   std::printf("\nscenario: %s, %d x %llu B, %.0f Mbps / %.0f ms RTT, %llu KB %s buffer, loss %.3f\n",
               schemes::name(args.scheme), args.flows,

@@ -3,14 +3,15 @@
 // paper's worked example of ROPR recovering a loss before TCP's machinery
 // would even have detected it.
 //
-// Demonstrates the PacketTracer (taps on the bottleneck queue and the
-// receiving host) and the Link packet-filter fault-injection hook.
+// Demonstrates the flow flight recorder (the timeline is the sender's tape,
+// printed with telemetry::render_tape) and the Link packet-filter
+// fault-injection hook.
 #include <cstdio>
 
 #include "net/topology.h"
-#include "net/tracer.h"
 #include "schemes/factory.h"
 #include "sim/simulator.h"
+#include "telemetry/hub.h"
 #include "transport/agent.h"
 
 using namespace halfback;
@@ -26,11 +27,11 @@ int main() {
   transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
   transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
 
-  // Observe everything that reaches the receiver and everything the
-  // bottleneck discards. Taps chain in front of the agents' handlers.
-  net::PacketTracer tracer{simulator};
-  tracer.tap_node(network.node(dumbbell.receivers[0]), "receiver");
-  tracer.tap_queue(*dumbbell.bottleneck_forward, "bottleneck");
+  // The hub gives every flow the sender starts a flight-recorder tape:
+  // each transmission, proactive copy, and ACK lands on it as it happens.
+  telemetry::Hub hub;
+  hub.instrument_network(network);
+  sender_host.set_telemetry(&hub);
 
   // Force the loss the paper's example narrates: the first copy of
   // segment index 8 (the paper's "packet 9") vanishes at the bottleneck.
@@ -54,7 +55,10 @@ int main() {
 
   simulator.run();
 
-  std::printf("\nwire timeline at the receiver:\n%s", tracer.timeline().c_str());
+  std::printf("\nsender-side timeline (the flow's flight-recorder tape):\n%s",
+              telemetry::render_tape(
+                  *hub.recorder().find(telemetry::TrackKind::flow, 1))
+                  .c_str());
 
   const transport::FlowRecord& record = flow.record();
   std::printf("\nflow complete at %.2f ms (%.1f RTTs)\n",

@@ -4,10 +4,8 @@
 // (net::PacketQueue/Link/Network) and the transport (transport::SenderBase)
 // invoke these hooks at every state transition worth checking: event
 // scheduling and dispatch, queue admission/drop/drain, link delivery, and
-// scoreboard updates. Hook call sites compile to no-ops unless the build
-// defines HALFBACK_AUDIT (the default configuration and all CMake test
-// presets enable it; the `release` preset turns it off), and even when
-// enabled an uninstalled auditor costs one null-pointer test per hook.
+// scoreboard updates. Hook call sites are always compiled; an uninstalled
+// auditor costs one null-pointer test per hook.
 //
 // This header sits below every other layer: it depends only on sim/time.h
 // and forward declarations, so sim/net/transport can call hooks without
@@ -140,10 +138,8 @@ class Auditor {
 
 }  // namespace halfback::audit
 
-/// Invoke an auditor hook if auditing is compiled in and an auditor is
-/// installed. `auditor_expr` must be an expression yielding `Auditor*`.
-/// Compiles to nothing (arguments unevaluated) when HALFBACK_AUDIT is off.
-#ifdef HALFBACK_AUDIT
+/// Invoke an auditor hook if an auditor is installed. `auditor_expr` must be
+/// an expression yielding `Auditor*`.
 #define HALFBACK_AUDIT_HOOK(auditor_expr, call)                       \
   do {                                                                \
     if (::halfback::audit::Auditor* halfback_audit_a = (auditor_expr); \
@@ -151,6 +147,3 @@ class Auditor {
       halfback_audit_a->call;                                         \
     }                                                                 \
   } while (false)
-#else
-#define HALFBACK_AUDIT_HOOK(auditor_expr, call) ((void)0)
-#endif

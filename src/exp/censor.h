@@ -19,11 +19,14 @@
 namespace halfback::exp {
 
 /// Drive `simulator` until the watched flow completes, the event queue
-/// drains, or `deadline` passes. `sender` is re-polled each slice (the
-/// flow may not exist yet — PlanetLab schedules it after a cross-traffic
-/// head start) and may return nullptr until it does. The stop-check
-/// piggybacks on completion via polling in 100 ms slices, cheap relative
-/// to the packet events. Returns true if the flow reported complete.
+/// drains, a slice ends stopped, or `deadline` passes. `sender` is
+/// re-polled each slice (the flow may not exist yet — PlanetLab schedules
+/// it after a cross-traffic head start) and may return nullptr until it
+/// does. The stop-check piggybacks on completion via polling in 100 ms
+/// slices, cheap relative to the packet events. A stopped slice (a tripped
+/// budget, or stop()) ends the drive: a tripped budget is sticky, so every
+/// later slice would return at once with the clock unchanged. Returns true
+/// if the flow reported complete.
 inline bool drive_until_complete_or_deadline(
     sim::Simulator& simulator,
     const std::function<const transport::SenderBase*()>& sender,
@@ -33,7 +36,7 @@ inline bool drive_until_complete_or_deadline(
         std::min(deadline, simulator.now() + sim::Time::milliseconds(100)));
     const transport::SenderBase* watched = sender();
     if (watched != nullptr && watched->complete()) return true;
-    if (simulator.queue().empty()) break;
+    if (simulator.queue().empty() || simulator.stopped()) break;
   }
   const transport::SenderBase* watched = sender();
   return watched != nullptr && watched->complete();

@@ -88,10 +88,8 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   sim::Simulator simulator{config_.seed};
   net::Network network{simulator};
 
-#ifdef HALFBACK_AUDIT
   audit::InvariantAuditor auditor;
   network.install_auditor(auditor);
-#endif
 
   net::Dumbbell dumbbell = net::build_dumbbell(network, config_.dumbbell);
 
@@ -190,8 +188,8 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     enforcer.emplace(config_.budget);
     simulator.set_budget(&*enforcer);
   }
-  // The profiler rides the same instrumented loop as the budget enforcer;
-  // with neither installed the run stays on the seed's plain path.
+  // Observers only pick the dispatch-loop instantiation; with none
+  // installed the run takes the plain loop.
   if (config_.profiler != nullptr) simulator.set_profiler(config_.profiler);
   {
     std::optional<sim::WallClockWatchdog> watchdog;
@@ -250,11 +248,9 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     result.faults.jittered += s.jittered;
     result.faults.delay_spikes += s.delay_spikes;
   }
-#ifdef HALFBACK_AUDIT
   auditor.finalize(simulator.queue().empty());
   result.trace_hash = auditor.trace_hash();
   result.audit_violations = auditor.total_violations();
-#endif
   if (config_.telemetry != nullptr) {
     config_.telemetry->snapshot_network(network, simulator.now());
     for (const netfault::FaultInjector* injector :

@@ -47,9 +47,8 @@ struct RunResult {
   /// even when the run still finishes — regression tests pin it.
   std::uint64_t events_executed = 0;
 
-  /// Filled when the build compiles audit hooks (HALFBACK_AUDIT): run-trace
-  /// hash (same seed + schedules => same hash) and invariant-violation
-  /// count (0 = clean run).
+  /// From the run's invariant auditor: run-trace hash (same seed +
+  /// schedules => same hash) and invariant-violation count (0 = clean run).
   std::uint64_t trace_hash = 0;
   std::uint64_t audit_violations = 0;
 
@@ -127,7 +126,7 @@ class EmulabRunner {
     telemetry::Hub* telemetry = nullptr;
 
     /// Optional in-sim cost profiler (owned by the caller). When set, the
-    /// simulator runs its instrumented dispatch loop and attributes a
+    /// simulator runs its profiled dispatch loop and attributes a
     /// cycle count to every event type; manifest() exports the table.
     /// Event-for-event identical to an unprofiled run — dispatch counts
     /// are deterministic, only the cycle columns vary. Not part of the

@@ -66,12 +66,10 @@ TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path
   sim::Simulator simulator{trial_seed};
   net::Network network{simulator};
 
-#ifdef HALFBACK_AUDIT
   // One auditor per trial: shards share nothing (see parallel_for), so each
   // simulator carries its own invariant checker and determinism hash.
   audit::InvariantAuditor auditor;
   network.install_auditor(auditor);
-#endif
 
   net::AccessPathConfig apc;
   apc.rtt = path.rtt;
@@ -135,11 +133,9 @@ TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path
                       result.record.timeouts > 0;
     if (!result.finished) censor_record_at(result.record, deadline);
   }
-#ifdef HALFBACK_AUDIT
   auditor.finalize(simulator.queue().empty());
   result.trace_hash = auditor.trace_hash();
   result.audit_violations = auditor.total_violations();
-#endif
   if (telemetry != nullptr) telemetry->snapshot_network(network, simulator.now());
   return result;
 }

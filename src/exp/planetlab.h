@@ -42,9 +42,9 @@ struct TrialResult {
   bool finished = false;
   bool saw_loss = false;  ///< any retransmission or drop observed
 
-  /// Filled when the build compiles audit hooks (HALFBACK_AUDIT): an
-  /// order-sensitive hash of the trial's run trace — identical seeds must
-  /// reproduce it exactly — and the invariant-violation count (0 = clean).
+  /// From the trial's invariant auditor: an order-sensitive hash of the
+  /// run trace — identical seeds must reproduce it exactly — and the
+  /// invariant-violation count (0 = clean).
   std::uint64_t trace_hash = 0;
   std::uint64_t audit_violations = 0;
 };

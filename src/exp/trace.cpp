@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "sim/timer.h"
+#include "telemetry/timeseries.h"
 
 namespace halfback::exp {
 
@@ -43,18 +44,23 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
     std::string label;
     net::FlowId flow;
     std::size_t pair = 0;
-    stats::TimeSeries series;
+    telemetry::WindowSeries series;
     std::uint32_t seen_segments = 0;
     transport::SenderBase* sender = nullptr;
   };
   std::vector<std::unique_ptr<Tracked>> tracked;
+  // Samples land in the bucket that just ended, so the last one recorded
+  // before the horizon falls inside [0, duration).
+  const auto buckets =
+      static_cast<std::size_t>(config.duration.ns() / config.bucket.ns()) + 1;
 
   auto start_flow = [&](const std::string& label, schemes::Scheme scheme,
                         std::uint64_t bytes, std::size_t pair, sim::Time at,
                         std::uint32_t burst_window) {
     auto t = std::make_unique<Tracked>(
         Tracked{label, static_cast<net::FlowId>(tracked.size() + 1), pair,
-                stats::TimeSeries{config.bucket}, 0, nullptr});
+                telemetry::WindowSeries{label, config.bucket, buckets}, 0,
+                nullptr});
     Tracked* raw = t.get();
     tracked.push_back(std::move(t));
     simulator.schedule_at(at, [&, raw, scheme, bytes, burst_window] {
@@ -111,7 +117,7 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
             static_cast<std::uint64_t>(now_segments - t->seen_segments) *
             net::kSegmentPayloadBytes;
         // Attribute to the bucket that just ended.
-        t->series.add_bytes(simulator.now() - config.bucket, bytes);
+        t->series.tally_bytes(simulator.now() - config.bucket, bytes);
         t->seen_segments = now_segments;
       }
     }
@@ -123,11 +129,16 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
 
   simulator.run_until(config.duration);
 
+  const double bucket_seconds = config.bucket.to_seconds();
   std::vector<FlowTrace> out;
   for (auto& t : tracked) {
     FlowTrace ft;
     ft.label = t->label;
-    ft.throughput = t->series.throughput();
+    for (std::size_t i = 0; i < t->series.window_count(); ++i) {
+      const double bytes = static_cast<double>(t->series.window(i).bytes);
+      ft.throughput.push_back({config.bucket * static_cast<double>(i),
+                               bytes * 8.0 / bucket_seconds / 1e6});
+    }
     if (t->sender != nullptr && t->sender->complete()) {
       ft.completion = t->sender->record().completion_time;
     }

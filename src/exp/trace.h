@@ -7,7 +7,6 @@
 
 #include "exp/emulab.h"
 #include "sim/bytes.h"
-#include "stats/time_series.h"
 
 namespace halfback::exp {
 
@@ -36,8 +35,14 @@ struct TraceConfig {
 /// Per-flow throughput series, sampled at the receiver (unique bytes
 /// delivered per bucket — "successfully transmitted packets").
 struct FlowTrace {
+  struct Sample {
+    sim::Time bucket_start;
+    double mbps = 0.0;
+  };
+
   std::string label;
-  std::vector<stats::TimeSeries::Sample> throughput;
+  /// One sample per bucket, from 0 to the last bucket with deliveries.
+  std::vector<Sample> throughput;
   sim::Time completion;  ///< zero if the flow did not finish
 };
 

@@ -150,21 +150,6 @@ void Link::deliver(PacketEvent& node) {
   }
 }
 
-// lint: function-ok(tap-chaining accessor; wiring time only, never per packet)
-std::function<void(Packet)> Link::receiver() const {
-  if (receiver_) return receiver_;
-  if (dst_node_ == nullptr) return {};
-  // Wrap the node fast path so a tap's captured downstream still delivers
-  // (and still reports the arrival to an attached auditor).
-  Node* node = dst_node_;
-  sim::Simulator& simulator = simulator_;
-  return [node, &simulator](Packet p) {
-    (void)simulator;
-    HALFBACK_AUDIT_HOOK(simulator.auditor(), on_node_received(node->id(), p));
-    node->handle(std::move(p));
-  };
-}
-
 void Link::on_transmission_complete() {
   if (auto next = queue_->dequeue(simulator_.now())) {
     begin_transmission(std::move(*next));

@@ -81,8 +81,8 @@ class Link {
 
   /// Where delivered packets go (the far-end node). The node fast path: a
   /// direct call into Node::handle with no type erasure on the per-packet
-  /// hop. An installed set_receiver() callback takes precedence, so taps
-  /// and tests can still intercept delivery.
+  /// hop. An installed set_receiver() callback takes precedence, so tests
+  /// can still intercept delivery.
   void set_receiver_node(Node& node) { dst_node_ = &node; }
 
   /// Custom delivery callback; overrides the node fast path while set.
@@ -90,11 +90,6 @@ class Link {
   void set_receiver(std::function<void(Packet)> receiver) {
     receiver_ = std::move(receiver);
   }
-  /// Current delivery target (empty if none) — lets taps chain. When the
-  /// link delivers straight to a node, the returned callable wraps that
-  /// node so a tap's downstream keeps delivering.
-  // lint: function-ok(accessor for the once-bound delivery target)
-  std::function<void(Packet)> receiver() const;
 
   /// Fault-injection hook: packets for which the filter returns false are
   /// dropped before entering the queue (counted as corrupted). Used by

@@ -43,25 +43,19 @@ Link* Network::make_link(NodeId from, NodeId to, const LinkConfig& config) {
   nodes_.at(from)->add_egress(to, raw);
   links_.push_back(std::move(link));
   edges_.push_back(Edge{from, to});
-#ifdef HALFBACK_AUDIT
   if (audit::Auditor* auditor = simulator_.auditor()) {
     raw->queue().set_auditor(auditor);
     auditor->on_link_registered(*raw);
   }
-#endif
   return raw;
 }
 
 void Network::install_auditor(audit::Auditor& auditor) {
-#ifdef HALFBACK_AUDIT
   simulator_.set_auditor(&auditor);
   for (const auto& link : links_) {
     link->queue().set_auditor(&auditor);
     auditor.on_link_registered(*link);
   }
-#else
-  (void)auditor;
-#endif
 }
 
 LinkPair Network::connect(NodeId a, NodeId b, const LinkConfig& forward,

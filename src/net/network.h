@@ -73,8 +73,7 @@ class Network {
   /// Install `auditor` on the simulator, every existing link's queue, and
   /// every link created afterwards, and register each link with it. Call
   /// before traffic starts so the auditor's shadow accounting is complete.
-  /// The auditor is owned by the caller and must outlive the run; a no-op
-  /// unless the build defines HALFBACK_AUDIT.
+  /// The auditor is owned by the caller and must outlive the run.
   void install_auditor(audit::Auditor& auditor);
 
  private:

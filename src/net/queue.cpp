@@ -15,7 +15,7 @@ void PacketQueue::record_enqueue(const Packet& p, sim::Time now,
 }
 
 void PacketQueue::record_drop(const Packet& p, sim::Time now,
-                              [[maybe_unused]] audit::DropContext context) {
+                              audit::DropContext context) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += p.size_bytes;
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_dropped(*this, p, context));

@@ -84,10 +84,6 @@ class PacketQueue {
   void set_drop_callback(std::function<void(const Packet&)> cb) {
     drop_callback_ = std::move(cb);
   }
-  /// Currently-installed drop callback (empty if none) — lets taps chain.
-  const std::function<void(const Packet&)>& drop_callback() const {
-    return drop_callback_;
-  }
 
  protected:
   /// Implementations call these at every admission, drop, and release so

@@ -6,10 +6,11 @@
 // run" ahead of any hot-path work — per-type dispatch counts and cycle
 // attribution, exported into the run manifest.
 //
-// Cost model: like BudgetEnforcer, installation is opt-in; without a
-// profiler the dispatch loops are exactly the unprofiled seed paths. The
-// per-event tap is a fixed-capacity open-addressing probe keyed by the
-// event's type_info address — pure stores, no allocation, no throwing —
+// Cost model: like BudgetEnforcer, installation is opt-in; the profiler
+// tap is one feature bit of the simulator's dispatch loop, so without a
+// profiler the loop carries no tap at all. The per-event tap is a
+// fixed-capacity open-addressing probe keyed by the event's type_info
+// address — pure stores, no allocation, no throwing —
 // so the tap is legal on the dispatch path and its HB_EFFECTS contract is
 // empty.
 //

@@ -136,7 +136,7 @@ class EventQueue {
   Time next_time() const;
 
   /// The earliest event, without removing it. Requires !empty(). Read-only
-  /// peek for the instrumented dispatch loop: the profiler captures the
+  /// peek for the profiled dispatch loop: the profiler captures the
   /// event's dynamic type here, before run_next() hands the event to a
   /// fire() that may destroy or reschedule it.
   const Event& peek_next() const HB_EFFECTS() { return *heap_[0].event; }
@@ -160,8 +160,7 @@ class EventQueue {
 
   /// Install an audit observer (nullptr detaches). The queue reports each
   /// dispatch so the auditor can verify time monotonicity and FIFO
-  /// tie-break order. Owned by the caller; ignored unless the build defines
-  /// HALFBACK_AUDIT.
+  /// tie-break order. Owned by the caller.
   void set_auditor(audit::Auditor* auditor) { auditor_ = auditor; }
   audit::Auditor* auditor() const { return auditor_; }
 

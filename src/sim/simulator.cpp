@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
+#include <array>
 #include <typeinfo>
+#include <utility>
 
 #include "sim/budget.h"
 #include "sim/dispatch_profiler.h"
@@ -8,101 +10,82 @@
 
 namespace halfback::sim {
 
-// The dispatch loops are duplicated so the telemetry null test is hoisted
-// out of the loop entirely: with no hub installed the per-event cost is
-// exactly the seed's. The instrumented loop is a third, separate path
-// entered only when a budget enforcer or a dispatch profiler is installed,
-// so uninstrumented runs keep the seed's per-event cost and event-for-event
-// behavior.
+// One dispatch loop, instantiated per combination of loop features. Each
+// feature's per-event work sits behind `if constexpr`, so an instantiation
+// pays only for what is installed: with no observer, run() is the bare
+// pop-and-fire loop and run_until() adds only the deadline compare.
 
-void Simulator::run() {
-  if (budget_ != nullptr || profiler_ != nullptr) {
-    run_instrumented(Time::infinity());
-    return;
-  }
-  stopped_ = false;
-  if (telemetry_ != nullptr) {
-    // Count and heap peak are tracked locally and flushed once at slice
-    // exit: an integer compare per event instead of two instrument taps.
-    std::size_t heap_peak = 0;
-    const std::uint64_t executed_before = events_executed_;
-    while (!stopped_ && !queue_.empty()) {
-      if (queue_.size() > heap_peak) heap_peak = queue_.size();
-      now_ = queue_.next_time();  // clock is correct inside the callback
-      queue_.run_next();
-      ++events_executed_;
-    }
-    telemetry_->on_run_slice_done(events_executed_ - executed_before,
-                                  heap_peak);
-    return;
-  }
-  while (!stopped_ && !queue_.empty()) {
-    now_ = queue_.next_time();  // clock is correct inside the callback
-    queue_.run_next();
-    ++events_executed_;
-  }
+namespace {
+
+/// Per-event work the dispatch loop does beyond pop-and-fire: one bit per
+/// installed observer, plus the deadline compare of run_until().
+enum LoopFeature : unsigned {
+  kHub = 1U << 0U,
+  kBudget = 1U << 1U,
+  kProfiler = 1U << 2U,
+  kDeadline = 1U << 3U,
+};
+constexpr unsigned kLoopCount = 1U << 4U;
+
+}  // namespace
+
+void Simulator::run() { dispatch(0, Time::infinity()); }
+
+void Simulator::run_until(Time deadline) { dispatch(kDeadline, deadline); }
+
+void Simulator::dispatch(unsigned features, Time deadline) {
+  using Loop = void (Simulator::*)(Time);
+  static constexpr auto kLoops =
+      []<unsigned... kMasks>(std::integer_sequence<unsigned, kMasks...>) {
+        return std::array<Loop, sizeof...(kMasks)>{
+            &Simulator::dispatch<kMasks>...};
+      }(std::make_integer_sequence<unsigned, kLoopCount>{});
+  const unsigned mask = features | (telemetry_ != nullptr ? kHub : 0U) |
+                        (budget_ != nullptr ? kBudget : 0U) |
+                        (profiler_ != nullptr ? kProfiler : 0U);
+  (this->*kLoops[mask])(deadline);
 }
 
-void Simulator::run_until(Time deadline) {
-  if (budget_ != nullptr || profiler_ != nullptr) {
-    run_instrumented(deadline);
-    return;
-  }
+template <unsigned kMask>
+void Simulator::dispatch(Time deadline) {
   stopped_ = false;
-  if (telemetry_ != nullptr) {
-    std::size_t heap_peak = 0;
-    const std::uint64_t executed_before = events_executed_;
-    while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
-      if (queue_.size() > heap_peak) heap_peak = queue_.size();
-      now_ = queue_.next_time();
-      queue_.run_next();
-      ++events_executed_;
+  if constexpr ((kMask & kBudget) != 0) {
+    // A tripped budget is sticky: once a run aborted, further driving (e.g.
+    // the next poll slice of a deadline-censored loop) stays aborted.
+    if (budget_->tripped()) {
+      stopped_ = true;
+      return;
     }
-    telemetry_->on_run_slice_done(events_executed_ - executed_before,
-                                  heap_peak);
-    if (!stopped_ && now_ < deadline) now_ = deadline;
-    return;
   }
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
-    queue_.run_next();
-    ++events_executed_;
-  }
-  if (!stopped_ && now_ < deadline) now_ = deadline;
-}
-
-void Simulator::run_instrumented(Time deadline) {
-  stopped_ = false;
-  // A tripped budget is sticky: once a run aborted, further driving (e.g.
-  // the next poll slice of a deadline-censored loop) stays aborted.
-  if (budget_ != nullptr && budget_->tripped()) {
-    stopped_ = true;
-    return;
-  }
+  // The hub's count and heap peak are tracked locally and flushed once at
+  // slice exit: an integer compare per event instead of two instrument taps.
   std::size_t heap_peak = 0;
   const std::uint64_t executed_before = events_executed_;
-  // next_time() is out-of-line (it carries an empty-queue check); read it
-  // once per iteration, not once in the condition and again in the body.
   while (!stopped_ && !queue_.empty()) {
+    // next_time() is out-of-line (it carries an empty-queue check); read it
+    // once per iteration.
     const Time next = queue_.next_time();
-    if (next > deadline) break;
-    if (budget_ != nullptr) {
+    if constexpr ((kMask & kDeadline) != 0) {
+      if (next > deadline) break;
+    }
+    if constexpr ((kMask & kBudget) != 0) {
       if (abort_requested_.load(std::memory_order_relaxed)) {
         budget_->record_trip(BudgetTrip::wall_clock, *this);
         stopped_ = true;
         break;
       }
-      const BudgetTrip trip =
-          budget_->before_dispatch(next, events_executed_);
+      const BudgetTrip trip = budget_->before_dispatch(next, events_executed_);
       if (trip != BudgetTrip::none) {
         budget_->record_trip(trip, *this);
         stopped_ = true;
         break;
       }
     }
-    if (queue_.size() > heap_peak) heap_peak = queue_.size();
-    now_ = next;
-    if (profiler_ != nullptr) {
+    if constexpr ((kMask & kHub) != 0) {
+      if (queue_.size() > heap_peak) heap_peak = queue_.size();
+    }
+    now_ = next;  // clock is correct inside the callback
+    if constexpr ((kMask & kProfiler) != 0) {
       // The dynamic type must be read before run_next(): fire() may
       // destroy or reschedule the event object. Cycle reads bracket
       // fire() only on sampling ticks; counting is every dispatch.
@@ -120,16 +103,17 @@ void Simulator::run_instrumented(Time deadline) {
     }
     ++events_executed_;
   }
-  // Flushed on every exit, including budget trips mid-slice: the metrics
-  // must account for the events that did run before the abort.
-  if (telemetry_ != nullptr) {
+  if constexpr ((kMask & kHub) != 0) {
+    // Flushed on every exit, including budget trips mid-slice: the metrics
+    // must account for the events that did run before the abort.
     telemetry_->on_run_slice_done(events_executed_ - executed_before,
                                   heap_peak);
   }
-  // Mirror run_until()'s clock advance; run() enters with an infinite
-  // deadline, which must not drag the clock to the sentinel.
-  if (!stopped_ && !deadline.is_infinite() && now_ < deadline) {
-    now_ = deadline;
+  if constexpr ((kMask & kDeadline) != 0) {
+    // An infinite deadline must not drag the clock to the sentinel.
+    if (!stopped_ && !deadline.is_infinite() && now_ < deadline) {
+      now_ = deadline;
+    }
   }
 }
 

@@ -106,9 +106,8 @@ class Simulator {
 
   /// Install an audit observer for this run (nullptr detaches). The pointer
   /// is shared with the event queue; network components reach it through
-  /// their Simulator&. Owned by the caller and ignored unless the build
-  /// defines HALFBACK_AUDIT. Install before any traffic starts so the
-  /// auditor's shadow accounting sees every transition.
+  /// their Simulator&. Owned by the caller. Install before any traffic
+  /// starts so the auditor's shadow accounting sees every transition.
   void set_auditor(audit::Auditor* auditor) {
     auditor_ = auditor;
     queue_.set_auditor(auditor);
@@ -126,34 +125,38 @@ class Simulator {
   /// the caller. With an enforcer installed, run()/run_until() check the
   /// budget before every dispatch and stop early — recording a
   /// BudgetReport on the enforcer — when a limit trips; without one the
-  /// dispatch loops are exactly the unbudgeted seed paths.
+  /// dispatch loop carries no budget check at all.
   void set_budget(BudgetEnforcer* budget) { budget_ = budget; }
   BudgetEnforcer* budget() const { return budget_; }
 
   /// Install a dispatch profiler for this run (nullptr detaches). Owned by
-  /// the caller. Like the budget enforcer, installation selects the
-  /// instrumented dispatch loop; without one the loops are exactly the
-  /// unprofiled seed paths. The profiler only observes (per-type counts
-  /// and cycles), so trace hashes stay bit-identical.
+  /// the caller. The profiler only observes (per-type counts and cycles),
+  /// so trace hashes stay bit-identical; without one the dispatch loop
+  /// carries no profiler tap at all.
   void set_profiler(DispatchProfiler* profiler) { profiler_ = profiler; }
   DispatchProfiler* profiler() const { return profiler_; }
 
   /// Ask the run to abort at the next event boundary (recorded as
   /// BudgetTrip::wall_clock when a budget enforcer is installed). The one
   /// cross-thread entry point: safe to call from a watchdog thread while
-  /// the run executes. Without an enforcer the request is ignored — the
-  /// deterministic loops stay byte-identical to the seed.
+  /// the run executes. Without an enforcer the request is ignored: only
+  /// the budgeted loop polls the flag.
   void request_abort() { abort_requested_ = true; }
   bool abort_requested() const {
     return abort_requested_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// Dispatch loop used when a budget enforcer or a dispatch profiler is
-  /// installed: identical to the plain loops plus the per-event budget
-  /// check, the abort flag poll, and the profiler tap — each guarded by
-  /// its own null test. run() enters it with an infinite deadline.
-  void run_instrumented(Time deadline) HB_EFFECTS(alloc, throw, rng);
+  /// Run the loop instantiation for the feature mask `features` (see
+  /// simulator.cpp) plus the bits of the installed observers: run() and
+  /// run_until() only pick the mask.
+  void dispatch(unsigned features, Time deadline)
+      HB_EFFECTS(alloc, throw, rng);
+
+  /// The dispatch loop. Each feature's per-event work compiles in only for
+  /// the instantiations whose `kMask` carries its bit.
+  template <unsigned kMask>
+  void dispatch(Time deadline) HB_EFFECTS(alloc, throw, rng);
 
   Time now_ = Time::zero();
   EventQueue queue_;

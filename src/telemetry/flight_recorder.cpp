@@ -1,5 +1,8 @@
 #include "telemetry/flight_recorder.h"
 
+#include <cstdio>
+#include <string>
+
 namespace halfback::telemetry {
 
 const char* to_string(FlowPhase phase) {
@@ -34,6 +37,61 @@ const char* to_string(TapeEventKind kind) {
     case TapeEventKind::complete: return "complete";
   }
   return "?";
+}
+
+namespace {
+
+std::string ms_from_ns(std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f ms", static_cast<double>(ns) / 1e6);
+  return buf;
+}
+
+/// The payload of `e` in words (see the TapeEventKind catalog).
+std::string describe(const TapeEvent& e) {
+  static constexpr const char* kFaults[] = {"drop", "corrupt", "delay",
+                                            "duplicate"};
+  const std::string a = std::to_string(e.a);
+  switch (e.kind) {
+    case TapeEventKind::flow_start: return std::to_string(e.b) + " bytes";
+    case TapeEventKind::syn_sent: return "attempt " + a;
+    case TapeEventKind::established:
+    case TapeEventKind::rtt_sample: return "rtt " + ms_from_ns(e.b);
+    case TapeEventKind::phase_enter:
+      return to_string(static_cast<FlowPhase>(e.a));
+    case TapeEventKind::segment_sent:
+    case TapeEventKind::retx_sent:
+    case TapeEventKind::proactive_sent:
+    case TapeEventKind::karn_discard: return "seq " + a;
+    case TapeEventKind::ack_received:
+    case TapeEventKind::rlp_abandoned: return "cum_ack " + a;
+    case TapeEventKind::rto_fired: return "timeout " + a;
+    case TapeEventKind::ropr_abandoned: return "ropr at " + a;
+    case TapeEventKind::fault_hit:
+      return (e.a < 4 ? kFaults[e.a] : "?") + (" uid " + std::to_string(e.b));
+    case TapeEventKind::queue_drop:
+      return "flow " + std::to_string(e.b) + " seq " + a;
+    case TapeEventKind::complete: return "fct " + ms_from_ns(e.b);
+  }
+  return {};
+}
+
+}  // namespace
+
+std::string render_tape(const Tape& tape) {
+  std::string out = tape.label() + "\n";
+  if (tape.dropped() > 0) {
+    out += "  (" + std::to_string(tape.dropped()) +
+           " older events overwritten)\n";
+  }
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    const TapeEvent& e = tape.event(i);
+    char head[48];
+    std::snprintf(head, sizeof head, "%10.3f ms  %-15s ", e.at.to_ms(),
+                  to_string(e.kind));
+    out += head + describe(e) + "\n";
+  }
+  return out;
 }
 
 }  // namespace halfback::telemetry

@@ -5,7 +5,7 @@
 // Rings are carved out of slab allocations — creating a tape in steady
 // state touches the allocator only when a slab fills — and recording an
 // event is a handful of stores, so tapes can stay installed in production
-// runs, unlike net::PacketTracer's copy-the-packet model (debug only).
+// runs. render_tape() prints one tape as a plain-text timeline.
 //
 // When a ring wraps, the oldest point events are overwritten (a flight
 // recorder keeps the newest history) and `dropped()` counts the loss; phase
@@ -152,6 +152,11 @@ class Tape {
   std::uint64_t head_ = 0;
   std::vector<PhaseSpan> phases_;
 };
+
+/// Plain-text view of one tape: its label, then one line per held event,
+/// oldest first — time, kind, and the kind's `a`/`b` payload in words.
+/// The examples print a flow's timeline with it (the Fig. 3 walkthrough).
+std::string render_tape(const Tape& tape);
 
 /// Owns the tapes and their slab-allocated rings. Tape creation order is
 /// the export order (deterministic for a seeded run).

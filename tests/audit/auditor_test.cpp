@@ -36,9 +36,6 @@ net::Packet make_data_packet(std::uint64_t uid, std::uint32_t seq = 0) {
 // --- clean runs -------------------------------------------------------------
 
 TEST(InvariantAuditorTest, RealDumbbellRunIsClean) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   testing::DumbbellFixture fx;
   InvariantAuditor auditor;
   fx.net.install_auditor(auditor);
@@ -53,9 +50,6 @@ TEST(InvariantAuditorTest, RealDumbbellRunIsClean) {
 }
 
 TEST(InvariantAuditorTest, LossyCoDelBottleneckRunIsClean) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   // A tight CoDel bottleneck forces both admission and in-queue drops, the
   // two accounting paths that differ (see audit::DropContext).
   net::DumbbellConfig config;
@@ -78,9 +72,6 @@ TEST(InvariantAuditorTest, LossyCoDelBottleneckRunIsClean) {
 // --- event-engine violations ------------------------------------------------
 
 TEST(InvariantAuditorTest, SchedulingInThePastIsFlagged) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   sim::Simulator simulator;
   InvariantAuditor auditor;
   simulator.set_auditor(&auditor);
@@ -179,11 +170,6 @@ class OverfullQueue final : public net::PacketQueue {
 };
 
 TEST(InvariantAuditorTest, OverFullQueueIsFlagged) {
-#ifndef HALFBACK_AUDIT
-  // The queue's record_* helpers only reach the auditor through the
-  // compiled-out hook macro.
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   InvariantAuditor auditor;
   OverfullQueue queue{2'000};
   queue.set_auditor(&auditor);

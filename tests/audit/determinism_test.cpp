@@ -19,9 +19,6 @@ PlanetLabEnv small_env() {
 }
 
 TEST(DeterminismTest, SameSeedPlanetLabTrialsProduceIdenticalTraceHashes) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   const PlanetLabEnv env = small_env();
   const PathSample& path = env.paths().front();
 
@@ -36,9 +33,6 @@ TEST(DeterminismTest, SameSeedPlanetLabTrialsProduceIdenticalTraceHashes) {
 }
 
 TEST(DeterminismTest, DifferentPathsProduceDifferentTraceHashes) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   const PlanetLabEnv env = small_env();
   ASSERT_GE(env.paths().size(), 2u);
 
@@ -51,9 +45,6 @@ TEST(DeterminismTest, DifferentPathsProduceDifferentTraceHashes) {
 }
 
 TEST(DeterminismTest, AllSchemesRunAuditCleanOnPlanetLabPaths) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   const PlanetLabEnv env = small_env();
   const PathSample& path = env.paths().front();
 
@@ -69,9 +60,6 @@ TEST(DeterminismTest, AllSchemesRunAuditCleanOnPlanetLabPaths) {
 }
 
 TEST(DeterminismTest, SameSeedEmulabRunsProduceIdenticalTraceHashes) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   EmulabRunner::Config config;
   config.seed = 5;
   config.dumbbell.sender_count = 4;

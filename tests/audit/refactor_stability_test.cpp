@@ -34,9 +34,6 @@ PlanetLabEnv golden_env() {
 }
 
 TEST(RefactorStability, PlanetLabTraceHashesMatchSeedGolden) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   const PlanetLabEnv env = golden_env();
   const PathSample& path = env.paths().front();
 
@@ -54,9 +51,6 @@ TEST(RefactorStability, PlanetLabTraceHashesMatchSeedGolden) {
 }
 
 TEST(RefactorStability, EmulabTraceHashMatchesSeedGolden) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   EmulabRunner::Config config;
   config.seed = 5;
   config.dumbbell.sender_count = 4;

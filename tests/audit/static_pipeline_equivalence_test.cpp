@@ -160,9 +160,6 @@ std::vector<schemes::Scheme> every_scheme() {
 }
 
 TEST(StaticPipelineEquivalence, EverySchemeEveryScenarioMatchesDynamicGolden) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   const std::vector<schemes::Scheme> all = every_scheme();
   const std::vector<ChaosCell> cells = chaos_sweep(golden_config(), all).cells;
   ASSERT_EQ(cells.size(), chaos_catalog().size() * all.size());

@@ -2,10 +2,15 @@
 // experiment environments (scaled-down configurations).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "exp/censor.h"
 #include "exp/homenet.h"
 #include "exp/planetlab.h"
 #include "exp/trace.h"
 #include "exp/web.h"
+#include "sim/budget.h"
+#include "sim/timer.h"
 #include "stats/summary.h"
 
 namespace halfback::exp {
@@ -141,6 +146,36 @@ TEST(DeadlineCensoringTest, BothEnvironmentsChargeUnfinishedTrialsTheFullTimeout
       EXPECT_EQ(t.record.fct(), timeout);
     }
   }
+}
+
+TEST(DeadlineCensoringTest, ATrippedBudgetEndsTheDrive) {
+  // Regression: once the budget trips, every later run_until slice returns
+  // at once with stopped() set and the clock unchanged, so a drive loop
+  // that only watched the clock polled forever. The deadline allows 100
+  // slices of 100 ms; the poll callback throws well past that, so a
+  // regression fails fast instead of hanging the suite.
+  sim::Simulator simulator{1};
+  sim::Timer tick;
+  tick.bind(simulator, [&] { tick.schedule_after(sim::Time::milliseconds(1)); });
+  tick.schedule_after(sim::Time::milliseconds(1));
+  sim::BudgetEnforcer budget{sim::RunBudget{.max_events = 50}};
+  simulator.set_budget(&budget);
+
+  int polls = 0;
+  const auto watched = [&]() -> const transport::SenderBase* {
+    if (++polls > 200) {
+      throw std::runtime_error{"drive kept polling after the budget tripped"};
+    }
+    return nullptr;
+  };
+  bool complete = true;
+  EXPECT_NO_THROW(complete = drive_until_complete_or_deadline(
+                      simulator, watched, sim::Time::seconds(10)));
+  EXPECT_FALSE(complete);
+  EXPECT_TRUE(budget.tripped());
+  EXPECT_TRUE(simulator.stopped());
+  EXPECT_EQ(simulator.events_executed(), 50u);
+  EXPECT_LE(polls, 2);
 }
 
 TEST(WebRunnerTest, PagesCompleteUnderLightLoad) {

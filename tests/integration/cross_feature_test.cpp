@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
-#include "net/tracer.h"
 #include "schemes/factory.h"
 #include "support/dumbbell_fixture.h"
 #include "transport/agent.h"
@@ -141,7 +140,7 @@ TEST(ParkingLotIntegrationTest, HalfbackPacesOverSummedRtt) {
 
 TEST(PacingQuantizationTest, SegmentsLeaveInTimerClumps) {
   // With the 10 ms default quantum and a 60 ms RTT, the 70-segment batch
-  // leaves in ~6-7 clumps; the tracer at the bottleneck sees long runs of
+  // leaves in ~6-7 clumps; the bottleneck sees long runs of
   // back-to-back arrivals (spaced by the 1 Gbps access serialization, not
   // the pacing interval).
   sim::Simulator simulator{2};

@@ -10,6 +10,8 @@
 //   * determinism— identical seeds give identical results.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <tuple>
 
 #include "net/topology.h"
@@ -39,12 +41,20 @@ std::string scheme_label(Scheme s) {
   return n;
 }
 
+// gtest names each case after a byte dump of its parameter. Implicit padding
+// would carry whatever the stack held (pointers among them) into those names
+// and change them from build to build, so the trial structs below spell their
+// padding out as zeroed bytes.
+constexpr std::size_t kSchemePad = 8 - sizeof(Scheme);
+
 // ---------------------------------------------------------------- lossy path
 
 struct LossyTrial {
   Scheme scheme;
+  std::array<std::uint8_t, kSchemePad> pad{};
   double loss_rate;
 };
+static_assert(sizeof(LossyTrial) == 16, "LossyTrial must hold no padding");
 
 class LossyPathTest : public ::testing::TestWithParam<LossyTrial> {};
 
@@ -89,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<LossyTrial> trials;
       for (Scheme s : kAllSchemes) {
         for (double loss : {0.0, 0.01, 0.05, 0.15}) {
-          trials.push_back({s, loss});
+          trials.push_back({s, {}, loss});
         }
       }
       return trials;
@@ -103,8 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct SizeTrial {
   Scheme scheme;
+  std::array<std::uint8_t, kSchemePad> pad{};
   std::uint64_t bytes;
 };
+static_assert(sizeof(SizeTrial) == 16, "SizeTrial must hold no padding");
 
 class FlowSizeEdgeTest : public ::testing::TestWithParam<SizeTrial> {};
 
@@ -130,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
         for (std::uint64_t bytes : {std::uint64_t{1}, std::uint64_t{1448},
                                     std::uint64_t{1449}, std::uint64_t{141'000},
                                     std::uint64_t{500'000}}) {
-          trials.push_back({s, bytes});
+          trials.push_back({s, {}, bytes});
         }
       }
       return trials;

@@ -55,10 +55,8 @@ TEST(ChaosMatrixTest, EverySchemeSurvivesEveryScenario) {
     EXPECT_EQ(cell.flows, test_config().flows_per_cell);
     EXPECT_TRUE(cell.deterministic)
         << "same seed + same fault config produced a different trace hash";
-#ifdef HALFBACK_AUDIT
     EXPECT_EQ(cell.audit_violations, 0u) << "invariants broke under chaos";
     EXPECT_NE(cell.trace_hash, 0u);
-#endif
   }
 }
 
@@ -115,7 +113,6 @@ TEST(ChaosMatrixTest, FaultCountersAttributeWhatEachScenarioInjects) {
   }
 }
 
-#ifdef HALFBACK_AUDIT
 TEST(ChaosMatrixTest, CleanCellMatchesARunWithoutTheChaosLayer) {
   // Configuring zero faults must not install an injector, and must leave
   // the run bit-identical (same trace hash) to a plain EmulabRunner run of
@@ -142,7 +139,6 @@ TEST(ChaosMatrixTest, CleanCellMatchesARunWithoutTheChaosLayer) {
   EXPECT_EQ(plain.delivery.duplicate_rejected, 0u);
   EXPECT_EQ(plain.faults.packets_seen, 0u);  // no injector existed at all
 }
-#endif
 
 TEST(ChaosMatrixTest, Rc3AdversarialCellDoesNotStormTheEventQueue) {
   // Regression: rc3 under the adversarial composite at seed 42 once ran
@@ -244,9 +240,7 @@ TEST(ChaosMatrixTest, ATightBudgetQuarantinesStormCellsDeterministically) {
       EXPECT_EQ(cell.trip, sim::BudgetTrip::none);
       EXPECT_EQ(cell.attempts, 1u);
       EXPECT_EQ(cell.events_executed, healthy.cells[i].events_executed);
-#ifdef HALFBACK_AUDIT
       EXPECT_EQ(cell.trace_hash, healthy.cells[i].trace_hash);
-#endif
     }
   }
 }
@@ -267,11 +261,7 @@ TEST(ChaosMatrixTest, DifferentSeedsProduceDifferentFaultPatterns) {
   part.schedule.push_back({sim::Time::zero(), 100'000});
   RunResult ra = EmulabRunner{a}.run({part});
   RunResult rb = EmulabRunner{b}.run({part});
-#ifdef HALFBACK_AUDIT
   EXPECT_NE(ra.trace_hash, rb.trace_hash);
-#else
-  EXPECT_NE(ra.faults.burst_drops, rb.faults.burst_drops);
-#endif
 }
 
 }  // namespace

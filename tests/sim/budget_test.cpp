@@ -129,34 +129,6 @@ TEST(BudgetTest, ATrippedBudgetIsStickyUntilReset) {
   EXPECT_FALSE(enforcer.tripped());
 }
 
-TEST(BudgetTest, AGenerousBudgetLeavesACompletedRunIdentical) {
-  const auto drive = [](Simulator& simulator, BudgetEnforcer* enforcer) {
-    if (enforcer != nullptr) simulator.set_budget(enforcer);
-    int remaining = 500;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) simulator.schedule(Time::microseconds(250), tick);
-    };
-    simulator.schedule(Time::microseconds(250), tick);
-    simulator.run();
-  };
-
-  Simulator plain{7};
-  drive(plain, nullptr);
-
-  RunBudget budget;
-  budget.max_events = 1'000'000;
-  budget.max_sim_time = Time::seconds(3600);
-  budget.storm_window = 100;
-  budget.storm_events_per_sim_second = 1e9;
-  BudgetEnforcer enforcer{budget};
-  Simulator budgeted{7};
-  drive(budgeted, &enforcer);
-
-  EXPECT_FALSE(enforcer.tripped());
-  EXPECT_EQ(budgeted.events_executed(), plain.events_executed());
-  EXPECT_EQ(budgeted.now(), plain.now());
-}
-
 TEST(BudgetTest, RunUntilUnderBudgetStillHonorsTheDeadline) {
   Simulator simulator{1};
   TickLoop loop{simulator, Time::milliseconds(1)};

@@ -71,27 +71,5 @@ TEST(DispatchProfiler, CountsDispatchesOnTheInstrumentedLoop) {
   EXPECT_EQ(counted, 2u);
 }
 
-TEST(DispatchProfiler, ProfilerDoesNotPerturbTheSimulation) {
-  // Same schedule with and without a profiler: identical event count and
-  // identical final clock (the observe-only contract).
-  auto run = [](DispatchProfiler* profiler) {
-    Simulator simulator{7};
-    if (profiler != nullptr) simulator.set_profiler(profiler);
-    int fired = 0;
-    Timer timer{simulator, [&] { ++fired; }};
-    for (int i = 1; i <= 64; ++i) {
-      timer.schedule_at(Time::microseconds(i * 10));
-      simulator.run_until(Time::microseconds(i * 10));
-    }
-    return std::pair<std::uint64_t, std::int64_t>{
-        simulator.events_executed(), simulator.now().ns()};
-  };
-  DispatchProfiler profiler;
-  const auto plain = run(nullptr);
-  const auto profiled = run(&profiler);
-  EXPECT_EQ(plain, profiled);
-  EXPECT_EQ(profiler.total_dispatches(), plain.first);
-}
-
 }  // namespace
 }  // namespace halfback::sim

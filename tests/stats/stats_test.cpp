@@ -1,43 +1,11 @@
-// Tests for TimeSeries, Table, and feasible-capacity detection.
+// Tests for Table and feasible-capacity detection.
 #include <gtest/gtest.h>
 
 #include "stats/feasible_capacity.h"
 #include "stats/table.h"
-#include "stats/time_series.h"
 
 namespace halfback::stats {
 namespace {
-
-using namespace halfback::sim::literals;
-
-TEST(TimeSeriesTest, BucketsBytesByTime) {
-  TimeSeries ts{60_ms};
-  ts.add_bytes(10_ms, 7500);    // bucket 0
-  ts.add_bytes(70_ms, 15000);   // bucket 1
-  ts.add_bytes(119_ms, 7500);   // bucket 1
-  auto samples = ts.throughput();
-  ASSERT_EQ(samples.size(), 2u);
-  // 7500 B / 60 ms = 1 Mbps.
-  EXPECT_NEAR(samples[0].mbps, 1.0, 1e-9);
-  EXPECT_NEAR(samples[1].mbps, 3.0, 1e-9);
-  EXPECT_EQ(ts.total_bytes(), 30000u);
-}
-
-TEST(TimeSeriesTest, GapsAreZero) {
-  TimeSeries ts{60_ms};
-  ts.add_bytes(sim::Time::zero(), 100);
-  ts.add_bytes(200_ms, 100);  // bucket 3
-  auto samples = ts.throughput();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_DOUBLE_EQ(samples[1].mbps, 0.0);
-  EXPECT_DOUBLE_EQ(samples[2].mbps, 0.0);
-}
-
-TEST(TimeSeriesTest, NegativeTimesIgnored) {
-  TimeSeries ts{60_ms};
-  ts.add_bytes(sim::Time::milliseconds(-5), 100);
-  EXPECT_EQ(ts.total_bytes(), 0u);
-}
 
 TEST(TableTest, AlignsColumns) {
   Table t{{"scheme", "fct"}};

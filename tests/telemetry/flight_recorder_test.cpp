@@ -152,5 +152,35 @@ TEST(FlightRecorder, EnumNamesAreStable) {
   EXPECT_STREQ(to_string(TapeEventKind::karn_discard), "karn_discard");
 }
 
+TEST(FlightRecorder, RenderTapePrintsOneLinePerEventWithItsPayload) {
+  FlightRecorder recorder;
+  Tape& tape = recorder.tape(TrackKind::flow, 1, "halfback flow 1");
+  tape.record(us(0), TapeEventKind::flow_start, 0, 14'480);
+  tape.record(us(1'500), TapeEventKind::segment_sent, 8);
+  tape.record(us(61'000), TapeEventKind::ack_received, 5);
+  tape.record(us(61'000), TapeEventKind::proactive_sent, 9);
+  tape.record(us(90'000), TapeEventKind::complete, 0, 90'000'000);
+  EXPECT_EQ(render_tape(tape),
+            "halfback flow 1\n"
+            "     0.000 ms  flow_start      14480 bytes\n"
+            "     1.500 ms  segment_sent    seq 8\n"
+            "    61.000 ms  ack_received    cum_ack 5\n"
+            "    61.000 ms  proactive_sent  seq 9\n"
+            "    90.000 ms  complete        fct 90.000 ms\n");
+}
+
+TEST(FlightRecorder, RenderTapeNotesOverwrittenEvents) {
+  FlightRecorder recorder{FlightRecorder::Config{.events_per_tape = 2}};
+  Tape& tape = recorder.tape(TrackKind::link, 0, "link 0");
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    tape.record(us(seq), TapeEventKind::queue_drop, seq, 4);
+  }
+  EXPECT_EQ(render_tape(tape),
+            "link 0\n"
+            "  (1 older events overwritten)\n"
+            "     0.001 ms  queue_drop      flow 4 seq 1\n"
+            "     0.002 ms  queue_drop      flow 4 seq 2\n");
+}
+
 }  // namespace
 }  // namespace halfback::telemetry

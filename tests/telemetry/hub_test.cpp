@@ -46,9 +46,6 @@ std::vector<WorkloadPart> golden_emulab_parts() {
 }
 
 TEST(HubInvariance, EmulabGoldenHashUnchangedWithHubInstalled) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   Hub hub;
   EmulabRunner::Config config = golden_emulab_config();
   config.telemetry = &hub;
@@ -64,9 +61,6 @@ TEST(HubInvariance, EmulabGoldenHashUnchangedWithHubInstalled) {
 }
 
 TEST(HubInvariance, PlanetLabGoldenHashUnchangedWithHubInstalled) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   PlanetLabConfig config;
   config.pair_count = 4;
   config.seed = 7;
@@ -84,9 +78,6 @@ TEST(HubInvariance, PlanetLabGoldenHashUnchangedWithHubInstalled) {
 }
 
 TEST(HubInvariance, FaultyRunHashUnchangedWithHubInstalled) {
-#ifndef HALFBACK_AUDIT
-  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
-#endif
   // No golden constant for this config; compare a bare run against an
   // instrumented one directly.
   EmulabRunner::Config config = golden_emulab_config();

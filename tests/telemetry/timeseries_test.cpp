@@ -21,6 +21,16 @@ TEST(WindowSeries, TalliesLandInTheirWindow) {
   EXPECT_EQ(series.window(1).drops, 1u);
 }
 
+TEST(WindowSeries, GapsBetweenTalliesStayZero) {
+  WindowSeries series{"flow", Time::milliseconds(60), 8};
+  series.tally_bytes(Time::zero(), 100);
+  series.tally_bytes(Time::milliseconds(200), 100);  // window 3
+  ASSERT_EQ(series.window_count(), 4u);
+  EXPECT_EQ(series.window(1).bytes, 0u);
+  EXPECT_EQ(series.window(2).bytes, 0u);
+  EXPECT_EQ(series.window(3).bytes, 100u);
+}
+
 TEST(WindowSeries, PeaksAreHighWaterMarksNotSums) {
   WindowSeries series{"link.0", Time::milliseconds(10), 8};
   series.raise_queue_peak(Time::milliseconds(1), 4);

@@ -41,8 +41,9 @@
 //     per-file rules still police the bodies of the callbacks themselves
 //     when they live in hot-path files);
 //   * src/audit and src/telemetry are not traversed — the observation
-//     layer is preallocated-by-design and compiled out of measurement
-//     builds, so charging its bodies to the packet path would be noise;
+//     layer is preallocated by design and reached only through
+//     null-guarded hooks, so charging its bodies to the packet path would
+//     be noise;
 //   * only functions defined under src/ are traversed, so a name collision
 //     with a test helper cannot drag tests/ code into the proof.
 #include <map>
@@ -128,7 +129,7 @@ class HotPathReachRule final : public ModelRule {
     const auto& functions = model.functions();
     // Names that may dispatch virtually: every member declared virtual in
     // a traversable file (audit/telemetry virtuals are observation-layer
-    // seams, compiled out of measurement builds).
+    // seams behind null-guarded hooks).
     std::set<std::string_view> virtual_names;
     for (const VirtualMethod& vm : model.virtual_methods()) {
       if (traversable_path(model.file(vm.file).path())) {
