@@ -56,7 +56,7 @@
 #define HB_NO_THREAD_SAFETY_ANALYSIS \
   HB_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
-/// Effect contract, checked by halfback-analyze (docs/static-analysis.md).
+/// Effect contract, checked by halfback-lint (docs/static-analysis.md).
 ///
 /// Declares the complete set of effects a function may produce, directly
 /// or through anything it calls: `alloc`, `throw`, `clock` (wall-clock

@@ -2,7 +2,8 @@
 // is sanctioned in tools/lint/hot_seams.txt, so the effect engine cuts
 // propagation at the call site (the implementor's own effects are checked
 // at its definition, not charged to the caller) and hot_path_reach skips
-// the dispatch report. The tree analyzes clean.
+// the dispatch report. The implementor's allocation is the point of the
+// fixture and carries a new-ok tag, so the tree analyzes clean.
 #pragma once
 namespace halfback::transport {
 
@@ -11,6 +12,7 @@ struct Hook {
 };
 
 struct RingHook final : Hook {
+  // lint: new-ok(fixture: the effect the sanctioned seam keeps off callers)
   void deliver(int seq) override { slots_ = new int[8]; slots_[0] = seq; }
   int* slots_ = nullptr;
 };

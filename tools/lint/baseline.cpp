@@ -48,11 +48,9 @@ std::vector<std::string> Baseline::stale_entries(
   return stale;
 }
 
-std::string Baseline::render(const std::vector<Finding>& findings,
-                             std::string_view tool) {
+std::string Baseline::render(const std::vector<Finding>& findings) {
   std::ostringstream out;
-  out << "# " << tool
-      << " suppression baseline. Policy: keep this file "
+  out << "# halfback-lint suppression baseline. Policy: keep this file "
          "empty;\n# justify findings inline with '// lint: <tag>(reason)' "
          "instead.\n";
   for (const Finding& f : findings) {

@@ -38,11 +38,9 @@ class Baseline {
   std::vector<std::string> stale_entries(
       const std::vector<Finding>& findings) const;
 
-  /// Render findings in baseline format (for --update-baseline). The
-  /// header names the emitting tool so the CI drift guard's byte-for-byte
-  /// compare against the checked-in file holds for both CLIs.
-  static std::string render(const std::vector<Finding>& findings,
-                            std::string_view tool = "halfback-lint");
+  /// Render findings in baseline format (for --update-baseline); the CI
+  /// drift guard compares this byte-for-byte against the checked-in file.
+  static std::string render(const std::vector<Finding>& findings);
 
  private:
   std::set<std::tuple<std::string, std::string, int>> entries_;

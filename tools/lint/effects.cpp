@@ -77,7 +77,9 @@ EffectAnalysis::EffectAnalysis(const ProjectModel& model,
   // inventory (locals shadowing a global name are a conservative
   // over-approximation the tree keeps at zero).
   std::set<std::string_view> global_names;
-  for (const GlobalVar& g : model.globals()) global_names.insert(g.name);
+  for (const StaticDecl& decl : model.static_decls()) {
+    if (!decl.is_const) global_names.insert(decl.name);
+  }
   for (std::size_t i = 0; i < functions.size(); ++i) {
     const FunctionDef& fn = functions[i];
     for (const Evidence& ev : fn.evidence) {

@@ -37,7 +37,7 @@
 #include <string>
 #include <string_view>
 
-#include "analysis.h"
+#include "rules.h"
 #include "model.h"
 
 namespace halfback::lint {

@@ -1,29 +1,32 @@
-// halfback-lint: the project's determinism & unit-safety static analysis.
+// halfback-lint: the project's static analyzer. Builds one model of the
+// tree and runs every rule over it — the token rules on src/ files and the
+// cross-TU rules on the include and call graphs.
 //
-//   halfback-lint --root <repo>                 lint src/ under <repo>
-//   halfback-lint --root <repo> <file> [...]    lint specific files
-//   halfback-lint --root <repo> --as src/x.cpp <file>
-//                                               lint a file under a logical
-//                                               path (fixture testing)
-//   --baseline <file>       tolerate findings listed in <file>
-//   --update-baseline <file>  write current findings to <file> and exit 0
-//   --verify-baseline <file>  exit 1 if <file> has entries matching no
-//                           finding (the CI drift guard)
-//   --rule <id>             run a single rule
-//   --jobs <n>              scan files on n workers (output is identical)
-//   --list-rules            print the rule table and exit
+//   halfback-lint --root <repo>             analyze the whole tree
+//   --baseline <file>          tolerate findings listed in <file>
+//   --update-baseline <file>   write current findings to <file> and exit 0
+//   --verify-baseline <file>   exit 1 if <file> has entries matching no
+//                              finding (the CI drift guard)
+//   --rule <id>                run a single rule
+//   --list-rules               print the rule table and exit
+//   --dot <file>               also write the layer include graph (Graphviz)
+//   --effects <prefix>         print the inferred effect set of every
+//                              function whose qualified name starts with
+//                              <prefix> and exit (annotation aid)
 //
-// Exit status: 0 clean, 1 findings, 2 usage or I/O error.
-#include <cstring>
+// Exit status: 0 clean, 1 findings (or stale baseline), 2 usage or I/O
+// error (including a root without src/ and an unknown rule id), so CI
+// failures are diagnosable from the code alone.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baseline.h"
-#include "runner.h"
+#include "effects.h"
+#include "rules.h"
 
 namespace {
 
@@ -35,19 +38,19 @@ struct Options {
   std::string update_baseline_path;
   std::string verify_baseline_path;
   std::string only_rule;
-  int jobs = 1;
-  std::string as_path;
-  std::vector<std::string> files;
+  std::string dot_path;
+  std::string effects_prefix;
+  bool dump_effects = false;
   bool list_rules = false;
 };
 
 int usage(std::ostream& out, int code) {
-  out << "usage: halfback-lint --root <repo> [--baseline <file>] "
-         "[--update-baseline <file>]\n"
-         "                     [--verify-baseline <file>] [--rule <id>] "
-         "[--jobs <n>]\n"
-         "                     [--list-rules] [--as <logical-path>] "
-         "[files...]\n";
+  out << "usage: halfback-lint --root <repo> [--baseline <file>]\n"
+         "                     [--update-baseline <file>] "
+         "[--verify-baseline <file>]\n"
+         "                     [--rule <id>] [--list-rules] "
+         "[--dot <file>]\n"
+         "                     [--effects <qualified-name-prefix>]\n";
   return code;
 }
 
@@ -69,97 +72,67 @@ bool parse_args(int argc, char** argv, Options& opts) {
       if (!value(opts.update_baseline_path)) return false;
     } else if (arg == "--verify-baseline") {
       if (!value(opts.verify_baseline_path)) return false;
-    } else if (arg == "--jobs") {
-      std::string jobs_value;
-      if (!value(jobs_value)) return false;
-      try {
-        opts.jobs = std::stoi(jobs_value);
-      } catch (const std::exception&) {
-        return false;
-      }
-      if (opts.jobs < 1) return false;
     } else if (arg == "--rule") {
       if (!value(opts.only_rule)) return false;
-    } else if (arg == "--as") {
-      if (!value(opts.as_path)) return false;
+    } else if (arg == "--dot") {
+      if (!value(opts.dot_path)) return false;
+    } else if (arg == "--effects") {
+      if (!value(opts.effects_prefix)) return false;
+      opts.dump_effects = true;
     } else if (arg == "--list-rules") {
       opts.list_rules = true;
-    } else if (arg.starts_with("--")) {
-      return false;
     } else {
-      opts.files.emplace_back(arg);
+      return false;
     }
   }
-  return !(opts.as_path.size() && opts.files.size() != 1);
+  return true;
 }
 
-}  // namespace
+/// The baseline at `path` (empty when no path is given). Throws on I/O or
+/// parse errors.
+Baseline load_baseline(const std::string& path) {
+  Baseline baseline;
+  std::string error;
+  if (!path.empty() && !baseline.parse(read_file(path), error)) {
+    throw std::runtime_error{error};
+  }
+  return baseline;
+}
 
-int main(int argc, char** argv) {
-  Options opts;
-  if (!parse_args(argc, argv, opts)) return usage(std::cerr, 2);
+/// Write `text` to `path`; throws when the file cannot be opened or written.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out{path};
+  if (!(out << text << std::flush)) {
+    throw std::runtime_error{"cannot write " + path};
+  }
+}
 
-  if (opts.list_rules) {
-    for (const auto& rule : all_rules()) {
-      std::cout << rule->id() << "\n    " << rule->description();
-      if (!rule->suppression_tag().empty()) {
-        std::cout << "\n    suppression: // lint: " << rule->suppression_tag()
-                  << "(reason)";
-      }
-      std::cout << "\n";
+/// Everything after argument parsing; throws on usage and I/O errors.
+int run(const Options& opts) {
+  const Baseline baseline = load_baseline(opts.baseline_path);
+  const Baseline verify = load_baseline(opts.verify_baseline_path);
+  const SeamInventory seams = load_seams(opts.root);
+  const ProjectModel model = ProjectModel::build(opts.root);
+  if (opts.dump_effects) {
+    // Annotation aid: inferred effect set per matching function, in
+    // symbol-table order (deterministic: directory scan is sorted).
+    const EffectAnalysis analysis{model, seams};
+    for (std::size_t i = 0; i < model.functions().size(); ++i) {
+      const FunctionDef& fn = model.functions()[i];
+      if (!fn.qualified.starts_with(opts.effects_prefix)) continue;
+      std::cout << fn.qualified << " [" << analysis.of(i).to_string() << "] "
+                << model.file(fn.file).path() << ":" << fn.line << "\n";
     }
     return 0;
   }
-
-  auto load = [](const std::string& path, Baseline& into) {
-    std::ifstream in{path};
-    if (!in) {
-      std::cerr << "halfback-lint: cannot read baseline " << path << "\n";
-      return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    if (!into.parse(text.str(), error)) {
-      std::cerr << "halfback-lint: " << error << "\n";
-      return false;
-    }
-    return true;
-  };
-  Baseline baseline;
-  if (!opts.baseline_path.empty() && !load(opts.baseline_path, baseline)) {
-    return 2;
-  }
-  Baseline verify;
-  if (!opts.verify_baseline_path.empty() &&
-      !load(opts.verify_baseline_path, verify)) {
-    return 2;
-  }
-
-  std::vector<Finding> findings;
-  try {
-    if (opts.files.empty()) {
-      findings = lint_tree(opts.root, opts.only_rule, opts.jobs);
-    } else {
-      for (const std::string& f : opts.files) {
-        const std::string logical =
-            !opts.as_path.empty()
-                ? opts.as_path
-                : std::filesystem::relative(f, opts.root).generic_string();
-        auto file_findings = lint_path(f, logical, opts.only_rule);
-        findings.insert(findings.end(), file_findings.begin(), file_findings.end());
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "halfback-lint: " << e.what() << "\n";
-    return 2;
-  }
+  const std::vector<Finding> findings =
+      analyze_model(model, seams, opts.only_rule);
+  if (!opts.dot_path.empty()) write_file(opts.dot_path, model.layer_graph_dot());
 
   if (!opts.update_baseline_path.empty()) {
-    std::ofstream out{opts.update_baseline_path};
-    out << Baseline::render(findings);
-    std::cout << "halfback-lint: wrote " << findings.size() << " finding(s) to "
-              << opts.update_baseline_path << "\n";
+    write_file(opts.update_baseline_path, Baseline::render(findings));
+    std::cout << "halfback-lint: wrote " << findings.size()
+              << " finding(s) to " << opts.update_baseline_path << "\n";
     return 0;
   }
 
@@ -180,8 +153,8 @@ int main(int argc, char** argv) {
   for (const Finding& f : findings) {
     if (baseline.contains(f)) continue;
     ++reported;
-    std::cout << f.path << ":" << f.line << ": [" << f.rule << "] " << f.message
-              << "\n";
+    std::cout << f.path << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
   }
   if (reported == 0) {
     std::cout << "halfback-lint: clean (" << findings.size()
@@ -191,4 +164,30 @@ int main(int argc, char** argv) {
   }
   std::cout << "halfback-lint: " << reported << " finding(s)\n";
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opts;
+  if (!parse_args(argc, argv, opts)) return usage(std::cerr, 2);
+
+  if (opts.list_rules) {
+    for (const auto& rule : all_rules()) {
+      std::cout << rule->id() << "\n    " << rule->description();
+      if (!rule->suppression_tag().empty()) {
+        std::cout << "\n    suppression: // lint: " << rule->suppression_tag()
+                  << "(reason)";
+      }
+      std::cout << "\n";
+    }
+    return 0;
+  }
+
+  try {
+    return run(opts);
+  } catch (const std::exception& e) {
+    std::cerr << "halfback-lint: " << e.what() << "\n";
+    return 2;
+  }
 }

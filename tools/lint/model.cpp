@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -137,7 +136,6 @@ class FileParser {
  public:
   struct Tables {
     std::vector<FunctionDef>& functions;
-    std::vector<GlobalVar>& globals;
     std::vector<RngConstruction>& rng_sites;
     std::vector<std::string>& rng_member_names;
     std::vector<std::pair<std::string, RngConstruction>>& pending_inits;
@@ -154,7 +152,6 @@ class FileParser {
         index_{file_index},
         code_{file.code()},
         functions_{tables.functions},
-        globals_{tables.globals},
         rng_sites_{tables.rng_sites},
         rng_member_names_{tables.rng_member_names},
         member_inits_{tables.pending_inits},
@@ -595,19 +592,10 @@ class FileParser {
                               bool saw_constexpr, bool saw_static) {
     const int line = code_[start].line;
     const bool at_type_scope = in_type_scope();
-    if (!name.empty() && !saw_const) {
-      if (!at_type_scope) {
-        globals_.push_back(
-            {name, scope_prefix() + name, index_, line, /*local=*/false});
-      } else if (saw_static) {
-        // Mutable static data member: as process-wide as any global.
-        globals_.push_back(
-            {name, scope_prefix() + name, index_, line, /*local=*/false});
-      }
-    }
     if (!name.empty() && !saw_constexpr &&
         (!at_type_scope || saw_static)) {
-      // Static storage duration, `const` included (a `static const
+      // Static storage duration: namespace scope, or a static data member
+      // (as process-wide as any global). `const` included (a `static const
       // Simulator*` cache is exactly what sim_escape hunts), `constexpr`
       // excluded: a constant expression cannot hold a runtime address.
       StaticDecl decl;
@@ -812,9 +800,9 @@ class FileParser {
       }
       if (name.empty()) continue;
       if (!is_constexpr) {
-        // `static const` locals are recorded here (a const pointer cache
-        // still aliases a live object — sim_escape's concern) even though
-        // the mutable-global inventory below excludes them.
+        // `static const` locals are recorded too (a const pointer cache
+        // still aliases a live object — sim_escape's concern); only the
+        // mutable ones are global_write evidence.
         StaticDecl decl;
         decl.name = name;
         decl.qualified = fn.qualified + "::" + name;
@@ -828,8 +816,6 @@ class FileParser {
       if (is_const) continue;
       fn.evidence.push_back(
           {EvidenceKind::global_write, code_[i].line, name});
-      globals_.push_back({name, fn.qualified + "::" + name, index_,
-                          code_[i].line, /*local=*/true});
     }
   }
 
@@ -868,7 +854,6 @@ class FileParser {
   const std::vector<Token>& code_;
   std::vector<Scope> scopes_;
   std::vector<FunctionDef>& functions_;
-  std::vector<GlobalVar>& globals_;
   std::vector<RngConstruction>& rng_sites_;
   std::vector<std::string>& rng_member_names_;
   std::vector<std::pair<std::string, RngConstruction>>& member_inits_;
@@ -914,6 +899,9 @@ bool is_hot_path_evidence(EvidenceKind kind) {
 
 ProjectModel ProjectModel::build(const std::filesystem::path& root) {
   namespace fs = std::filesystem;
+  if (!fs::is_directory(root / "src")) {
+    throw std::runtime_error{"no src/ directory under " + root.string()};
+  }
   ProjectModel model;
   std::vector<fs::path> paths;
   for (const char* subdir : {"src", "bench", "examples", "tests", "tools"}) {
@@ -933,12 +921,8 @@ ProjectModel ProjectModel::build(const std::filesystem::path& root) {
   }
   std::sort(paths.begin(), paths.end());
   for (const auto& path : paths) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw std::runtime_error{"cannot read " + path.string()};
-    std::ostringstream text;
-    text << in.rdbuf();
-    model.add_file(SourceFile{fs::relative(path, root).generic_string(),
-                              std::move(text).str()});
+    model.add_file(
+        SourceFile{fs::relative(path, root).generic_string(), read_file(path)});
   }
   model.finalize();
   return model;
@@ -982,7 +966,7 @@ void ProjectModel::finalize() {
 
 void ProjectModel::parse_file(std::size_t index) {
   FileParser parser{files_[index], index,
-                    {functions_, globals_, rng_sites_, rng_member_names_,
+                    {functions_, rng_sites_, rng_member_names_,
                      pending_member_inits_, virtual_methods_, contracts_,
                      static_decls_, member_decls_, member_inits_,
                      src_classes_}};

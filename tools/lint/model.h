@@ -1,25 +1,26 @@
-// The cross-translation-unit project model behind halfback-analyze.
+// The cross-translation-unit project model every halfback-lint rule runs on.
 //
-// halfback-lint (rules.h) sees one file at a time; the whole-program
-// contracts — layering, transitive hot-path purity, shard safety,
-// seed-derived randomness — need a view of the tree. The ProjectModel is
-// that view: every source file tokenized once, plus
+// The token rules (rules_internal.h: TokenRule) look at one file at a
+// time; the whole-program contracts — layering, transitive hot-path
+// purity, shard safety, seed-derived randomness — need a view of the tree.
+// The ProjectModel is that view: every source file tokenized once, plus
 //
 //   * an include graph (file -> file edges, resolved against the tree),
 //   * a symbol table of function definitions with per-body evidence
 //     (allocations, throws, std::function construction, container growth),
 //   * a best-effort call graph (callee names resolved to definitions, with
 //     class-qualifier filtering),
-//   * an inventory of namespace-scope variables and function-local statics,
+//   * an inventory of static-storage declarations (namespace-scope
+//     variables, static data members, function-local statics),
 //   * every RNG construction site with its argument tokens,
 //   * every member function declared virtual (the hot-path rule's
 //     virtual-dispatch check resolves member calls against this table).
 //
 // "Best effort" is a design point, not an apology: the model is built by
-// the same zero-dependency tokenizer as the linter (no libclang), so calls
-// through std::function / function pointers are invisible and overload sets
-// collapse to name matches. The rules on top (analysis.h) are written so
-// that blindness makes them miss findings, never invent them.
+// the same zero-dependency tokenizer the token rules scan (no libclang), so
+// calls through std::function / function pointers are invisible and
+// overload sets collapse to name matches. The rules on top (rules.h) are
+// written so that blindness makes them miss findings, never invent them.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +90,8 @@ struct CallSite {
 
 /// A bare identifier the body assigns to (`x = ...`, `x += ...`, `x++`).
 /// Object- or scope-qualified writes are excluded; the effect engine
-/// intersects these names with the namespace-scope global inventory to
-/// derive the global_mut effect, so local shadows filter out there.
+/// intersects these names with the mutable static_decls() to derive the
+/// global_mut effect, so local shadows filter out there.
 struct WriteSite {
   std::string name;
   int line = 0;
@@ -124,15 +125,19 @@ struct EffectContract {
 };
 
 /// A variable with static storage duration recorded with its declared type
-/// tokens (sim_escape rule input). Unlike GlobalVar this includes `const`
-/// variables — a `static const Simulator*` cache is exactly the bug the
-/// escape analysis exists to catch — but still excludes `constexpr`.
+/// tokens. The entries with is_const == false are the mutable state
+/// shard_safety inventories and the effect engine's global_mut writes
+/// target; sim_escape reads them all — a `static const Simulator*` cache
+/// is exactly the bug the escape analysis exists to catch. `constexpr`
+/// declarations are not recorded.
 struct StaticDecl {
   std::string name;
   std::string qualified;       ///< namespace-qualified, best effort
   std::string type_text;       ///< declared type tokens, space-joined
   std::size_t file = 0;
   int line = 0;
+  /// true: `static` local inside a function (includes singleton accessors);
+  /// false: namespace-scope variable or static data member.
   bool is_local_static = false;
   bool is_const = false;
 };
@@ -158,17 +163,6 @@ struct MemberInit {
   int line = 0;
 };
 
-/// Mutable state with static storage duration (shard-safety rule input).
-struct GlobalVar {
-  std::string name;
-  std::string qualified;  ///< namespace-qualified, best effort
-  std::size_t file = 0;
-  int line = 0;
-  /// true: `static` local inside a function (includes singleton accessors);
-  /// false: namespace-scope variable or static data member.
-  bool is_local_static = false;
-};
-
 /// A construction of an RNG object (sim::Random or a <random> engine).
 struct RngConstruction {
   std::string type_name;  ///< "Random", "mt19937_64", ... ("" for members
@@ -184,7 +178,8 @@ class ProjectModel {
  public:
   /// Build the model for a tree: every *.h / *.cpp under root/{src,bench,
   /// examples,tests,tools}, except tests/lint/fixtures (deliberately broken
-  /// inputs). Throws std::runtime_error when a file cannot be read.
+  /// inputs). Throws std::runtime_error when root/src is not a directory
+  /// (a mistyped root must not analyze clean) or a file cannot be read.
   static ProjectModel build(const std::filesystem::path& root);
 
   /// In-memory construction for tests: add files, then finalize().
@@ -200,7 +195,6 @@ class ProjectModel {
 
   const std::vector<IncludeEdge>& includes() const { return includes_; }
   const std::vector<FunctionDef>& functions() const { return functions_; }
-  const std::vector<GlobalVar>& globals() const { return globals_; }
   const std::vector<RngConstruction>& rng_sites() const { return rng_sites_; }
   const std::vector<VirtualMethod>& virtual_methods() const {
     return virtual_methods_;
@@ -252,7 +246,6 @@ class ProjectModel {
   std::map<std::string, std::size_t, std::less<>> path_index_;
   std::vector<IncludeEdge> includes_;
   std::vector<FunctionDef> functions_;
-  std::vector<GlobalVar> globals_;
   std::vector<RngConstruction> rng_sites_;
   std::vector<VirtualMethod> virtual_methods_;
   std::vector<EffectContract> contracts_;

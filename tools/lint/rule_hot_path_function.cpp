@@ -12,17 +12,15 @@ namespace {
 using scan::ident_at;
 using scan::punct_at;
 
-class HotPathFunctionRule final : public Rule {
+class HotPathFunctionRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "hot-path-std-function"; }
-  std::string_view description() const override {
-    return "no std::function in '// lint: hot-path' files without a "
-           "'// lint: function-ok(reason)' justification";
-  }
-  std::string_view suppression_tag() const override { return "function-ok"; }
+  HotPathFunctionRule()
+      : TokenRule{"hot-path-std-function", "function-ok",
+                  "no std::function in '// lint: hot-path' files without a "
+                  "'// lint: function-ok(reason)' justification"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     if (!file.annotated("hot-path")) return;
     const auto& code = file.code();
     for (std::size_t i = 0; i + 2 < code.size(); ++i) {

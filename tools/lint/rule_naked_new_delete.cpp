@@ -12,17 +12,15 @@ namespace {
 using scan::ident_at;
 using scan::punct_at;
 
-class NakedNewDeleteRule final : public Rule {
+class NakedNewDeleteRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "naked-new-delete"; }
-  std::string_view description() const override {
-    return "no naked new/delete in src/ — use std::make_unique, containers, "
-           "or the pools";
-  }
-  std::string_view suppression_tag() const override { return "new-ok"; }
+  NakedNewDeleteRule()
+      : TokenRule{"naked-new-delete", "new-ok",
+                  "no naked new/delete in src/ — use std::make_unique, "
+                  "containers, or the pools"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     const auto& code = file.code();
     for (std::size_t i = 0; i < code.size(); ++i) {
       const bool is_new = ident_at(code, i, "new");

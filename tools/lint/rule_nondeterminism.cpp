@@ -24,17 +24,15 @@ constexpr std::array<std::string_view, 10> kBannedCalls{
 constexpr std::array<std::string_view, 4> kBannedTypes{
     "random_device", "system_clock", "steady_clock", "high_resolution_clock"};
 
-class NondeterminismRule final : public Rule {
+class NondeterminismRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "nondeterminism"; }
-  std::string_view description() const override {
-    return "no wall clocks or ambient randomness in src/ (use sim::Random / "
-           "Simulator::now)";
-  }
-  std::string_view suppression_tag() const override { return "nondet-ok"; }
+  NondeterminismRule()
+      : TokenRule{"nondeterminism", "nondet-ok",
+                  "no wall clocks or ambient randomness in src/ (use "
+                  "sim::Random / Simulator::now)"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     if (file.path() == "src/sim/random.h" || file.path() == "src/sim/random.cpp")
       return;  // the one place std <random> engines may live
 

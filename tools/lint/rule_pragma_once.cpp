@@ -29,16 +29,15 @@ std::string normalized(std::string_view directive) {
   return out;
 }
 
-class PragmaOnceRule final : public Rule {
+class PragmaOnceRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "pragma-once"; }
-  std::string_view description() const override {
-    return "every header in src/ carries #pragma once";
-  }
-  std::string_view suppression_tag() const override { return ""; }
+  PragmaOnceRule()
+      : TokenRule{"pragma-once", "",
+                  "every header in src/ carries #pragma once"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/") || !file.is_header()) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
+    if (!file.is_header()) return;
     const auto& tokens = file.tokens();
     const bool found = std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {
       return t.kind == TokenKind::pp_directive &&

@@ -40,18 +40,17 @@ const char* strong_type_for(std::string_view name) {
   return "sim::Time";
 }
 
-class RawUnitTypeRule final : public Rule {
+class RawUnitTypeRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "raw-unit-type"; }
-  std::string_view description() const override {
-    return "no raw double/uint64_t parameters or members with unit-suffixed "
-           "names in public headers — use sim::Time / sim::DataRate / "
-           "sim::Bytes";
-  }
-  std::string_view suppression_tag() const override { return "unit-ok"; }
+  RawUnitTypeRule()
+      : TokenRule{"raw-unit-type", "unit-ok",
+                  "no raw double/uint64_t parameters or members with "
+                  "unit-suffixed names in public headers — use sim::Time / "
+                  "sim::DataRate / sim::Bytes"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/") || !file.is_header()) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
+    if (!file.is_header()) return;
     const auto& code = file.code();
 
     for (std::size_t i = 0; i < code.size(); ++i) {

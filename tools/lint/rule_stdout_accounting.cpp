@@ -22,17 +22,15 @@ using scan::punct_at;
 constexpr std::array<std::string_view, 4> kStdoutCalls{
     "printf", "vprintf", "puts", "putchar"};
 
-class StdoutAccountingRule final : public Rule {
+class StdoutAccountingRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "stdout-accounting"; }
-  std::string_view description() const override {
-    return "no stdout accounting in src/ — export through telemetry/ or "
-           "stats/ renderers";
-  }
-  std::string_view suppression_tag() const override { return "stdout-ok"; }
+  StdoutAccountingRule()
+      : TokenRule{"stdout-accounting", "stdout-ok",
+                  "no stdout accounting in src/ — export through telemetry/ or "
+                  "stats/ renderers"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     // The designated reporting layers: exporters and table/plot renderers.
     if (file.path().starts_with("src/telemetry/") ||
         file.path().starts_with("src/stats/"))

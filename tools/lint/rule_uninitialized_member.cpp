@@ -30,17 +30,15 @@ bool is_scalar_type_name(std::string_view t) {
   return t.starts_with("int") && t.ends_with("_t");  // int8_t, int32_t, ...
 }
 
-class UninitializedMemberRule final : public Rule {
+class UninitializedMemberRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "uninitialized-pod-member"; }
-  std::string_view description() const override {
-    return "scalar members of constructor-less structs must have default "
-           "initializers";
-  }
-  std::string_view suppression_tag() const override { return "init-ok"; }
+  UninitializedMemberRule()
+      : TokenRule{"uninitialized-pod-member", "init-ok",
+                  "scalar members of constructor-less structs must have "
+                  "default initializers"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     const auto& code = file.code();
     for (std::size_t i = 0; i + 1 < code.size(); ++i) {
       if (!(ident_at(code, i, "struct") || ident_at(code, i, "class"))) continue;

@@ -30,16 +30,16 @@ bool is_unordered_type_name(std::string_view t) {
   return false;
 }
 
-class UnorderedIterationRule final : public Rule {
+class UnorderedIterationRule final : public TokenRule {
  public:
-  std::string_view id() const override { return "unordered-iteration"; }
-  std::string_view description() const override {
-    return "no iteration over unordered containers in trace-hashed paths "
-           "(src/exp, src/stats, src/audit) without '// lint: ordered-ok'";
-  }
-  std::string_view suppression_tag() const override { return "ordered-ok"; }
+  UnorderedIterationRule()
+      : TokenRule{"unordered-iteration", "ordered-ok",
+                  "no iteration over unordered containers in trace-hashed "
+                  "paths (src/exp, src/stats, src/audit) without "
+                  "'// lint: ordered-ok'"} {}
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+  void check_file(const SourceFile& file,
+                  std::vector<Finding>& out) const override {
     if (!file.in_any_dir({"src/exp/", "src/stats/", "src/audit/"})) return;
     const auto& code = file.code();
 

@@ -1,8 +1,55 @@
 #include "rules.h"
 
+#include <algorithm>
+#include <sstream>
+#include <stdexcept>
+#include <tuple>
+
 #include "rules_internal.h"
 
 namespace halfback::lint {
+
+bool SeamInventory::parse(const std::string& text, SeamInventory& out,
+                          std::string& error) {
+  std::istringstream in{text};
+  std::string line;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
+    std::istringstream fields{line};
+    SeamEntry entry;
+    fields >> entry.caller >> entry.callee >> entry.path;
+    if (entry.caller.empty() || entry.callee.empty() || entry.path.empty()) {
+      error = "seam inventory line " + std::to_string(line_no) +
+              ": expected '<caller-qualified> <callee> <path> "
+              "<justification>', got: " +
+              line;
+      return false;
+    }
+    std::getline(fields, entry.justification);
+    const std::size_t start = entry.justification.find_first_not_of(" \t");
+    entry.justification = start == std::string::npos
+                              ? std::string{}
+                              : entry.justification.substr(start);
+    entry.source_line = line_no;
+    out.entries.push_back(std::move(entry));
+  }
+  return true;
+}
+
+std::size_t SeamInventory::find(std::string_view caller,
+                                std::string_view callee,
+                                std::string_view path) const {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].caller == caller && entries[i].callee == callee &&
+        entries[i].path == path) {
+      return i;
+    }
+  }
+  return entries.size();
+}
 
 void Rule::report(const SourceFile& file, int line, std::string message,
                   std::vector<Finding>& out) const {
@@ -11,30 +58,73 @@ void Rule::report(const SourceFile& file, int line, std::string message,
   out.push_back(Finding{std::string{id()}, file.path(), line, std::move(message)});
 }
 
-const std::vector<std::unique_ptr<Rule>>& all_rules() {
-  static const std::vector<std::unique_ptr<Rule>> rules = [] {
-    std::vector<std::unique_ptr<Rule>> r;
-    r.push_back(make_nondeterminism_rule());
-    r.push_back(make_unordered_iteration_rule());
-    r.push_back(make_raw_unit_type_rule());
-    r.push_back(make_naked_new_delete_rule());
-    r.push_back(make_uninitialized_member_rule());
-    r.push_back(make_pragma_once_rule());
-    r.push_back(make_hot_path_function_rule());
-    r.push_back(make_noexcept_fire_rule());
-    r.push_back(make_stdout_accounting_rule());
-    return r;
-  }();
+std::vector<std::unique_ptr<Rule>> all_rules(const SeamInventory& seams) {
+  std::vector<std::unique_ptr<Rule>> rules;
+  rules.push_back(make_nondeterminism_rule());
+  rules.push_back(make_unordered_iteration_rule());
+  rules.push_back(make_raw_unit_type_rule());
+  rules.push_back(make_naked_new_delete_rule());
+  rules.push_back(make_uninitialized_member_rule());
+  rules.push_back(make_pragma_once_rule());
+  rules.push_back(make_hot_path_function_rule());
+  rules.push_back(make_noexcept_fire_rule());
+  rules.push_back(make_stdout_accounting_rule());
+  rules.push_back(make_layering_rule());
+  rules.push_back(make_hot_path_reach_rule(seams));
+  rules.push_back(make_shard_safety_rule());
+  rules.push_back(make_rng_taint_rule());
+  rules.push_back(make_effects_rule(seams));
+  rules.push_back(make_sim_escape_rule());
   return rules;
 }
 
-std::vector<Finding> lint_file(const SourceFile& file, std::string_view only_rule) {
+std::vector<Finding> analyze_model(const ProjectModel& model,
+                                   const SeamInventory& seams,
+                                   std::string_view only_rule) {
+  const auto rules = all_rules(seams);
+  if (!only_rule.empty() &&
+      std::none_of(rules.begin(), rules.end(),
+                   [&](const auto& rule) { return rule->id() == only_rule; })) {
+    std::string valid;
+    for (const auto& rule : rules) {
+      valid += valid.empty() ? "" : ", ";
+      valid += rule->id();
+    }
+    throw std::invalid_argument{"unknown rule '" + std::string{only_rule} +
+                                "'; valid ids: " + valid};
+  }
   std::vector<Finding> findings;
-  for (const auto& rule : all_rules()) {
+  for (const auto& rule : rules) {
     if (!only_rule.empty() && rule->id() != only_rule) continue;
-    rule->check(file, findings);
+    std::vector<Finding> rule_findings;
+    rule->check(model, rule_findings);
+    std::sort(rule_findings.begin(), rule_findings.end(),
+              [](const Finding& a, const Finding& b) {
+                return std::tie(a.path, a.line, a.message) <
+                       std::tie(b.path, b.line, b.message);
+              });
+    findings.insert(findings.end(),
+                    std::make_move_iterator(rule_findings.begin()),
+                    std::make_move_iterator(rule_findings.end()));
   }
   return findings;
+}
+
+SeamInventory load_seams(const std::filesystem::path& root) {
+  SeamInventory seams;
+  const std::filesystem::path path = root / "tools" / "lint" / "hot_seams.txt";
+  if (!std::filesystem::exists(path)) return seams;
+  std::string error;
+  if (!SeamInventory::parse(read_file(path), seams, error)) {
+    throw std::runtime_error{error};
+  }
+  return seams;
+}
+
+std::vector<Finding> analyze_tree(const std::filesystem::path& root,
+                                  std::string_view only_rule) {
+  const SeamInventory seams = load_seams(root);
+  return analyze_model(ProjectModel::build(root), seams, only_rule);
 }
 
 namespace scan {

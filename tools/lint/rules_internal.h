@@ -9,6 +9,27 @@
 
 namespace halfback::lint {
 
+/// Base of the token rules: each sees one src/ file at a time, so check()
+/// visits every modeled file under src/ and hands it to check_file(). The
+/// rules narrow the scope further themselves (headers only, a few
+/// directories, hot-path-annotated files).
+class TokenRule : public Rule {
+ public:
+  using Rule::Rule;
+
+  void check(const ProjectModel& model,
+             std::vector<Finding>& out) const final {
+    for (const SourceFile& file : model.files()) {
+      if (file.path().starts_with("src/")) check_file(file, out);
+    }
+  }
+
+ protected:
+  virtual void check_file(const SourceFile& file,
+                          std::vector<Finding>& out) const = 0;
+};
+
+// Token rules: TokenRule subclasses, one src/ file at a time.
 std::unique_ptr<Rule> make_nondeterminism_rule();
 std::unique_ptr<Rule> make_unordered_iteration_rule();
 std::unique_ptr<Rule> make_raw_unit_type_rule();
@@ -18,6 +39,14 @@ std::unique_ptr<Rule> make_pragma_once_rule();
 std::unique_ptr<Rule> make_hot_path_function_rule();
 std::unique_ptr<Rule> make_noexcept_fire_rule();
 std::unique_ptr<Rule> make_stdout_accounting_rule();
+
+// Cross-TU rules over the whole model.
+std::unique_ptr<Rule> make_layering_rule();
+std::unique_ptr<Rule> make_hot_path_reach_rule(SeamInventory seams);
+std::unique_ptr<Rule> make_shard_safety_rule();
+std::unique_ptr<Rule> make_rng_taint_rule();
+std::unique_ptr<Rule> make_effects_rule(SeamInventory seams);
+std::unique_ptr<Rule> make_sim_escape_rule();
 
 /// Shared token-scan helpers.
 namespace scan {

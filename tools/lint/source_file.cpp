@@ -1,6 +1,9 @@
 #include "source_file.h"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 namespace halfback::lint {
 namespace {
@@ -57,6 +60,14 @@ bool SourceFile::annotated(std::string_view tag, int search_lines) const {
 std::string_view SourceFile::line_text(int line) const {
   if (line < 1 || static_cast<std::size_t>(line) > lines_.size()) return {};
   return lines_[static_cast<std::size_t>(line) - 1];
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) throw std::runtime_error{"cannot read " + path.string()};
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
 }
 
 }  // namespace halfback::lint

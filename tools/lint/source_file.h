@@ -3,6 +3,7 @@
 // docs/static-analysis.md.
 #pragma once
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -53,5 +54,9 @@ class SourceFile {
   std::vector<Token> tokens_;            ///< full stream, comments included
   std::vector<Token> code_;              ///< comments and pp directives stripped
 };
+
+/// The bytes of the file at `path`; throws std::runtime_error when it cannot
+/// be read.
+std::string read_file(const std::filesystem::path& path);
 
 }  // namespace halfback::lint
