@@ -152,6 +152,25 @@ inline const char* display(schemes::Scheme s) {
   return schemes::info(s).display_name;
 }
 
+/// Exit 1 when any of `trials` (exp::TrialResult or alike) reports an
+/// invariant violation from its auditor: a figure drawn from an unsound
+/// run must not pass for a result. Prints to stderr, so stdout is the
+/// same as an unaudited run's whenever the audit is clean.
+template <class Trials>
+void exit_on_audit_violations(const Trials& trials, const std::string& label) {
+  std::uint64_t violations = 0;
+  std::size_t failing = 0;
+  for (const auto& t : trials) {
+    violations += t.audit_violations;
+    if (t.audit_violations > 0) ++failing;
+  }
+  if (violations == 0) return;
+  std::fprintf(stderr, "%s: %llu invariant violation(s) in %zu of %zu trials\n",
+               label.c_str(), static_cast<unsigned long long>(violations),
+               failing, trials.size());
+  std::exit(1);
+}
+
 /// Write `table` as <csv_dir>/<name>.csv when --csv was given.
 inline void maybe_write_csv(const Options& opt, const char* name,
                             const stats::Table& table) {

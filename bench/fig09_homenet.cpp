@@ -1,6 +1,7 @@
 // Fig. 9 — FCT CDFs of Halfback vs TCP behind four residential access
 // profiles (§4.2.2).
 #include <cstdio>
+#include <string>
 
 #include "common.h"
 #include "exp/homenet.h"
@@ -22,13 +23,15 @@ int main(int argc, char** argv) {
   stats::Table table{{"profile", "scheme", "median FCT (ms)", "mean (ms)",
                       "median reduction vs TCP (%)"}};
   for (const exp::HomeNetProfile& profile : exp::home_profiles()) {
+    const auto halfback_trials = env.run(schemes::Scheme::halfback, profile);
+    bench::exit_on_audit_violations(halfback_trials,
+                                    std::string("halfback ") + profile.name);
+    const auto tcp_trials = env.run(schemes::Scheme::tcp, profile);
+    bench::exit_on_audit_violations(tcp_trials,
+                                    std::string("tcp ") + profile.name);
     stats::Summary halfback, tcp;
-    for (const auto& t : env.run(schemes::Scheme::halfback, profile)) {
-      halfback.add(t.record.fct().to_ms());
-    }
-    for (const auto& t : env.run(schemes::Scheme::tcp, profile)) {
-      tcp.add(t.record.fct().to_ms());
-    }
+    for (const auto& t : halfback_trials) halfback.add(t.record.fct().to_ms());
+    for (const auto& t : tcp_trials) tcp.add(t.record.fct().to_ms());
     table.add_row({profile.name, "Halfback", stats::Table::num(halfback.median(), 0),
                    stats::Table::num(halfback.mean(), 0),
                    stats::Table::num(100.0 * (1.0 - halfback.median() / tcp.median()), 0)});

@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   telemetry::Hub hub;
   if (args.trace) {
     hub.instrument_network(network);
-    sender_host.set_telemetry(&hub);
   }
   if (args.loss > 0) {
     // Random loss on the bottleneck via a Bernoulli packet filter.

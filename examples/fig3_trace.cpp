@@ -27,11 +27,11 @@ int main() {
   transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
   transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
 
-  // The hub gives every flow the sender starts a flight-recorder tape:
-  // each transmission, proactive copy, and ACK lands on it as it happens.
+  // The hub gives every flow started on the network a flight-recorder
+  // tape: each transmission, proactive copy, and ACK lands on it as it
+  // happens.
   telemetry::Hub hub;
   hub.instrument_network(network);
-  sender_host.set_telemetry(&hub);
 
   // Force the loss the paper's example narrates: the first copy of
   // segment index 8 (the paper's "packet 9") vanishes at the bottleneck.

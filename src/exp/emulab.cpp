@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "audit/invariant_auditor.h"
+#include "telemetry/hub.h"
 
 namespace halfback::exp {
 namespace {
@@ -120,9 +121,6 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   }
   for (net::NodeId id : dumbbell.receivers) {
     agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  if (config_.telemetry != nullptr) {
-    for (auto& agent : agents) agent->set_telemetry(config_.telemetry);
   }
   const std::size_t sender_count = dumbbell.senders.size();
 

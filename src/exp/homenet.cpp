@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "audit/invariant_auditor.h"
 #include "exp/censor.h"
 #include "exp/parallel.h"
 #include "schemes/factory.h"
@@ -48,6 +49,10 @@ std::vector<TrialResult> HomeNetEnv::run(schemes::Scheme scheme,
       [&](std::size_t i) {
         sim::Simulator simulator{config_.seed * 131 + i};
         net::Network network{simulator};
+        // One auditor per trial, as in PlanetLabEnv::run_one: each trial
+        // carries its own invariant checker and determinism hash.
+        audit::InvariantAuditor auditor;
+        network.install_auditor(auditor);
         net::AccessPathConfig apc;
         apc.rtt = server_rtts_[i];
         apc.downlink_rate = profile.downlink;
@@ -78,6 +83,9 @@ std::vector<TrialResult> HomeNetEnv::run(schemes::Scheme scheme,
         r.finished = ref.complete();
         if (!r.finished) censor_record_at(r.record, config_.per_trial_timeout);
         r.saw_loss = r.record.normal_retx > 0 || r.record.timeouts > 0;
+        auditor.finalize(simulator.queue().empty());
+        r.trace_hash = auditor.trace_hash();
+        r.audit_violations = auditor.total_violations();
         results[i] = r;
       },
       config_.threads);

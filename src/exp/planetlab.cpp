@@ -84,10 +84,6 @@ TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path
 
   transport::TransportAgent server_agent{simulator, network, ap.server};
   transport::TransportAgent client_agent{simulator, network, ap.client};
-  if (telemetry != nullptr) {
-    server_agent.set_telemetry(telemetry);
-    client_agent.set_telemetry(telemetry);
-  }
 
   std::uint32_t flow_drops = 0;
   const net::FlowId kFlow = 1;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "audit/auditor.h"
+#include "telemetry/track.h"
 
 namespace halfback::net {
 
@@ -34,7 +35,7 @@ void Link::send(Packet p) {
     return;
   }
   if (transmitting_) {
-    // The queue raises the series' queue-depth peak itself (it knows its
+    // The queue records its own admission on the track (it knows its
     // resident count without a virtual packet_count() call).
     queue_->enqueue(std::move(p), simulator_.now());
     return;
@@ -82,8 +83,9 @@ void Link::apply_faults() {
     ++stats_.fault_dropped_packets;
     HALFBACK_AUDIT_HOOK(simulator_.auditor(),
                         on_link_fault_dropped(*this, tx_packet_));
-    record_fault(telemetry::FaultKind::drop);
-    if (series_ != nullptr) series_->tally_drop(simulator_.now());
+    if (track_ != nullptr) {
+      track_->fault_hit(telemetry::FaultKind::drop, tx_packet_);
+    }
     return;
   }
   if (decision.corrupt && !tx_packet_.corrupted) {
@@ -91,7 +93,9 @@ void Link::apply_faults() {
     ++stats_.fault_corrupted_packets;
     HALFBACK_AUDIT_HOOK(simulator_.auditor(),
                         on_link_fault_corrupted(*this, tx_packet_));
-    record_fault(telemetry::FaultKind::corrupt);
+    if (track_ != nullptr) {
+      track_->fault_hit(telemetry::FaultKind::corrupt, tx_packet_);
+    }
   }
   if (decision.extra_delay < sim::Time::zero() ||
       decision.duplicate_spacing < sim::Time::zero()) {
@@ -100,7 +104,9 @@ void Link::apply_faults() {
   }
   if (!decision.extra_delay.is_zero()) {
     ++stats_.fault_delayed_packets;
-    record_fault(telemetry::FaultKind::delay);
+    if (track_ != nullptr) {
+      track_->fault_hit(telemetry::FaultKind::delay, tx_packet_);
+    }
   }
   const sim::Time pipe = delay_ + decision.extra_delay;
   if (decision.duplicates == 0) {
@@ -116,16 +122,12 @@ void Link::apply_faults() {
     ++stats_.fault_duplicated_packets;
     HALFBACK_AUDIT_HOOK(simulator_.auditor(),
                         on_link_fault_duplicated(*this, original));
-    record_fault(telemetry::FaultKind::duplicate);
+    if (track_ != nullptr) {
+      track_->fault_hit(telemetry::FaultKind::duplicate, original);
+    }
     copy_at += decision.duplicate_spacing;
     launch(original, copy_at);
   }
-}
-
-void Link::record_fault(telemetry::FaultKind kind) {
-  if (tape_ == nullptr) return;
-  tape_->record(simulator_.now(), telemetry::TapeEventKind::fault_hit,
-                static_cast<std::uint32_t>(kind), tx_packet_.uid);
 }
 
 void Link::deliver_trampoline(void* context, PacketEvent& node) {
@@ -137,10 +139,7 @@ void Link::deliver(PacketEvent& node) {
   pool_->release(node);
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
-  if (series_ != nullptr) {
-    series_->tally_packets(simulator_.now(), 1);
-    series_->tally_bytes(simulator_.now(), p.size_bytes);
-  }
+  if (track_ != nullptr) track_->delivered(p);
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_delivered(*this, p));
   if (receiver_) {
     receiver_(std::move(p));

@@ -19,6 +19,10 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 
+namespace halfback::telemetry {
+class LinkTrack;
+}
+
 namespace halfback::net {
 
 /// A per-packet random-loss probability, validated at construction: an
@@ -106,21 +110,15 @@ class Link {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
-  /// Attach this link's flight-recorder tape (nullptr detaches; owned by
-  /// the telemetry Hub). Fault hits are recorded on it; queue drops go on
-  /// the same tape via PacketQueue::set_tape. Recording is confined to the
-  /// apply_faults slow path — the fault-free per-packet cost is unchanged.
-  void set_tape(telemetry::Tape* tape) { tape_ = tape; }
-  telemetry::Tape* tape() const { return tape_; }
-
-  /// Attach this link's windowed time-series (nullptr detaches; owned by
-  /// the telemetry Hub, which hands the same series to the egress queue for
-  /// drop tallies). Deliveries and queue-depth peaks land in the tumbling
-  /// window of their instant; each tally is a bounds check plus indexed
-  /// adds, so the per-packet cost with no series attached stays one null
-  /// test.
-  void set_series(telemetry::WindowSeries* series) { series_ = series; }
-  telemetry::WindowSeries* series() const { return series_; }
+  /// Attach this link's telemetry track, and its queue's (nullptr
+  /// detaches; owned by the telemetry Hub, see Hub::instrument_network).
+  /// Deliveries and fault hits are recorded on it, queue admissions and
+  /// drops through the queue; with no track the per-packet cost is one
+  /// null test.
+  void set_track(telemetry::LinkTrack* track) {
+    track_ = track;
+    queue_->set_track(track);
+  }
 
   /// Hand a packet to the link. It is queued if the transmitter is busy and
   /// may be dropped by the queue discipline.
@@ -162,8 +160,6 @@ class Link {
   void launch(Packet p, sim::Time pipe_delay);
   /// Out-of-line slow path: consult fault_hook_ and act on its decision.
   void apply_faults();
-  /// Record a fault-hit tape event for tx_packet_ (no-op without a tape).
-  void record_fault(telemetry::FaultKind kind);
 
   static void deliver_trampoline(void* context, PacketEvent& node);
   void deliver(PacketEvent& node);
@@ -178,8 +174,7 @@ class Link {
   std::function<void(Packet)> receiver_;            // lint: function-ok(bound once at wiring time)
   std::function<bool(const Packet&)> packet_filter_;  // lint: function-ok(test-only hook)
   FaultHook* fault_hook_ = nullptr;  ///< not owned; nullptr = fault-free fast path
-  telemetry::Tape* tape_ = nullptr;  ///< not owned; nullptr = no recording
-  telemetry::WindowSeries* series_ = nullptr;  ///< not owned; nullptr = none
+  telemetry::LinkTrack* track_ = nullptr;  ///< not owned; nullptr = no telemetry
   bool transmitting_ = false;
   LinkStats stats_;
 

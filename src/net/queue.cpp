@@ -2,27 +2,25 @@
 
 #include <cmath>
 
+#include "telemetry/track.h"
+
 namespace halfback::net {
 
-void PacketQueue::record_enqueue(const Packet& p, sim::Time now,
+void PacketQueue::record_enqueue(const Packet& p,
                                  std::size_t resident_packets) {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p.size_bytes;
   stats_.max_backlog_bytes =
       std::max(stats_.max_backlog_bytes, sim::Bytes{byte_length()});
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_enqueued(*this, p));
-  if (series_ != nullptr) series_->raise_queue_peak(now, resident_packets);
+  if (track_ != nullptr) track_->enqueued(resident_packets);
 }
 
-void PacketQueue::record_drop(const Packet& p, sim::Time now,
-                              audit::DropContext context) {
+void PacketQueue::record_drop(const Packet& p, audit::DropContext context) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += p.size_bytes;
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_dropped(*this, p, context));
-  if (tape_ != nullptr) {
-    tape_->record(now, telemetry::TapeEventKind::queue_drop, p.seq, p.flow);
-  }
-  if (series_ != nullptr) series_->tally_drop(now);
+  if (track_ != nullptr) track_->queue_drop(p);
   if (drop_callback_) drop_callback_(p);
 }
 
@@ -32,15 +30,15 @@ void PacketQueue::record_dequeue(const Packet& p) {
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_dequeued(*this, p));
 }
 
-bool DropTailQueue::enqueue(Packet p, sim::Time now) {
+bool DropTailQueue::enqueue(Packet p, sim::Time /*now*/) {
   if (bytes_ + p.size_bytes > capacity_bytes_) {
-    record_drop(p, now);
+    record_drop(p);
     return false;
   }
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(std::move(p));
-  record_enqueue(packets_.back(), now, packets_.size());
+  record_enqueue(packets_.back(), packets_.size());
   return true;
 }
 
@@ -53,17 +51,16 @@ std::optional<Packet> DropTailQueue::dequeue(sim::Time /*now*/) {
   return p;
 }
 
-bool PriorityQueue::enqueue(Packet p, sim::Time now) {
+bool PriorityQueue::enqueue(Packet p, sim::Time /*now*/) {
   const std::size_t band = p.priority == 0 ? 0 : 1;
   if (bytes_[band] + p.size_bytes > band_capacity_bytes_) {
-    record_drop(p, now);
+    record_drop(p);
     return false;
   }
   bytes_[band] += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   bands_[band].push_back(std::move(p));
-  record_enqueue(bands_[band].back(), now,
-                 bands_[0].size() + bands_[1].size());
+  record_enqueue(bands_[band].back(), bands_[0].size() + bands_[1].size());
   return true;
 }
 
@@ -81,13 +78,13 @@ std::optional<Packet> PriorityQueue::dequeue(sim::Time /*now*/) {
 
 bool CoDelQueue::enqueue(Packet p, sim::Time now) {
   if (bytes_ + p.size_bytes > config_.capacity_bytes) {
-    record_drop(p, now);
+    record_drop(p);
     return false;
   }
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(Entry{now, std::move(p)});
-  record_enqueue(packets_.back().packet, now, packets_.size());
+  record_enqueue(packets_.back().packet, packets_.size());
   return true;
 }
 
@@ -122,7 +119,7 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
         dropping_ = true;
         drop_count_ = std::max(1, drop_count_ / 2);  // CoDel's hysteresis
         drop_next_ = control_law(now);
-        record_drop(entry.packet, now, audit::DropContext::in_queue);
+        record_drop(entry.packet, audit::DropContext::in_queue);
         continue;  // drop and look at the next packet
       }
       record_dequeue(entry.packet);
@@ -133,7 +130,7 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
     if (now >= drop_next_) {
       ++drop_count_;
       drop_next_ = control_law(drop_next_);
-      record_drop(entry.packet, now, audit::DropContext::in_queue);
+      record_drop(entry.packet, audit::DropContext::in_queue);
       continue;
     }
     record_dequeue(entry.packet);
@@ -142,7 +139,7 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
   return std::nullopt;
 }
 
-bool RedQueue::enqueue(Packet p, sim::Time now) {
+bool RedQueue::enqueue(Packet p, sim::Time /*now*/) {
   // Update the EWMA of the backlog on every arrival.
   avg_bytes_ = (1.0 - config_.ewma_weight) * avg_bytes_ +
                config_.ewma_weight * static_cast<double>(bytes_);
@@ -160,13 +157,13 @@ bool RedQueue::enqueue(Packet p, sim::Time now) {
     drop = rng_.bernoulli(drop_p);
   }
   if (drop) {
-    record_drop(p, now);
+    record_drop(p);
     return false;
   }
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(std::move(p));
-  record_enqueue(packets_.back(), now, packets_.size());
+  record_enqueue(packets_.back(), packets_.size());
   return true;
 }
 

@@ -14,8 +14,10 @@
 #include "sim/bytes.h"
 #include "sim/random.h"
 #include "sim/time.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/timeseries.h"
+
+namespace halfback::telemetry {
+class LinkTrack;
+}
 
 namespace halfback::net {
 
@@ -68,17 +70,9 @@ class PacketQueue {
   void set_auditor(audit::Auditor* auditor) { auditor_ = auditor; }
   audit::Auditor* auditor() const { return auditor_; }
 
-  /// Attach this queue's flight-recorder tape (nullptr detaches; owned by
-  /// the telemetry Hub). Drops are recorded on it; see
-  /// telemetry::Hub::instrument_network.
-  void set_tape(telemetry::Tape* tape) { tape_ = tape; }
-  telemetry::Tape* tape() const { return tape_; }
-
-  /// Attach this queue's windowed time-series (nullptr detaches; owned by
-  /// the telemetry Hub — the same per-link series the owning Link tallies
-  /// deliveries on). Drops are tallied into the window of their instant.
-  void set_series(telemetry::WindowSeries* series) { series_ = series; }
-  telemetry::WindowSeries* series() const { return series_; }
+  /// The owning link's telemetry track (nullptr detaches). Link::set_track
+  /// installs it; admissions and drops are recorded on it.
+  void set_track(telemetry::LinkTrack* track) { track_ = track; }
 
   /// Invoked for every dropped packet (for per-flow loss accounting).
   void set_drop_callback(std::function<void(const Packet&)> cb) {
@@ -87,15 +81,14 @@ class PacketQueue {
 
  protected:
   /// Implementations call these at every admission, drop, and release so
-  /// the stats and the audit hooks see one consistent stream. `record_drop`
-  /// distinguishes admission drops (packet never entered the backlog) from
-  /// in-queue drops (CoDel discarding a resident packet at dequeue).
-  /// `resident_packets` is the post-admission depth, which the caller knows
-  /// statically — keeping the time-series queue-peak tap off the virtual
-  /// packet_count() so the hot path stays devirtualized.
-  void record_enqueue(const Packet& p, sim::Time now,
-                      std::size_t resident_packets);
-  void record_drop(const Packet& p, sim::Time now,
+  /// the stats, the audit hooks and the track see one consistent stream.
+  /// `record_drop` distinguishes admission drops (packet never entered the
+  /// backlog) from in-queue drops (CoDel discarding a resident packet at
+  /// dequeue). `resident_packets` is the post-admission depth, which the
+  /// caller knows statically — keeping the track's queue-peak tap off the
+  /// virtual packet_count() so the hot path stays devirtualized.
+  void record_enqueue(const Packet& p, std::size_t resident_packets);
+  void record_drop(const Packet& p,
                    audit::DropContext context = audit::DropContext::admission);
   void record_dequeue(const Packet& p);
 
@@ -103,8 +96,7 @@ class PacketQueue {
   QueueStats stats_;
   std::function<void(const Packet&)> drop_callback_;
   audit::Auditor* auditor_ = nullptr;
-  telemetry::Tape* tape_ = nullptr;  ///< not owned; nullptr = no recording
-  telemetry::WindowSeries* series_ = nullptr;  ///< not owned; nullptr = none
+  telemetry::LinkTrack* track_ = nullptr;  ///< not owned; nullptr = no telemetry
 };
 
 /// Classic FIFO drop-tail queue bounded in bytes — the discipline used at

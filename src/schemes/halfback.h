@@ -158,30 +158,22 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
       const bool was_active = ropr_active_;
       ropr_done_ = true;
       ropr_active_ = false;
-      if (was_active) {
-        if (auto* probes = scheme_probes()) probes->ropr_abandoned->increment();
-        if (tape() != nullptr) {
-          tape()->record(simulator_.now(),
-                         telemetry::TapeEventKind::ropr_abandoned, ropr_back_);
-        }
-        // Mark the interrupted ROPR span abandoned before fallback closes it,
-        // so the span log distinguishes a cut-short repair from a finished one.
-        abandon_phase_span();
-        enter_phase(telemetry::FlowPhase::fallback);
-      }
+      // The flow falls back; the track flags the interrupted ROPR span
+      // abandoned, so the span log tells a cut-short repair from a
+      // finished one.
+      if (was_active && track() != nullptr) track()->ropr_abandoned(ropr_back_);
     }
     Base::on_timeout();
   }
 
   void after_transmit(std::uint32_t seq, bool proactive) {
     Base::after_transmit(seq, proactive);
-    auto* probes = scheme_probes();
-    if (probes == nullptr) return;
+    auto* t = track();
+    if (t == nullptr) return;
     if (proactive) {
-      probes->ropr_packets->increment();
-      probes->ropr_low_water->set(static_cast<double>(seq));
+      t->ropr_sent(seq);
     } else if (pacing_done() && ropr_done_) {
-      probes->fallback_packets->increment();
+      t->fallback_sent();
     }
   }
 
@@ -196,7 +188,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
  private:
   void begin_ropr() {
     ropr_active_ = true;
-    enter_phase(telemetry::FlowPhase::ropr);
+    if (auto* t = track()) t->phase(telemetry::FlowPhase::ropr);
     ropr_started_at_ = simulator_.now();
     ropr_back_ = batch_end();          // reverse pointer (one past)
     ropr_front_ = scoreboard_.cum_ack();  // forward pointer (ablation)
@@ -253,7 +245,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
 
   void enter_fallback() {
     if (batch_end() >= total_segments()) return;  // nothing left to send
-    enter_phase(telemetry::FlowPhase::fallback);
+    if (auto* t = track()) t->phase(telemetry::FlowPhase::fallback);
     // §3.3: cwnd = s * RTT with s estimated from ACK arrivals during ROPR.
     sim::Time span = simulator_.now() - ropr_started_at_;
     double s_per_sec = span > sim::Time::zero()

@@ -39,7 +39,7 @@ class PacedStartImpl : public transport::TcpSenderImpl<Derived> {
   // --- policy hooks (statically dispatched) --------------------------------
 
   void on_established() {
-    this->enter_phase(telemetry::FlowPhase::pacing);
+    if (auto* t = this->track()) t->phase(telemetry::FlowPhase::pacing);
     batch_end_ = std::min({this->total_segments(),
                            this->config_.receive_window_segments,
                            pacing_threshold_segments_});
@@ -70,11 +70,8 @@ class PacedStartImpl : public transport::TcpSenderImpl<Derived> {
   /// Count paced-phase transmissions (including the initial burst). Runs
   /// for every data transmission; shadowing schemes must call through.
   void after_transmit(std::uint32_t /*seq*/, bool proactive) {
-    if (!proactive && !pacing_done_) {
-      if (auto* probes = this->scheme_probes()) {
-        probes->paced_packets->increment();
-      }
-    }
+    auto* t = this->track();
+    if (t != nullptr && !proactive && !pacing_done_) t->paced_sent();
   }
 
   void on_timeout() {
@@ -141,7 +138,7 @@ class PacedStartImpl : public transport::TcpSenderImpl<Derived> {
     pace_timer_.cancel();
     // Derived schemes refine further (Halfback enters "ropr" with the first
     // post-pacing ACK); until then the flow is in generic transfer.
-    this->enter_phase(telemetry::FlowPhase::transfer);
+    if (auto* t = this->track()) t->phase(telemetry::FlowPhase::transfer);
     // The pacer may finish within one timer tick (RTT shorter than the
     // pacing quantum); the retransmission timer must be armed regardless,
     // or a fully-lost batch would never recover.

@@ -86,11 +86,7 @@ class Rc3Sender final : public transport::TcpSenderImpl<Rc3Sender> {
     // every fault-free run — are untouched.
     if (!rlp_abandoned_) {
       rlp_abandoned_ = true;
-      if (auto* probes = scheme_probes()) probes->rlp_abandoned->increment();
-      if (tape() != nullptr) {
-        tape()->record(simulator_.now(), telemetry::TapeEventKind::rlp_abandoned,
-                       scoreboard_.cum_ack());
-      }
+      if (auto* t = track()) t->rlp_abandoned(scoreboard_.cum_ack());
     }
     Tcp::on_timeout();
   }

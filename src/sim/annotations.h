@@ -1,9 +1,9 @@
 // Clang Thread Safety Analysis annotations (HB_ prefix).
 //
-// The sharded parallel experiment engine (ROADMAP) will run many simulator
-// instances concurrently and contend on a small, explicit set of mutation
-// surfaces: registry registration/merge in telemetry and the error slot in
-// exp::parallel_for. Those surfaces declare their locking contracts with
+// Experiments run many simulator instances concurrently (exp::parallel_for)
+// and contend on a small, explicit set of mutation surfaces: metric
+// registration in telemetry and the error slot in exp::parallel_for.
+// Those surfaces declare their locking contracts with
 // the macros below, and the build treats -Wthread-safety as an error (see
 // the top-level CMakeLists), so a forgotten lock is a compile failure on
 // clang rather than a data race found in production.

@@ -115,9 +115,11 @@ class Simulator {
   audit::Auditor* auditor() const { return auditor_; }
 
   /// Install a telemetry hub for this run (nullptr detaches). Owned by the
-  /// caller. Purely observational: the hub counts dispatches and heap
-  /// depth but never schedules or draws randomness, so installing one does
-  /// not change the run (trace hashes stay bit-identical).
+  /// caller; telemetry::Hub::instrument_network calls this, and senders
+  /// started afterwards take their flow track from telemetry(). Purely
+  /// observational: the hub counts dispatches and heap depth but never
+  /// schedules or draws randomness, so installing one does not change the
+  /// run (trace hashes stay bit-identical).
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
   telemetry::Hub* telemetry() const { return telemetry_; }
 

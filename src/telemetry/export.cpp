@@ -1,16 +1,16 @@
 #include "telemetry/export.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace halfback::telemetry {
 namespace {
 
 /// Nanoseconds rendered as microseconds with three decimals (trace_event
-/// `ts`/`dur` are in microseconds; integer math keeps the text stable).
+/// `ts` is in microseconds; integer math keeps the text stable).
 std::string micros(std::int64_t ns) {
   if (ns < 0) ns = 0;
   char buf[40];
@@ -37,15 +37,6 @@ void write_histogram_fields(std::ostream& out, const Histogram& h) {
         << h.bucket_value(i) << ']';
   }
   out << ']';
-}
-
-/// Metric names use dots as section separators; Prometheus wants [a-z_].
-std::string prometheus_name(std::string_view name) {
-  std::string out{name};
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
-  }
-  return out;
 }
 
 }  // namespace
@@ -105,58 +96,11 @@ void write_metrics_jsonl(std::ostream& out, const MetricRegistry& registry) {
   }
 }
 
-std::string metrics_jsonl(const MetricRegistry& registry) {
-  std::ostringstream out;
-  write_metrics_jsonl(out, registry);
-  return out.str();
-}
-
-void write_prometheus(std::ostream& out, const MetricRegistry& registry) {
-  for (const MetricRegistry::Entry& e : registry.entries()) {
-    const std::string name = prometheus_name(e.name);
-    if (!e.help.empty()) out << "# HELP " << name << ' ' << e.help << '\n';
-    switch (e.kind) {
-      case MetricKind::counter:
-        out << "# TYPE " << name << " counter\n"
-            << name << ' ' << registry.counter_at(e).value() << '\n';
-        break;
-      case MetricKind::gauge:
-        out << "# TYPE " << name << " gauge\n"
-            << name << ' ' << format_double(registry.gauge_at(e).value())
-            << '\n';
-        break;
-      case MetricKind::histogram: {
-        const Histogram& h = registry.histogram_at(e);
-        out << "# TYPE " << name << " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          if (h.bucket_value(i) == 0) continue;
-          cumulative += h.bucket_value(i);
-          out << name << "_bucket{le=\""
-              << Histogram::bucket_upper(i, h.sub_bucket_bits()) << "\"} "
-              << cumulative << '\n';
-        }
-        out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n'
-            << name << "_sum " << h.sum() << '\n'
-            << name << "_count " << h.count() << '\n';
-        break;
-      }
-    }
-  }
-}
-
-std::string prometheus_text(const MetricRegistry& registry) {
-  std::ostringstream out;
-  write_prometheus(out, registry);
-  return out.str();
-}
-
 namespace {
 
-/// Everything except the closing "]}" — shared by the recorder-only and
-/// full-hub overloads so the recorder prefix stays byte-identical.
-void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder,
-                             sim::Time end) {
+/// The trace header and every tape's point events as instants.
+void write_trace_tape_events(std::ostream& out,
+                             const FlightRecorder& recorder) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   out << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
          "\"args\":{\"name\":\"flows\"}}";
@@ -175,20 +119,9 @@ void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder,
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
         << json_escape(label) << "\"}}";
 
-    const auto& phases = tape.phases();
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      const sim::Time start = phases[i].start;
-      const sim::Time stop = i + 1 < phases.size() ? phases[i + 1].start : end;
-      const std::int64_t dur = stop.ns() - start.ns();
-      out << ",\n{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-          << ",\"cat\":\"phase\",\"name\":\"" << to_string(phases[i].phase)
-          << "\",\"ts\":" << micros(start.ns()) << ",\"dur\":" << micros(dur)
-          << "}";
-    }
-
     for (std::size_t i = 0; i < tape.size(); ++i) {
       const TapeEvent& ev = tape.event(i);
-      // Phase transitions already render as duration spans above.
+      // Phases are drawn once, as the pid-3 spans.
       if (ev.kind == TapeEventKind::phase_enter) continue;
       out << ",\n{\"ph\":\"i\",\"pid\":" << pid << ",\"tid\":" << tid
           << ",\"cat\":\"tape\",\"s\":\"t\",\"name\":\"" << to_string(ev.kind)
@@ -198,6 +131,22 @@ void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder,
   }
 }
 
+/// The B (begin) event of span `s` at `at`.
+void write_span_begin(std::ostream& out, int tid, const Span& s, sim::Time at) {
+  out << ",\n{\"ph\":\"B\",\"pid\":3,\"tid\":" << tid
+      << ",\"cat\":\"span\",\"name\":\"" << to_string(s.kind)
+      << "\",\"ts\":" << micros(at.ns()) << ",\"args\":{\"span\":" << s.id
+      << ",\"parent\":" << s.parent
+      << (s.abandoned ? ",\"abandoned\":true" : "") << "}}";
+}
+
+/// The E (end) event of span `s` at `at`.
+void write_span_end(std::ostream& out, int tid, const Span& s, sim::Time at) {
+  out << ",\n{\"ph\":\"E\",\"pid\":3,\"tid\":" << tid
+      << ",\"cat\":\"span\",\"name\":\"" << to_string(s.kind)
+      << "\",\"ts\":" << micros(at.ns()) << "}";
+}
+
 /// One nested B/E pair, clamped to [lo, hi].
 void write_span_pair(std::ostream& out, int tid, const Span& s, sim::Time lo,
                      sim::Time hi) {
@@ -205,14 +154,8 @@ void write_span_pair(std::ostream& out, int tid, const Span& s, sim::Time lo,
   sim::Time e = s.open ? hi : s.end;
   if (e > hi) e = hi;
   if (e < b) e = b;
-  out << ",\n{\"ph\":\"B\",\"pid\":3,\"tid\":" << tid
-      << ",\"cat\":\"span\",\"name\":\"" << to_string(s.kind)
-      << "\",\"ts\":" << micros(b.ns()) << ",\"args\":{\"span\":" << s.id
-      << ",\"parent\":" << s.parent
-      << (s.abandoned ? ",\"abandoned\":true" : "") << "}}";
-  out << ",\n{\"ph\":\"E\",\"pid\":3,\"tid\":" << tid
-      << ",\"cat\":\"span\",\"name\":\"" << to_string(s.kind)
-      << "\",\"ts\":" << micros(e.ns()) << "}";
+  write_span_begin(out, tid, s, b);
+  write_span_end(out, tid, s, e);
 }
 
 /// Span log as pid-3 duration events: per flow, one thread for the phase
@@ -227,14 +170,9 @@ void write_trace_span_events(std::ostream& out, const SpanRecorder& spans,
   std::vector<std::uint64_t> flows;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const std::uint64_t flow = spans.at(i).flow;
-    bool seen = false;
-    for (const std::uint64_t f : flows) {
-      if (f == flow) {
-        seen = true;
-        break;
-      }
+    if (std::find(flows.begin(), flows.end(), flow) == flows.end()) {
+      flows.push_back(flow);
     }
-    if (!seen) flows.push_back(flow);
   }
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const std::uint64_t flow = flows[f];
@@ -258,12 +196,7 @@ void write_trace_span_events(std::ostream& out, const SpanRecorder& spans,
         root == nullptr || root->open
             ? end
             : (root->end > end ? end : root->end);
-    if (root != nullptr) {
-      out << ",\n{\"ph\":\"B\",\"pid\":3,\"tid\":" << tid_phase
-          << ",\"cat\":\"span\",\"name\":\"" << to_string(root->kind)
-          << "\",\"ts\":" << micros(lo.ns()) << ",\"args\":{\"span\":"
-          << root->id << ",\"parent\":" << root->parent << "}}";
-    }
+    if (root != nullptr) write_span_begin(out, tid_phase, *root, lo);
     bool any_rto = false;
     for (std::size_t i = 0; i < spans.size(); ++i) {
       const Span& s = spans.at(i);
@@ -275,11 +208,7 @@ void write_trace_span_events(std::ostream& out, const SpanRecorder& spans,
       }
       write_span_pair(out, tid_phase, s, lo, hi);
     }
-    if (root != nullptr) {
-      out << ",\n{\"ph\":\"E\",\"pid\":3,\"tid\":" << tid_phase
-          << ",\"cat\":\"span\",\"name\":\"" << to_string(root->kind)
-          << "\",\"ts\":" << micros(hi.ns()) << "}";
-    }
+    if (root != nullptr) write_span_end(out, tid_phase, *root, hi);
 
     // RTO thread: episodes are sequential (one open at a time per flow).
     if (any_rto) {
@@ -297,28 +226,10 @@ void write_trace_span_events(std::ostream& out, const SpanRecorder& spans,
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder,
-                        sim::Time end) {
-  write_trace_tape_events(out, recorder, end);
-  out << "\n]}\n";
-}
-
-std::string chrome_trace_json(const FlightRecorder& recorder, sim::Time end) {
-  std::ostringstream out;
-  write_chrome_trace(out, recorder, end);
-  return out.str();
-}
-
 void write_chrome_trace(std::ostream& out, const Hub& hub, sim::Time end) {
-  write_trace_tape_events(out, hub.recorder(), end);
+  write_trace_tape_events(out, hub.recorder());
   write_trace_span_events(out, hub.spans(), end);
   out << "\n]}\n";
-}
-
-std::string chrome_trace_json(const Hub& hub, sim::Time end) {
-  std::ostringstream out;
-  write_chrome_trace(out, hub, end);
-  return out.str();
 }
 
 void write_spans_jsonl(std::ostream& out, const SpanRecorder& spans,
@@ -335,12 +246,6 @@ void write_spans_jsonl(std::ostream& out, const SpanRecorder& spans,
   }
   out << "{\"span_count\":" << spans.size()
       << ",\"dropped\":" << spans.dropped() << "}\n";
-}
-
-std::string spans_jsonl(const SpanRecorder& spans, sim::Time end) {
-  std::ostringstream out;
-  write_spans_jsonl(out, spans, end);
-  return out.str();
 }
 
 void write_timeseries_jsonl(std::ostream& out, const Hub& hub) {
@@ -361,12 +266,6 @@ void write_timeseries_jsonl(std::ostream& out, const Hub& hub) {
     }
     out << "]}\n";
   }
-}
-
-std::string timeseries_jsonl(const Hub& hub) {
-  std::ostringstream out;
-  write_timeseries_jsonl(out, hub);
-  return out.str();
 }
 
 }  // namespace halfback::telemetry

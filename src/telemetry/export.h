@@ -1,15 +1,17 @@
 // Exporters: deterministic text serializations of a run's telemetry.
 //
-// All three formats iterate the registry / recorder in registration /
-// creation order and format numbers with pure integer math wherever the
-// value is integral, so two same-seed runs emit byte-identical output
-// (tests/telemetry/export_test.cpp holds that contract).
+// Every format iterates the registry / recorder / span log / series in
+// registration / creation order and formats numbers with pure integer
+// math wherever the value is integral, so two same-seed runs emit
+// byte-identical output (tests/telemetry/export_test.cpp holds that
+// contract and pins the content).
 //
 //  - metrics JSONL: one self-describing JSON object per line per metric.
-//  - Prometheus text: the conventional HELP/TYPE/sample exposition.
 //  - Chrome trace_event JSON: load in Perfetto / chrome://tracing. pid 1
-//    carries one thread per flow tape, pid 2 one per link tape; phase
-//    spans render as duration events, tape points as instants.
+//    carries one thread per flow tape, pid 2 one per link tape (tape
+//    points as instants); pid 3 draws the span log, so phases are drawn
+//    once, as spans.
+//  - spans JSONL and series JSONL: the span log and the windowed series.
 #pragma once
 
 #include <iosfwd>
@@ -39,44 +41,28 @@ std::string format_double(double v);
 // (ambient I/O means touching a stream the caller did not hand over).
 void write_metrics_jsonl(std::ostream& out, const MetricRegistry& registry)
     HB_EFFECTS(alloc, throw);
-std::string metrics_jsonl(const MetricRegistry& registry)
-    HB_EFFECTS(alloc, throw);
 
-void write_prometheus(std::ostream& out, const MetricRegistry& registry);
-std::string prometheus_text(const MetricRegistry& registry);
-
-/// `end` closes the final phase span of every tape (pass the simulator
-/// clock at snapshot time).
-void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder,
-                        sim::Time end);
-std::string chrome_trace_json(const FlightRecorder& recorder, sim::Time end)
-    HB_EFFECTS(alloc, throw);
-
-/// Full-hub Chrome trace: the recorder output above, byte-identical, plus
-/// the causal span log as nested B/E duration events on pid 3 — one thread
-/// per flow for the phase tree (flow root wrapping handshake / pacing /
-/// blast / ropr / fallback children) and a second thread per flow for its
-/// RTO-recovery episodes, so each thread's B/E events nest strictly.
-/// Spans still open at export close at `end`; children clamp to their
-/// parent's bounds.
+/// Chrome trace of a hub: every tape's point events as instants on pid 1
+/// (flows) and pid 2 (links), then the causal span log as nested B/E
+/// duration events on pid 3 — one thread per flow for the phase tree (flow
+/// root wrapping handshake / pacing / blast / ropr / fallback children)
+/// and a second thread per flow for its RTO-recovery episodes, so each
+/// thread's B/E events nest strictly. Spans still open at export close at
+/// `end` (pass the simulator clock at snapshot time); children clamp to
+/// their parent's bounds.
 void write_chrome_trace(std::ostream& out, const Hub& hub, sim::Time end);
-std::string chrome_trace_json(const Hub& hub, sim::Time end)
-    HB_EFFECTS(alloc, throw);
 
 /// Span log as JSONL: one object per span in recorded (id) order, plus a
 /// trailing summary line with the span count and overflow drops. Open
 /// spans report `"open":true` with their end clamped to `end`.
 void write_spans_jsonl(std::ostream& out, const SpanRecorder& spans,
                        sim::Time end) HB_EFFECTS(alloc, throw);
-std::string spans_jsonl(const SpanRecorder& spans, sim::Time end)
-    HB_EFFECTS(alloc, throw);
 
 /// Windowed time-series as JSONL: one object per series in creation order;
 /// each touched window renders as [index, bytes, packets, drops, retx,
 /// dups, queue_peak, inflight_peak].
 void write_timeseries_jsonl(std::ostream& out, const Hub& hub)
     HB_EFFECTS(alloc, throw);
-std::string timeseries_jsonl(const Hub& hub) HB_EFFECTS(alloc, throw);
 
 /// Bridge to stats::ascii_histogram: the histogram's occupied buckets as
 /// bins, edges divided by `scale` (1e6 turns nanoseconds into ms). Inline

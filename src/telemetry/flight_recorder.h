@@ -1,20 +1,20 @@
 // Flow flight-recorder: always-on, bounded-memory event timelines.
 //
 // Each flow (and each instrumented link) gets a Tape: a fixed-capacity ring
-// buffer of compact point events plus a small list of phase transitions.
-// Rings are carved out of slab allocations — creating a tape in steady
-// state touches the allocator only when a slab fills — and recording an
-// event is a handful of stores, so tapes can stay installed in production
-// runs. render_tape() prints one tape as a plain-text timeline.
+// buffer of compact point events, phase changes included. Rings are carved
+// out of slab allocations — creating a tape in steady state touches the
+// allocator only when a slab fills — and recording an event is a handful
+// of stores, so tapes can stay installed in production runs. render_tape()
+// prints one tape as a plain-text timeline.
 //
 // When a ring wraps, the oldest point events are overwritten (a flight
-// recorder keeps the newest history) and `dropped()` counts the loss; phase
-// transitions are kept separately and never overwritten, so the Chrome
-// exporter can always render complete phase spans.
+// recorder keeps the newest history) and `dropped()` counts the loss. The
+// complete phase intervals live in the span log (span.h), which the Chrome
+// exporter draws.
 //
-// Everything here is inline and depends only on sim/time.h: the recording
-// layers (net, transport, schemes) use Tape through a nullable pointer
-// without linking against the telemetry library.
+// Everything here except the name tables and render_tape() is inline and
+// depends only on sim/time.h: a track (track.h) records on its tape
+// without the recording layers linking the telemetry library.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ enum class TapeEventKind : std::uint8_t {
   phase_enter,     ///< a = FlowPhase
   segment_sent,    ///< a = seq
   retx_sent,       ///< a = seq (loss-triggered)
-  proactive_sent,  ///< a = seq, b = ROPR backward position
+  proactive_sent,  ///< a = seq
   ack_received,    ///< a = cumulative ack
   rtt_sample,      ///< b = sample in ns
   karn_discard,    ///< a = seq (ambiguous echo, sample dropped)
@@ -80,14 +80,7 @@ struct TapeEvent {
   TapeEventKind kind = TapeEventKind::flow_start;
 };
 
-/// One phase transition; the span ends at the next transition (or the
-/// export end time).
-struct PhaseSpan {
-  sim::Time start;
-  FlowPhase phase = FlowPhase::handshake;
-};
-
-/// A ring of TapeEvents plus the phase-transition list for one track.
+/// A ring of TapeEvents for one track.
 class Tape {
  public:
   void record(sim::Time at, TapeEventKind kind, std::uint32_t a = 0,
@@ -100,19 +93,8 @@ class Tape {
     ++head_;
   }
 
-  /// Record a phase transition (kept out of the ring; also mirrored into it
-  /// as a phase_enter point event for the flat timeline view). Consecutive
-  /// duplicate phases collapse.
-  void enter_phase(sim::Time at, FlowPhase phase) HB_EFFECTS(alloc) {
-    if (!phases_.empty() && phases_.back().phase == phase) return;
-    if (!phases_.empty() && phases_.back().start == at) {
-      // The previous phase lasted zero time (e.g. a base-class "transfer"
-      // immediately refined to "pacing"); replace rather than keep a
-      // zero-width span.
-      phases_.back().phase = phase;
-    } else if (phases_.size() < kMaxPhaseSpans) {
-      phases_.push_back(PhaseSpan{at, phase});
-    }
+  /// Record a phase transition as a phase_enter point event.
+  void enter_phase(sim::Time at, FlowPhase phase) HB_EFFECTS() {
     record(at, TapeEventKind::phase_enter, static_cast<std::uint32_t>(phase));
   }
 
@@ -128,13 +110,8 @@ class Tape {
     return ring_[(head_ - size() + i) % capacity_];
   }
 
-  const std::vector<PhaseSpan>& phases() const { return phases_; }
-
  private:
   friend class FlightRecorder;
-  // A tape is pathological past a handful of transitions; cap so a buggy
-  // caller cannot grow phases_ without bound.
-  static constexpr std::size_t kMaxPhaseSpans = 16;
 
   Tape(TrackKind track, std::uint64_t id, std::string label, TapeEvent* ring,
        std::size_t capacity)
@@ -150,7 +127,6 @@ class Tape {
   TapeEvent* ring_;  ///< capacity_ slots inside a FlightRecorder slab
   std::size_t capacity_;
   std::uint64_t head_ = 0;
-  std::vector<PhaseSpan> phases_;
 };
 
 /// Plain-text view of one tape: its label, then one line per held event,
@@ -162,16 +138,10 @@ std::string render_tape(const Tape& tape);
 /// the export order (deterministic for a seeded run).
 class FlightRecorder {
  public:
-  struct Config {
-    std::size_t events_per_tape = 256;  ///< ring capacity per tape
-    std::size_t tapes_per_slab = 64;    ///< rings carved per allocation
-  };
+  static constexpr std::size_t kEventsPerTape = 256;  ///< ring capacity
+  static constexpr std::size_t kTapesPerSlab = 64;    ///< rings per allocation
 
-  FlightRecorder() : FlightRecorder(Config{}) {}
-  explicit FlightRecorder(Config config) : config_{config} {
-    if (config_.events_per_tape == 0) config_.events_per_tape = 1;
-    if (config_.tapes_per_slab == 0) config_.tapes_per_slab = 1;
-  }
+  FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -183,8 +153,7 @@ class FlightRecorder {
     auto it = index_.find(key);
     if (it != index_.end()) return tapes_[it->second];
     TapeEvent* ring = allocate_ring();
-    tapes_.push_back(
-        Tape{track, id, std::move(label), ring, config_.events_per_tape});
+    tapes_.push_back(Tape{track, id, std::move(label), ring, kEventsPerTape});
     index_.emplace(key, tapes_.size() - 1);
     return tapes_.back();
   }
@@ -199,24 +168,20 @@ class FlightRecorder {
   std::size_t tape_count() const { return tapes_.size(); }
   const Tape& tape_at(std::size_t i) const { return tapes_[i]; }
 
-  const Config& config() const { return config_; }
-
  private:
   using Key = std::pair<std::uint8_t, std::uint64_t>;
 
   TapeEvent* allocate_ring() {
-    if (slab_used_ == 0 || slab_used_ >= config_.tapes_per_slab) {
-      slabs_.push_back(std::make_unique<TapeEvent[]>(config_.events_per_tape *
-                                                     config_.tapes_per_slab));
+    if (slab_used_ == 0 || slab_used_ >= kTapesPerSlab) {
+      slabs_.push_back(
+          std::make_unique<TapeEvent[]>(kEventsPerTape * kTapesPerSlab));
       slab_used_ = 0;
     }
-    TapeEvent* ring =
-        slabs_.back().get() + slab_used_ * config_.events_per_tape;
+    TapeEvent* ring = slabs_.back().get() + slab_used_ * kEventsPerTape;
     ++slab_used_;
     return ring;
   }
 
-  Config config_;
   std::deque<Tape> tapes_;               ///< stable addresses, creation order
   std::map<Key, std::size_t> index_;     ///< ordered: no hash-order surprises
   std::vector<std::unique_ptr<TapeEvent[]>> slabs_;

@@ -9,11 +9,7 @@
 
 namespace halfback::telemetry {
 
-Hub::Hub(Config config)
-    : recorder_{config.recorder},
-      spans_{config.span_capacity},
-      series_window_{config.series_window},
-      series_max_windows_{config.series_max_windows} {
+Hub::Hub() {
   // Registration order here IS the export order; append new metrics at the
   // end of their section so existing golden exports keep their prefix.
   sim_.events_dispatched = registry_.counter(
@@ -97,16 +93,14 @@ Hub::Hub(Config config)
 }
 
 void Hub::instrument_network(net::Network& network) {
-  network.simulator().set_telemetry(this);
+  sim::Simulator& simulator = network.simulator();
+  simulator.set_telemetry(this);
   const auto& links = network.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
     Tape& tape = recorder_.tape(TrackKind::link, i,
                                 "link " + std::to_string(i));
-    links[i]->set_tape(&tape);
-    links[i]->queue().set_tape(&tape);
-    WindowSeries& link_series = series("link." + std::to_string(i));
-    links[i]->set_series(&link_series);
-    links[i]->queue().set_series(&link_series);
+    links[i]->set_track(&link_tracks_.emplace_back(
+        simulator, tape, series("link." + std::to_string(i))));
   }
 }
 

@@ -1,30 +1,35 @@
-// Telemetry Hub: one run's registry + flight recorder + probe bundles.
+// Telemetry Hub: one run's registry, flight recorder, span log, series and
+// tracks.
 //
 // The Hub is owned by the experiment layer (EmulabRunner, PlanetLabEnv,
-// chaos_sweep, benches) and handed to instrumented components as a nullable
-// pointer. Components that record on hot paths guard with a single null
-// test and then update instruments through the pre-registered probe
-// bundles below — no name lookups, no allocation, no type erasure after
-// construction.
+// chaos_sweep, benches) and serves one run. instrument_network() is the one
+// way to attach it: it installs the hub on the simulator and gives every
+// link (and its queue) a LinkTrack; each sender started afterwards takes a
+// FlowTrack from the simulator's hub in start(). Recording then goes
+// through those tracks (track.h) — no name lookups, no allocation, no type
+// erasure after construction.
 //
-// Layering: this header is usable from sim/net/transport/schemes without
-// linking the telemetry library — every member function called from those
-// layers is inline, and the out-of-line pieces (the constructor that
-// registers the metric catalog, the network/fault snapshots) are only
+// Layering: this header is usable from sim/transport without linking the
+// telemetry library — every member function called from those layers is
+// inline, and the out-of-line pieces (the constructor that registers the
+// metric catalog, instrument_network, the network/fault snapshots) are only
 // invoked by code that already links halfback_telemetry.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/annotations.h"
+#include "sim/simulator.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metric.h"
 #include "telemetry/registry.h"
 #include "telemetry/span.h"
 #include "telemetry/timeseries.h"
+#include "telemetry/track.h"
 
 namespace halfback::net {
 class Network;
@@ -44,35 +49,6 @@ class Hub {
     Gauge* sim_end_ns = nullptr;        ///< clock at final snapshot
   };
 
-  /// Transport instruments (SenderBase and friends).
-  struct TransportProbes {
-    Counter* flows_started = nullptr;
-    Counter* flows_completed = nullptr;
-    Counter* syn_sent = nullptr;
-    Counter* syn_retx = nullptr;
-    Counter* segments_sent = nullptr;
-    Counter* retx_sent = nullptr;       ///< loss-triggered retransmissions
-    Counter* proactive_sent = nullptr;  ///< ROPR / proactive-scheme copies
-    Counter* acks_received = nullptr;
-    Counter* karn_discards = nullptr;   ///< ambiguous RTT samples dropped
-    Counter* rto_fired = nullptr;
-    Counter* scoreboard_sacked = nullptr;  ///< outstanding -> sacked
-    Counter* scoreboard_acked = nullptr;   ///< any -> cumulatively acked
-    Histogram* rtt = nullptr;            ///< accepted RTT samples (ns)
-    Histogram* handshake_rtt = nullptr;  ///< SYN -> SYN-ACK (ns)
-    Histogram* fct = nullptr;            ///< flow completion times (ns)
-  };
-
-  /// Scheme instruments (paced start, ROPR, fallback).
-  struct SchemeProbes {
-    Counter* paced_packets = nullptr;     ///< sent during paced start
-    Counter* ropr_packets = nullptr;      ///< proactive ROPR copies
-    Counter* fallback_packets = nullptr;  ///< sent after fallback entry
-    Counter* ropr_abandoned = nullptr;    ///< ROPR cut short by RTO
-    Counter* rlp_abandoned = nullptr;     ///< RC3 backfill trust cut by RTO
-    Gauge* ropr_low_water = nullptr;      ///< deepest backward ROPR position
-  };
-
   /// Fault-injection instruments, per cause (netfault layer). Filled by
   /// record_injector() at end of run from each injector's InjectorStats.
   struct FaultProbes {
@@ -84,22 +60,13 @@ class Hub {
     Counter* delay_spikes = nullptr;
   };
 
-  struct Config {
-    FlightRecorder::Config recorder;
-    /// Span store size (spans past it are counted, not recorded).
-    std::size_t span_capacity = SpanRecorder::kDefaultCapacity;
-    /// Tumbling-window width for the time-series layer.
-    sim::Time series_window = sim::Time::milliseconds(10);
-    /// Windows per series; activity past the last window is counted as
-    /// dropped, never recorded.
-    std::size_t series_max_windows = WindowSeries::kDefaultMaxWindows;
-  };
+  /// Tumbling-window width of the link and flow-class series.
+  static constexpr sim::Time kSeriesWindow = sim::Time::milliseconds(10);
 
   /// Registers the whole metric catalog (see docs/telemetry.md) so probe
   /// bundles are valid immediately and export order is fixed regardless of
   /// which components end up recording.
-  Hub() : Hub(Config{}) {}
-  explicit Hub(Config config);
+  Hub();
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
 
@@ -116,16 +83,15 @@ class Hub {
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
 
-  /// Create-or-get the named windowed time-series (setup path: senders and
-  /// instrument_network fetch their series pointer once, then record
-  /// through it behind a null check). Creation order = export order, the
-  /// same discipline MetricRegistry uses for instruments.
+  /// Create-or-get the named windowed time-series (setup path: tracks are
+  /// bound to theirs at creation). Creation order = export order, the same
+  /// discipline MetricRegistry uses for instruments.
   WindowSeries& series(const std::string& name) {
     for (const auto& s : series_) {
       if (s->name() == name) return *s;
     }
     series_.push_back(std::make_unique<WindowSeries>(
-        name, series_window_, series_max_windows_));
+        name, kSeriesWindow, WindowSeries::kDefaultMaxWindows));
     return *series_.back();
   }
   std::size_t series_count() const { return series_.size(); }
@@ -143,10 +109,22 @@ class Hub {
   }
 
   /// Install this hub on `network`: set the simulator's telemetry pointer
-  /// and attach a flight-recorder tape to every existing link and its
-  /// queue. Call after the topology is final and before traffic starts
-  /// (links created later are simply not taped).
+  /// and give every existing link and its queue a LinkTrack (tape "link i",
+  /// series "link.i"). Call after the topology is final and before traffic
+  /// starts (links created later are simply not tracked).
   void instrument_network(net::Network& network);
+
+  /// A new track for flow `flow` of `scheme`, recording on `clock`. Called
+  /// by SenderBase::start() on a simulator carrying this hub: creates the
+  /// flow's tape ("<scheme> flow <id>") and binds the per-scheme series
+  /// "class.<scheme>".
+  FlowTrack& flow_track(const sim::Simulator& clock, std::uint64_t flow,
+                        const std::string& scheme) {
+    Tape& tape = recorder_.tape(TrackKind::flow, flow,
+                                scheme + " flow " + std::to_string(flow));
+    return flow_tracks_.emplace_back(clock, tape, transport_, scheme_, spans_,
+                                     series("class." + scheme));
+  }
 
   /// Snapshot per-link queue/drop/utilization gauges from `network` at
   /// `now`. Links are numbered in creation order, so repeated snapshots
@@ -158,29 +136,13 @@ class Hub {
   /// once per injector at end of run.
   void record_injector(const netfault::InjectorStats& stats);
 
-  /// Fold another hub's instruments into this one (sharded-engine reduce
-  /// step: each shard runs with its own Hub, the parent merges after the
-  /// shard's worker joins). Both hubs register the same catalog in their
-  /// constructors, so export order is unchanged. Spans append in the other
-  /// shard's recorded order (ids re-based) and series merge by name in the
-  /// other shard's creation order, so a fixed shard-merge order yields
-  /// byte-identical merged output at any worker count. Flight-recorder
-  /// tapes are per-shard artifacts and are not merged.
-  void merge_from(const Hub& other) HB_EFFECTS(alloc, throw, block) {
-    registry_.merge_from(other.registry_);
-    spans_.merge_from(other.spans_);
-    for (const auto& s : other.series_) {
-      series(s->name()).merge_from(*s);
-    }
-  }
-
  private:
   MetricRegistry registry_;
   FlightRecorder recorder_;
   SpanRecorder spans_;
   std::vector<std::unique_ptr<WindowSeries>> series_;
-  sim::Time series_window_;
-  std::size_t series_max_windows_;
+  std::deque<FlowTrack> flow_tracks_;  ///< stable addresses, one per flow
+  std::deque<LinkTrack> link_tracks_;  ///< one per instrumented link
   SimProbes sim_;
   TransportProbes transport_;
   SchemeProbes scheme_;

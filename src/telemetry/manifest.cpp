@@ -68,11 +68,4 @@ void write_manifest_json(std::ostream& out, const RunManifest& manifest,
   out << "}\n";
 }
 
-std::string manifest_json(const RunManifest& manifest,
-                          const MetricRegistry* registry) {
-  std::ostringstream out;
-  write_manifest_json(out, manifest, registry);
-  return out.str();
-}
-
 }  // namespace halfback::telemetry

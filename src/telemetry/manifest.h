@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/annotations.h"
 #include "sim/time.h"
 
 namespace halfback::telemetry {
@@ -54,8 +53,5 @@ std::string hex64(std::uint64_t value);
 /// a "metrics" array holding the full JSONL snapshot.
 void write_manifest_json(std::ostream& out, const RunManifest& manifest,
                          const MetricRegistry* registry);
-std::string manifest_json(const RunManifest& manifest,
-                          const MetricRegistry* registry)
-    HB_EFFECTS(alloc, throw);
 
 }  // namespace halfback::telemetry

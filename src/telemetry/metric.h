@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/annotations.h"
-#include "sim/bytes.h"
 #include "sim/time.h"
 
 namespace halfback::telemetry {
@@ -78,15 +77,17 @@ class Gauge {
 /// relative bucket resolution stays ~2^-k across the whole 64-bit range.
 /// Bucket edges are a pure function of k — they are locked by a golden file
 /// in tests/telemetry/ so exported histograms stay comparable across
-/// versions. Storage grows lazily to the highest occupied bucket.
+/// versions. Every bucket of the 64-bit range is allocated at registration
+/// (496 at the default resolution), so recording never allocates; the
+/// occupied range runs up to the highest bucket recorded into.
 class Histogram {
  public:
   /// Sub-bucket resolution: 2^sub_bucket_bits sub-buckets per octave.
   static constexpr unsigned kDefaultSubBucketBits = 3;
 
-  void record(std::uint64_t v) HB_EFFECTS(alloc) {
+  void record(std::uint64_t v) HB_EFFECTS() {
     const std::size_t i = bucket_index(v, sub_bucket_bits_);
-    if (i >= counts_.size()) counts_.resize(i + 1, 0);
+    if (i >= used_) used_ = i + 1;
     ++counts_[i];
     ++count_;
     sum_ += v;
@@ -98,7 +99,6 @@ class Histogram {
   void record_time(sim::Time t) {
     record(t.ns() < 0 ? 0u : static_cast<std::uint64_t>(t.ns()));
   }
-  void record_bytes(sim::Bytes b) { record(b.count()); }
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
@@ -111,7 +111,7 @@ class Histogram {
 
   unsigned sub_bucket_bits() const { return sub_bucket_bits_; }
   /// Occupied bucket range; buckets() is indexed [0, bucket_count()).
-  std::size_t bucket_count() const { return counts_.size(); }
+  std::size_t bucket_count() const { return used_; }
   std::uint64_t bucket_value(std::size_t i) const { return counts_[i]; }
 
   /// Inclusive lower edge of bucket `i` for resolution `k` (pure function).
@@ -132,12 +132,6 @@ class Histogram {
   /// quantile_upper_bound() remains the conservative upper estimate.
   std::uint64_t value_at_quantile(double q) const;
 
-  /// Fold another histogram's population into this one, bucket by bucket.
-  /// Exact (not an approximation) because bucket edges are a pure function
-  /// of the resolution — the caller (MetricRegistry::merge_from) guarantees
-  /// both sides use the same sub_bucket_bits.
-  void merge_from(const Histogram& other);
-
   static std::size_t bucket_index(std::uint64_t v, unsigned k) {
     const std::uint64_t m = std::uint64_t{1} << k;
     if (v < m) return static_cast<std::size_t>(v);
@@ -151,14 +145,16 @@ class Histogram {
  private:
   friend class MetricRegistry;
   explicit Histogram(unsigned sub_bucket_bits)
-      : sub_bucket_bits_{sub_bucket_bits} {}
+      : sub_bucket_bits_{sub_bucket_bits},
+        counts_(bucket_index(~std::uint64_t{0}, sub_bucket_bits) + 1, 0) {}
 
   unsigned sub_bucket_bits_;
+  std::vector<std::uint64_t> counts_;  ///< every bucket of the 64-bit range
+  std::size_t used_ = 0;               ///< highest occupied bucket + 1
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
-  std::vector<std::uint64_t> counts_;
 };
 
 }  // namespace halfback::telemetry

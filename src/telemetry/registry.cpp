@@ -1,5 +1,7 @@
 #include "telemetry/registry.h"
 
+#include <utility>
+
 #include "telemetry/metric.h"
 
 namespace halfback::telemetry {
@@ -44,13 +46,13 @@ std::uint64_t Histogram::quantile_upper_bound(double p) const {
   if (count_ == 0) return 0;
   const double target = p * static_cast<double>(count_);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < used_; ++i) {
     cumulative += counts_[i];
     if (static_cast<double>(cumulative) >= target) {
       return bucket_upper(i, sub_bucket_bits_);
     }
   }
-  return bucket_upper(counts_.size() - 1, sub_bucket_bits_);
+  return bucket_upper(used_ - 1, sub_bucket_bits_);
 }
 
 std::uint64_t Histogram::value_at_quantile(double q) const {
@@ -59,7 +61,7 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
   if (q >= 1.0) return max_;
   const double target = q * static_cast<double>(count_);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < used_; ++i) {
     if (counts_[i] == 0) continue;
     const std::uint64_t before = cumulative;
     cumulative += counts_[i];
@@ -80,13 +82,6 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
   return max_;
 }
 
-MetricRegistry::Entry* MetricRegistry::find_mutable(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
 const MetricRegistry::Entry* MetricRegistry::find(const std::string& name) const {
   for (const Entry& e : entries_) {
     if (e.name == name) return &e;
@@ -94,120 +89,41 @@ const MetricRegistry::Entry* MetricRegistry::find(const std::string& name) const
   return nullptr;
 }
 
-Counter* MetricRegistry::counter(const std::string& name, const std::string& help,
-                                 Unit unit) {
-  MutexLock lock{mu_};
-  if (Entry* e = find_mutable(name)) {
-    if (e->kind != MetricKind::counter) {
+template <class Instrument>
+Instrument* MetricRegistry::enroll(std::deque<Instrument>& store,
+                                   Instrument fresh, MetricKind kind,
+                                   const std::string& name,
+                                   const std::string& help, Unit unit) {
+  if (const Entry* e = find(name)) {
+    if (e->kind != kind) {
       throw std::invalid_argument{"metric '" + name +
                                   "' already registered with a different kind"};
     }
-    return &counters_[e->index];
+    return &store[e->index];
   }
-  counters_.emplace_back(Counter{});
-  entries_.push_back(
-      Entry{name, help, unit, MetricKind::counter, counters_.size() - 1});
-  return &counters_.back();
+  store.push_back(std::move(fresh));
+  entries_.push_back(Entry{name, help, unit, kind, store.size() - 1});
+  return &store.back();
+}
+
+Counter* MetricRegistry::counter(const std::string& name, const std::string& help,
+                                 Unit unit) {
+  MutexLock lock{mu_};
+  return enroll(counters_, Counter{}, MetricKind::counter, name, help, unit);
 }
 
 Gauge* MetricRegistry::gauge(const std::string& name, const std::string& help,
                              Unit unit) {
   MutexLock lock{mu_};
-  if (Entry* e = find_mutable(name)) {
-    if (e->kind != MetricKind::gauge) {
-      throw std::invalid_argument{"metric '" + name +
-                                  "' already registered with a different kind"};
-    }
-    return &gauges_[e->index];
-  }
-  gauges_.emplace_back(Gauge{});
-  entries_.push_back(
-      Entry{name, help, unit, MetricKind::gauge, gauges_.size() - 1});
-  return &gauges_.back();
+  return enroll(gauges_, Gauge{}, MetricKind::gauge, name, help, unit);
 }
 
 Histogram* MetricRegistry::histogram(const std::string& name,
                                      const std::string& help, Unit unit,
                                      unsigned sub_bucket_bits) {
   MutexLock lock{mu_};
-  if (Entry* e = find_mutable(name)) {
-    if (e->kind != MetricKind::histogram) {
-      throw std::invalid_argument{"metric '" + name +
-                                  "' already registered with a different kind"};
-    }
-    return &histograms_[e->index];
-  }
-  histograms_.emplace_back(Histogram{sub_bucket_bits});
-  entries_.push_back(
-      Entry{name, help, unit, MetricKind::histogram, histograms_.size() - 1});
-  return &histograms_.back();
-}
-
-void Histogram::merge_from(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (counts_.size() < other.counts_.size()) {
-    counts_.resize(other.counts_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-void MetricRegistry::merge_from(const MetricRegistry& other) {
-  if (&other == this) return;  // self-merge would double counts and deadlock
-  MutexLock lock{mu_};
-  MutexLock other_lock{other.mu_};
-  for (const Entry& theirs : other.entries_) {
-    Entry* mine = find_mutable(theirs.name);
-    if (mine != nullptr && mine->kind != theirs.kind) {
-      throw std::invalid_argument{"metric '" + theirs.name +
-                                  "' merged with a different kind"};
-    }
-    switch (theirs.kind) {
-      case MetricKind::counter: {
-        if (mine == nullptr) {
-          counters_.emplace_back(Counter{});
-          entries_.push_back(Entry{theirs.name, theirs.help, theirs.unit,
-                                   MetricKind::counter, counters_.size() - 1});
-          mine = &entries_.back();
-        }
-        counters_[mine->index].add(other.counters_[theirs.index].value());
-        break;
-      }
-      case MetricKind::gauge: {
-        if (mine == nullptr) {
-          gauges_.emplace_back(Gauge{});
-          entries_.push_back(Entry{theirs.name, theirs.help, theirs.unit,
-                                   MetricKind::gauge, gauges_.size() - 1});
-          mine = &entries_.back();
-        }
-        gauges_[mine->index].set_max(other.gauges_[theirs.index].value());
-        break;
-      }
-      case MetricKind::histogram: {
-        const Histogram& from = other.histograms_[theirs.index];
-        if (mine == nullptr) {
-          histograms_.emplace_back(Histogram{from.sub_bucket_bits()});
-          entries_.push_back(Entry{theirs.name, theirs.help, theirs.unit,
-                                   MetricKind::histogram,
-                                   histograms_.size() - 1});
-          mine = &entries_.back();
-        }
-        Histogram& into = histograms_[mine->index];
-        if (into.sub_bucket_bits() != from.sub_bucket_bits()) {
-          throw std::invalid_argument{
-              "histogram '" + theirs.name +
-              "' merged with a different sub-bucket resolution"};
-        }
-        into.merge_from(from);
-        break;
-      }
-    }
-  }
+  return enroll(histograms_, Histogram{sub_bucket_bits},
+                MetricKind::histogram, name, help, unit);
 }
 
 }  // namespace halfback::telemetry

@@ -6,14 +6,12 @@
 // the existing instrument (the kind must match), which lets independent
 // components share a counter without coordination.
 //
-// Concurrency contract (the surface the sharded experiment engine contends
-// on): registration and merge_from() are serialized by an internal mutex
-// and safe to call from concurrent shard setup/teardown. Instrument
-// *updates* through the returned pointers are NOT synchronized — each shard
-// must own its instruments (its own registry) and fold results into a
-// parent with merge_from() after its run completes. The read accessors are
-// lock-free by design: they are meant for the export phase, after every
-// worker has joined.
+// Concurrency contract: registration is serialized by an internal mutex
+// and safe to call from concurrent threads. Instrument *updates* through
+// the returned pointers are NOT synchronized — a registry belongs to one
+// run (one Hub), and runs on different threads own different registries.
+// The read accessors are lock-free by design: they are meant for the
+// export phase, after the run has finished.
 #pragma once
 
 #include <cstddef>
@@ -60,19 +58,8 @@ class MetricRegistry {
                        unsigned sub_bucket_bits = Histogram::kDefaultSubBucketBits)
       HB_EXCLUDES(mu_) HB_EFFECTS(alloc, throw, block);
 
-  /// Fold another registry's instruments into this one, registering any
-  /// names this registry has not seen (in `other`'s registration order, so
-  /// merging identical catalogs preserves export order). Counters add,
-  /// gauges keep the maximum, histograms add bucketwise (sub-bucket
-  /// resolutions must match). Throws std::invalid_argument on a kind or
-  /// resolution mismatch. Locks both registries; `other` must outlive the
-  /// call but may be concurrently merged elsewhere.
-  void merge_from(const MetricRegistry& other) HB_EXCLUDES(mu_)
-      HB_EFFECTS(alloc, throw, block);
-
-  // Read accessors are for the export phase, after all workers have joined
-  // (the join is the synchronization); they take no lock so exporters can
-  // hold references across iteration.
+  // Read accessors are for the export phase, after the run has finished;
+  // they take no lock so exporters can hold references across iteration.
   const std::vector<Entry>& entries() const HB_NO_THREAD_SAFETY_ANALYSIS {
     return entries_;
   }
@@ -98,7 +85,12 @@ class MetricRegistry {
       HB_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
-  Entry* find_mutable(const std::string& name) HB_REQUIRES(mu_);
+  /// Register `name` as `kind`, storing `fresh` in `store`, or return the
+  /// instrument already registered under it.
+  template <class Instrument>
+  Instrument* enroll(std::deque<Instrument>& store, Instrument fresh,
+                  MetricKind kind, const std::string& name,
+                  const std::string& help, Unit unit) HB_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::vector<Entry> entries_ HB_GUARDED_BY(mu_);

@@ -15,20 +15,4 @@ const char* to_string(SpanKind kind) {
   return "?";
 }
 
-void SpanRecorder::merge_from(const SpanRecorder& other) {
-  if (&other == this) return;
-  const std::uint32_t base = static_cast<std::uint32_t>(used_);
-  if (used_ + other.used_ > spans_.size()) {
-    spans_.resize(used_ + other.used_);
-  }
-  for (std::size_t i = 0; i < other.used_; ++i) {
-    Span s = other.spans_[i];
-    s.id += base;
-    if (s.parent != 0) s.parent += base;
-    spans_[used_] = s;
-    ++used_;
-  }
-  dropped_ += other.dropped_;
-}
-
 }  // namespace halfback::telemetry

@@ -15,9 +15,7 @@
 //
 // Determinism: span ids are assigned in open order, which is a pure
 // function of the event stream; two same-seed runs produce byte-identical
-// span logs. merge_from() appends another shard's spans in their recorded
-// order (ids re-based), so a fixed shard-merge order yields byte-identical
-// merged output at any worker count.
+// span logs.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +53,14 @@ struct Span {
   sim::Time end;
 };
 
-/// Fixed-capacity span store. One per Hub; senders reach it through their
-/// cached pointer the same way they reach their Tape.
+/// Fixed-capacity span store. One per Hub; each FlowTrack (track.h) opens
+/// and closes its flow's spans here.
 class SpanRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
+  /// Spans past this many are counted in dropped(), not recorded.
+  static constexpr std::size_t kCapacity = 4096;
 
-  explicit SpanRecorder(std::size_t capacity = kDefaultCapacity) {
-    spans_.resize(capacity);
-  }
+  SpanRecorder() : spans_(kCapacity) {}
 
   /// Open a span at `at`. Returns its id, or 0 when the store is full
   /// (counted in dropped()). Pure stores: the slot was preallocated.
@@ -104,12 +101,7 @@ class SpanRecorder {
 
   std::size_t size() const { return used_; }
   const Span& at(std::size_t i) const { return spans_[i]; }
-  std::size_t capacity() const { return spans_.size(); }
   std::uint64_t dropped() const { return dropped_; }
-
-  /// Append another recorder's spans in their recorded order, re-basing
-  /// ids and parent links past this recorder's. Setup/merge path only.
-  void merge_from(const SpanRecorder& other) HB_EFFECTS(alloc);
 
  private:
   std::vector<Span> spans_;

@@ -9,13 +9,8 @@
 // counter instead of growing, so instrumented components never allocate on
 // the packet or ACK path.
 //
-// Determinism and sharding: window contents are a pure function of the
-// event stream, so two same-seed runs export byte-identical series.
-// merge_from() folds another shard's windows in (tallies add, peaks max)
-// aligned by window index; Hub::merge_from merges series by name in the
-// other hub's creation order — the same registration-order discipline
-// MetricRegistry uses — so a fixed shard-merge order produces
-// byte-identical merged output at any worker count.
+// Determinism: window contents are a pure function of the event stream,
+// so two same-seed runs export byte-identical series.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +39,9 @@ struct WindowSample {
   }
 };
 
-/// One named series of tumbling windows (per link or per flow class).
-/// Create through Hub::series(); components hold the pointer and record
-/// behind a null check, exactly like Tape.
+/// One named series of tumbling windows (per link or per flow class). The
+/// Hub creates one per link and per scheme, and tracks (track.h) record
+/// into them; exp::run_trace keeps its own per-flow series.
 class WindowSeries {
  public:
   static constexpr std::size_t kDefaultMaxWindows = 4096;
@@ -87,13 +82,7 @@ class WindowSeries {
   /// untouched windows are not counted.
   std::size_t window_count() const { return used_; }
   const WindowSample& window(std::size_t i) const { return windows_[i]; }
-  std::size_t max_windows() const { return windows_.size(); }
   std::uint64_t dropped() const { return dropped_; }
-
-  /// Fold another series' windows into this one, aligned by index
-  /// (tallies add, peaks max). Throws if the window widths differ —
-  /// mismatched shards cannot be merged meaningfully. Merge path only.
-  void merge_from(const WindowSeries& other);
 
  private:
   WindowSample* window_slot(sim::Time at) HB_EFFECTS() {

@@ -22,7 +22,6 @@ SenderBase& TransportAgent::start_flow(std::unique_ptr<SenderBase> sender,
   // (plus headroom for retransmissions): growth rehashes showed up as a
   // measurable slice of per-packet cost in steady state.
   seen_uids_.reserve(seen_uids_.size() + 2 * ref.record().total_segments);
-  if (telemetry_ != nullptr) ref.set_telemetry(telemetry_);
   ref.start();
   return ref;
 }

@@ -45,11 +45,6 @@ class TransportAgent {
                          SenderBase::CompletionRef on_complete = {})
       HB_EFFECTS(alloc, throw);
 
-  /// Attach a telemetry hub (nullptr detaches; owned by the caller).
-  /// Senders started afterwards get their flight-recorder tape installed
-  /// before start() runs.
-  void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
-
   /// Configuration applied to receivers this agent spawns (delayed ACKs,
   /// SACK block budget). Affects only receivers created afterwards.
   void set_receiver_config(Receiver::Config config) { receiver_config_ = config; }
@@ -97,7 +92,6 @@ class TransportAgent {
   std::function<void(const Receiver&)> on_receive_complete_;
   Receiver::Config receiver_config_;
   DeliveryStats delivery_stats_;
-  telemetry::Hub* telemetry_ = nullptr;  ///< not owned; nullptr = off
   /// Wire uids already dispatched on this host (keyed with the packet type
   /// so a sender-assigned data uid and a receiver-assigned ACK uid of the
   /// same flow can never collide). Injected duplicates are exact copies —

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "audit/auditor.h"
+#include "telemetry/hub.h"
 
 namespace halfback::transport {
 
@@ -40,18 +41,10 @@ SenderBase::~SenderBase() = default;
 
 void SenderBase::start() {
   record_.start_time = simulator_.now();
-  if (hub_ != nullptr) {
-    hub_->transport().flows_started->increment();
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::flow_start, 0,
-                  record_.flow_bytes.count());
+  if (telemetry::Hub* hub = simulator_.telemetry()) {
+    track_ = &hub->flow_track(simulator_, record_.flow, record_.scheme);
+    track_->start(record_.flow_bytes);
   }
-  if (spans_ != nullptr) {
-    // Root span of this flow's causal tree; phase and RTO-recovery spans
-    // parent under it.
-    span_flow_ = spans_->open_span(record_.flow, telemetry::SpanKind::flow, 0,
-                                   simulator_.now());
-  }
-  enter_phase(telemetry::FlowPhase::handshake);
   send_syn();
 }
 
@@ -68,11 +61,8 @@ void SenderBase::send_syn() {
   syn_last_sent_ = simulator_.now();
   ++syn_tries_;
   if (syn_tries_ > 1) ++record_.syn_retx;
-  if (hub_ != nullptr) {
-    hub_->transport().syn_sent->increment();
-    if (syn_tries_ > 1) hub_->transport().syn_retx->increment();
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::syn_sent,
-                  static_cast<std::uint32_t>(syn_tries_));
+  if (track_ != nullptr) {
+    track_->syn_sent(static_cast<std::uint32_t>(syn_tries_));
   }
   node_.send(std::move(syn));
 
@@ -100,15 +90,9 @@ bool SenderBase::begin_established() {
   sim::Time sample = simulator_.now() - syn_last_sent_;
   if (syn_tries_ == 1) rtt_.add_sample(sample);
   record_.handshake_rtt = sample;
-  if (hub_ != nullptr) {
-    // The histogram keeps Karn-valid samples only; the tape keeps them all.
-    if (syn_tries_ == 1) hub_->transport().handshake_rtt->record_time(sample);
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::established, 0,
-                  static_cast<std::uint64_t>(sample.ns() < 0 ? 0 : sample.ns()));
-  }
-  // Schemes with finer structure (paced start, ROPR) refine this from
-  // on_established(); the same-timestamp span then replaces "transfer".
-  enter_phase(telemetry::FlowPhase::transfer);
+  // Enters the generic transfer phase; schemes with finer structure (paced
+  // start, ROPR) refine it from on_established().
+  if (track_ != nullptr) track_->established(sample, syn_tries_ == 1);
   return true;
 }
 
@@ -118,32 +102,13 @@ AckUpdate SenderBase::apply_ack(const net::Packet& packet) {
   AckUpdate update = scoreboard_.apply_ack(packet.cum_ack, packet.sacks);
   HALFBACK_AUDIT_HOOK(simulator_.auditor(),
                       on_ack_applied(scoreboard_, record_.flow, packet, update));
-  if (hub_ != nullptr) {
-    hub_->transport().acks_received->increment();
-    hub_->transport().scoreboard_acked->add(update.newly_cum_acked);
-    hub_->transport().scoreboard_sacked->add(update.newly_sacked.size());
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::ack_received,
-                  packet.cum_ack);
-  }
-  if (class_series_ != nullptr) {
-    // Goodput credit: every segment newly reported received — cum-ack
-    // progress plus fresh SACKs (newly_cum_acked already excludes segments
-    // credited at SACK time) — in payload bytes. An ack carrying no new
-    // information at all is the duplicate worth counting.
-    const std::uint64_t credited = update.newly_acked_total();
-    if (credited > 0) {
-      class_series_->tally_bytes(simulator_.now(),
-                                 credited * net::kSegmentPayloadBytes);
-    } else {
-      class_series_->tally_dup(simulator_.now());
-    }
+  if (track_ != nullptr) {
+    // newly_cum_acked already excludes segments credited at SACK time.
+    track_->ack_received(packet.cum_ack, update.newly_cum_acked,
+                         static_cast<std::uint32_t>(update.newly_sacked.size()),
+                         update.advanced());
   }
   if (update.advanced()) {
-    if (spans_ != nullptr && span_rto_ != 0) {
-      // Cumulative progress ends the RTO-recovery episode.
-      spans_->close_span(span_rto_, simulator_.now());
-      span_rto_ = 0;
-    }
     rtt_.reset_backoff();
     if (!scoreboard_.complete()) arm_rto();
   }
@@ -162,15 +127,9 @@ void SenderBase::take_rtt_sample(const net::Packet& ack) {
     s->rtt_sampled = true;
     const sim::Time sample = simulator_.now() - s->last_sent;
     rtt_.add_sample(sample);
-    if (hub_ != nullptr) {
-      hub_->transport().rtt->record_time(sample);
-      tape_->record(simulator_.now(), telemetry::TapeEventKind::rtt_sample, 0,
-                    static_cast<std::uint64_t>(sample.ns() < 0 ? 0 : sample.ns()));
-    }
-  } else if (hub_ != nullptr) {
-    hub_->transport().karn_discards->increment();
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::karn_discard,
-                  ack.seq);
+    if (track_ != nullptr) track_->rtt_sample(sample);
+  } else if (track_ != nullptr) {
+    track_->karn_discard(ack.seq);
   }
 }
 
@@ -215,26 +174,8 @@ void SenderBase::transmit_segment(std::uint32_t seq, bool proactive) {
     // first in some orderings); count it as proactive overhead.
     ++record_.proactive_retx;
   }
-  if (hub_ != nullptr) {
-    if (proactive) {
-      hub_->transport().proactive_sent->increment();
-      tape_->record(simulator_.now(), telemetry::TapeEventKind::proactive_sent,
-                    seq);
-    } else if (retx) {
-      hub_->transport().retx_sent->increment();
-      tape_->record(simulator_.now(), telemetry::TapeEventKind::retx_sent, seq);
-    } else {
-      hub_->transport().segments_sent->increment();
-      tape_->record(simulator_.now(), telemetry::TapeEventKind::segment_sent,
-                    seq);
-    }
-  }
-  if (class_series_ != nullptr) {
-    class_series_->tally_packets(simulator_.now(), 1);
-    if (retx) class_series_->tally_retx(simulator_.now());
-    class_series_->raise_inflight_peak(
-        simulator_.now(), static_cast<std::uint64_t>(scoreboard_.pipe()) *
-                              net::kSegmentPayloadBytes);
+  if (track_ != nullptr) {
+    track_->segment_sent(seq, retx, proactive, scoreboard_.pipe());
   }
   node_.send(std::move(p));
 }
@@ -245,18 +186,7 @@ bool SenderBase::note_timeout() {
   if (record_.completed) return false;
   ++record_.timeouts;
   rtt_.backoff();
-  if (hub_ != nullptr) {
-    hub_->transport().rto_fired->increment();
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::rto_fired,
-                  record_.timeouts);
-  }
-  if (spans_ != nullptr && span_rto_ == 0) {
-    // One recovery episode per outage: back-to-back RTOs with no
-    // intervening cumulative progress extend the same span.
-    span_rto_ = spans_->open_span(record_.flow,
-                                  telemetry::SpanKind::rto_recovery,
-                                  span_flow_, simulator_.now());
-  }
+  if (track_ != nullptr) track_->rto_fired(record_.timeouts);
   return true;
 }
 
@@ -274,23 +204,7 @@ bool SenderBase::finish_transfer() {
   record_.completion_time = simulator_.now();
   cancel_rto();
   syn_timer_.cancel();
-  if (hub_ != nullptr) {
-    const sim::Time fct = record_.fct();
-    hub_->transport().flows_completed->increment();
-    hub_->transport().fct->record_time(fct);
-    tape_->record(simulator_.now(), telemetry::TapeEventKind::complete, 0,
-                  static_cast<std::uint64_t>(fct.ns() < 0 ? 0 : fct.ns()));
-  }
-  if (spans_ != nullptr && span_rto_ != 0) {
-    // Completion resolves a recovery episode still in flight.
-    spans_->close_span(span_rto_, simulator_.now());
-    span_rto_ = 0;
-  }
-  enter_phase(telemetry::FlowPhase::done);
-  if (spans_ != nullptr && span_flow_ != 0) {
-    spans_->close_span(span_flow_, simulator_.now());
-    span_flow_ = 0;
-  }
+  if (track_ != nullptr) track_->complete(record_.fct());
   return true;
 }
 

@@ -26,7 +26,7 @@
 #include "sim/function_ref.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
-#include "telemetry/hub.h"
+#include "telemetry/track.h"
 #include "transport/rtt_estimator.h"
 #include "transport/scoreboard.h"
 
@@ -91,10 +91,10 @@ struct FlowRecord {
 ///
 /// Everything the TransportAgent, the experiment runners, and the tests
 /// touch goes through this class: start(), on_packet() (the one virtual),
-/// the completion callback, telemetry attachment, and the read-only
-/// accessors. Concrete behaviour lives in Sender<Policy> below; construct
-/// schemes through schemes::make_sender() (or a concrete scheme class
-/// directly when the test knows the type).
+/// the completion callback, and the read-only accessors. Concrete
+/// behaviour lives in Sender<Policy> below; construct schemes through
+/// schemes::make_sender() (or a concrete scheme class directly when the
+/// test knows the type).
 class SenderBase {
  public:
   /// Per-flow completion notification. Non-owning: the callee must outlive
@@ -106,7 +106,10 @@ class SenderBase {
   SenderBase(const SenderBase&) = delete;
   SenderBase& operator=(const SenderBase&) = delete;
 
-  /// Begin the flow: records the start time and sends the SYN.
+  /// Begin the flow: records the start time and sends the SYN. On a
+  /// simulator carrying a telemetry hub, the flow takes its FlowTrack here;
+  /// recording is purely observational (never schedules or draws
+  /// randomness), so trace hashes are unchanged.
   void start() HB_EFFECTS(alloc, throw);
 
   /// Entry point for SYN-ACK and ACK packets of this flow — the single
@@ -115,24 +118,6 @@ class SenderBase {
   virtual void on_packet(const net::Packet& packet) = 0;
 
   void set_completion_callback(CompletionRef cb) { on_complete_ = cb; }
-
-  /// Attach a telemetry hub (nullptr detaches; owned by the caller). Call
-  /// before start(): creates this flow's flight-recorder tape and caches
-  /// the transport probe bundle. Purely observational — never schedules or
-  /// draws randomness, so trace hashes are unchanged.
-  void set_telemetry(telemetry::Hub* hub) {
-    hub_ = hub;
-    tape_ = hub == nullptr
-                ? nullptr
-                : &hub->recorder().tape(
-                      telemetry::TrackKind::flow, record_.flow,
-                      record_.scheme + " flow " + std::to_string(record_.flow));
-    spans_ = hub == nullptr ? nullptr : &hub->spans();
-    // Per-flow-class windowed series, keyed by scheme name so every flow of
-    // a scheme tallies into the same tumbling windows.
-    class_series_ =
-        hub == nullptr ? nullptr : &hub->series("class." + record_.scheme);
-  }
 
   const FlowRecord& record() const { return record_; }
   bool complete() const { return record_.completed; }
@@ -155,37 +140,9 @@ class SenderBase {
   /// Estimated RTT to use before any ACK sample exists (handshake value).
   sim::Time smoothed_rtt() const;
 
-  /// This flow's flight-recorder tape, nullptr when telemetry is off.
-  telemetry::Tape* tape() { return tape_; }
-  /// Scheme probe bundle, nullptr when telemetry is off.
-  telemetry::Hub::SchemeProbes* scheme_probes() {
-    return hub_ == nullptr ? nullptr : &hub_->scheme();
-  }
-  /// Record a phase transition on this flow's tape AND in the causal span
-  /// log: the current phase span (if any) closes and — except for `done` —
-  /// a new one opens as a child of the root flow span. No-op without
-  /// telemetry. Allocation-free: spans land in the recorder's preallocated
-  /// store.
-  void enter_phase(telemetry::FlowPhase phase) {
-    if (tape_ != nullptr) tape_->enter_phase(simulator_.now(), phase);
-    if (spans_ == nullptr) return;
-    if (span_phase_ != 0) {
-      spans_->close_span(span_phase_, simulator_.now());
-      span_phase_ = 0;
-    }
-    if (phase != telemetry::FlowPhase::done) {
-      span_phase_ = spans_->open_span(record_.flow, span_kind_for(phase),
-                                      span_flow_, simulator_.now());
-    }
-  }
-
-  /// Flag the current phase span abandoned (ROPR cut short by an RTO)
-  /// without closing it; the following enter_phase() closes it as usual.
-  void abandon_phase_span() {
-    if (spans_ != nullptr && span_phase_ != 0) {
-      spans_->abandon_span(span_phase_);
-    }
-  }
+  /// This flow's telemetry track, nullptr when no hub is installed. The
+  /// transport and scheme hooks record their transitions on it.
+  telemetry::FlowTrack* track() { return track_; }
 
   sim::Bytes flow_bytes() const { return record_.flow_bytes; }
   std::uint32_t total_segments() const { return record_.total_segments; }
@@ -240,33 +197,8 @@ class SenderBase {
   void take_rtt_sample(const net::Packet& ack);
   std::uint64_t next_uid() { return (record_.flow << 24) + (++uid_counter_); }
 
-  /// Phase -> span-kind mapping for enter_phase(). `done` never reaches
-  /// this (it only closes the current span).
-  static telemetry::SpanKind span_kind_for(telemetry::FlowPhase phase) {
-    switch (phase) {
-      case telemetry::FlowPhase::handshake:
-        return telemetry::SpanKind::handshake;
-      case telemetry::FlowPhase::pacing:
-        return telemetry::SpanKind::pacing;
-      case telemetry::FlowPhase::ropr:
-        return telemetry::SpanKind::ropr_repair;
-      case telemetry::FlowPhase::fallback:
-        return telemetry::SpanKind::fallback;
-      case telemetry::FlowPhase::transfer:
-      case telemetry::FlowPhase::done:
-        break;
-    }
-    return telemetry::SpanKind::blast;
-  }
-
   CompletionRef on_complete_;
-  telemetry::Hub* hub_ = nullptr;    ///< not owned; nullptr = telemetry off
-  telemetry::Tape* tape_ = nullptr;  ///< this flow's tape, owned by the hub
-  telemetry::SpanRecorder* spans_ = nullptr;  ///< hub's span log; may be null
-  telemetry::WindowSeries* class_series_ = nullptr;  ///< per-scheme series
-  std::uint32_t span_flow_ = 0;   ///< root flow span id (0 = none)
-  std::uint32_t span_phase_ = 0;  ///< current phase span id (0 = none)
-  std::uint32_t span_rto_ = 0;    ///< open RTO-recovery span id (0 = none)
+  telemetry::FlowTrack* track_ = nullptr;  ///< owned by the hub; may be null
   sim::StaticTimer syn_timer_;
   sim::Time syn_last_sent_;
   int syn_tries_ = 0;

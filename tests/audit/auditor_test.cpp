@@ -145,10 +145,10 @@ class OverfullQueue final : public net::PacketQueue {
  public:
   explicit OverfullQueue(std::uint64_t capacity) : capacity_{capacity} {}
 
-  bool enqueue(net::Packet p, sim::Time now) override {
+  bool enqueue(net::Packet p, sim::Time /*now*/) override {
     bytes_ += p.size_bytes;
     packets_.push_back(std::move(p));
-    record_enqueue(packets_.back(), now, packets_.size());
+    record_enqueue(packets_.back(), packets_.size());
     return true;
   }
   std::optional<net::Packet> dequeue(sim::Time /*now*/) override {

@@ -60,7 +60,6 @@ Outcome run_case(const Case& c) {
   telemetry::Hub hub;
   if ((c.observers & kHub) != 0) {
     hub.instrument_network(fx.net);
-    for (auto& agent : fx.sender_agents) agent->set_telemetry(&hub);
   }
   sim::BudgetEnforcer budget{sim::RunBudget{
       .max_events = 10'000'000,

@@ -95,6 +95,28 @@ TEST(HomeNetEnvTest, HalfbackBeatsTcpOnComcast) {
   EXPECT_LT(fct_ms(halfback).median(), fct_ms(tcp).median() * 0.75);
 }
 
+TEST(HomeNetEnvTest, EveryTrialIsAuditedAndReproducesItsHash) {
+  // Each trial runs under its own invariant auditor (as PlanetLabEnv's
+  // do): a clean audit is a nonzero trace hash with no violations, and a
+  // same-seed rerun reproduces every hash. The lossy WiFi profile drives
+  // drops and retransmissions through the audited paths.
+  HomeNetConfig config;
+  config.server_count = 4;
+  config.threads = 2;
+  const HomeNetProfile& wifi = home_profiles()[2];
+  const auto first = HomeNetEnv{config}.run(schemes::Scheme::halfback, wifi);
+  const auto again = HomeNetEnv{config}.run(schemes::Scheme::halfback, wifi);
+  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(again.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_NE(first[i].trace_hash, 0u) << "trial " << i;
+    EXPECT_EQ(first[i].audit_violations, 0u) << "trial " << i;
+    EXPECT_EQ(again[i].trace_hash, first[i].trace_hash) << "trial " << i;
+  }
+  // Distinct servers are distinct runs.
+  EXPECT_NE(first[0].trace_hash, first[1].trace_hash);
+}
+
 TEST(HomeNetEnvTest, LowBandwidthProfileShrinksTheGain) {
   HomeNetConfig config;
   config.server_count = 30;

@@ -330,17 +330,23 @@ TEST(LayeringRule, SuppressionCommentSilencesAnUpwardInclude) {
 }
 
 TEST(LayeringRule, ObservabilityInterfaceHeadersAreSanctioned) {
-  // net/ may include the telemetry probe surface (hub.h) but not the rest
-  // of the telemetry layer (exporters etc.).
+  // net/ may include the telemetry hub and the recording header (track.h)
+  // but not the rest of the telemetry layer: not the exporters, and not
+  // the instruments a track records into (span.h), which only tracks name.
   const auto model = model_of({
       {"src/telemetry/hub.h", "#pragma once\n"},
+      {"src/telemetry/track.h", "#pragma once\n"},
       {"src/telemetry/export.h", "#pragma once\n"},
+      {"src/telemetry/span.h", "#pragma once\n"},
       {"src/net/a.h", "#pragma once\n#include \"telemetry/hub.h\"\n"},
       {"src/net/b.h", "#pragma once\n#include \"telemetry/export.h\"\n"},
+      {"src/net/c.h", "#pragma once\n#include \"telemetry/track.h\"\n"},
+      {"src/net/d.h", "#pragma once\n#include \"telemetry/span.h\"\n"},
   });
   const auto findings = lint::analyze_model(model, {}, "layering");
-  ASSERT_EQ(findings.size(), 1u) << describe(findings);
+  ASSERT_EQ(findings.size(), 2u) << describe(findings);
   EXPECT_EQ(findings[0].path, "src/net/b.h");
+  EXPECT_EQ(findings[1].path, "src/net/d.h");
 }
 
 TEST(LayeringRule, LayerGraphDotNamesLayersAndAggregatesEdges) {

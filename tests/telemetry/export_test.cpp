@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/emulab.h"
@@ -19,17 +20,26 @@ namespace {
 using exp::EmulabRunner;
 using exp::WorkloadPart;
 
+/// What the write_* exporter `write` puts on a stream, given `args`.
+template <class... Params, class... Args>
+std::string text_of(void (*write)(std::ostream&, Params...), Args&&... args) {
+  std::ostringstream out;
+  write(out, std::forward<Args>(args)...);
+  return out.str();
+}
+
 /// A small but non-trivial Emulab run with telemetry installed; returns the
 /// serialized exporter outputs. Fresh hub + runner per call so two calls
 /// share no state.
 struct ExportedRun {
   std::string metrics;
   std::string trace;
-  std::string hub_trace;  ///< full-hub overload: tape events + span events
   std::string spans;
   std::string series;
-  std::string prometheus;
   std::string manifest;
+  std::string tapes;  ///< every tape's render_tape, in recorder order
+  std::size_t tape_count = 0;
+  std::uint64_t trace_hash = 0;
 };
 
 ExportedRun run_and_export() {
@@ -52,13 +62,17 @@ ExportedRun run_and_export() {
   const exp::RunResult run = runner.run(parts);
 
   ExportedRun out;
-  out.metrics = metrics_jsonl(hub.registry());
-  out.trace = chrome_trace_json(hub.recorder(), run.sim_end);
-  out.hub_trace = chrome_trace_json(hub, run.sim_end);
-  out.spans = spans_jsonl(hub.spans(), run.sim_end);
-  out.series = timeseries_jsonl(hub);
-  out.prometheus = prometheus_text(hub.registry());
-  out.manifest = manifest_json(runner.manifest(run, "emulab"), &hub.registry());
+  out.metrics = text_of(write_metrics_jsonl, hub.registry());
+  out.trace = text_of(write_chrome_trace, hub, run.sim_end);
+  out.spans = text_of(write_spans_jsonl, hub.spans(), run.sim_end);
+  out.series = text_of(write_timeseries_jsonl, hub);
+  out.manifest = text_of(write_manifest_json, runner.manifest(run, "emulab"),
+                         &hub.registry());
+  for (std::size_t i = 0; i < hub.recorder().tape_count(); ++i) {
+    out.tapes += render_tape(hub.recorder().tape_at(i));
+  }
+  out.tape_count = hub.recorder().tape_count();
+  out.trace_hash = run.trace_hash;
   return out;
 }
 
@@ -67,11 +81,27 @@ TEST(ExportDeterminism, SameSeedRunsAreByteIdentical) {
   const ExportedRun second = run_and_export();
   EXPECT_EQ(first.metrics, second.metrics);
   EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.hub_trace, second.hub_trace);
   EXPECT_EQ(first.spans, second.spans);
   EXPECT_EQ(first.series, second.series);
-  EXPECT_EQ(first.prometheus, second.prometheus);
   EXPECT_EQ(first.manifest, second.manifest);
+  EXPECT_EQ(first.tapes, second.tapes);
+}
+
+TEST(ExportDeterminism, ContentMatchesPinnedDigests) {
+  // Pins what telemetry records, not only that it repeats: the FNV-1a
+  // digest and size of each export of the seed-11 run above. A change to
+  // any counter, span, window or tape event moves one of these.
+  const ExportedRun run = run_and_export();
+  EXPECT_EQ(run.trace_hash, 0x56ae43512ecd199aULL);
+  EXPECT_EQ(fnv1a64(run.metrics), 0x46c9042d60dceeeaULL);
+  EXPECT_EQ(run.metrics.size(), 11'370u);
+  EXPECT_EQ(fnv1a64(run.spans), 0x8ec0030196342653ULL);
+  EXPECT_EQ(run.spans.size(), 2'863u);
+  EXPECT_EQ(fnv1a64(run.series), 0x84a406dbf3a9ba51ULL);
+  EXPECT_EQ(run.series.size(), 5'178u);
+  EXPECT_EQ(fnv1a64(run.tapes), 0x9482e8eb9b91c795ULL);
+  EXPECT_EQ(run.tapes.size(), 17'418u);
+  EXPECT_EQ(run.tape_count, 14u);
 }
 
 TEST(ExportDeterminism, BucketEdgesMatchGoldenFile) {
@@ -104,7 +134,7 @@ TEST(MetricsJsonl, OneValidObjectPerMetricInRegistrationOrder) {
   registry.gauge("a.second", "registered second")->set(1.5);
   registry.histogram("m.third", "registered third")->record(42);
 
-  const std::string out = metrics_jsonl(registry);
+  const std::string out = text_of(write_metrics_jsonl, registry);
   std::istringstream lines{out};
   std::vector<std::string> v;
   for (std::string line; std::getline(lines, line);) v.push_back(line);
@@ -117,79 +147,82 @@ TEST(MetricsJsonl, OneValidObjectPerMetricInRegistrationOrder) {
   EXPECT_NE(v[2].find("\"count\":1"), std::string::npos);
 }
 
-TEST(PrometheusText, HasHelpTypeAndSampleLines) {
-  MetricRegistry registry;
-  registry.counter("halfback_demo_total", "a demo counter")->add(7);
-  registry.histogram("halfback_demo_ns", "a demo histogram")->record(9);
-  const std::string out = prometheus_text(registry);
-  EXPECT_NE(out.find("# HELP halfback_demo_total a demo counter"),
-            std::string::npos);
-  EXPECT_NE(out.find("# TYPE halfback_demo_total counter"), std::string::npos);
-  EXPECT_NE(out.find("halfback_demo_total 7\n"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE halfback_demo_ns histogram"), std::string::npos);
-  EXPECT_NE(out.find("halfback_demo_ns_count 1\n"), std::string::npos);
-  EXPECT_NE(out.find("halfback_demo_ns_sum 9\n"), std::string::npos);
-}
-
 TEST(ChromeTrace, EmitsMetadataSpansAndInstants) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1, "flow 1 demo");
+  Hub hub;
+  Tape& tape = hub.recorder().tape(TrackKind::flow, 1, "flow 1 demo");
   tape.enter_phase(sim::Time::microseconds(0), FlowPhase::handshake);
-  tape.enter_phase(sim::Time::microseconds(100), FlowPhase::pacing);
   tape.record(sim::Time::microseconds(150), TapeEventKind::segment_sent, 5);
+  SpanRecorder& spans = hub.spans();
+  const std::uint32_t root =
+      spans.open_span(1, SpanKind::flow, 0, sim::Time::microseconds(0));
+  const std::uint32_t handshake = spans.open_span(
+      1, SpanKind::handshake, root, sim::Time::microseconds(0));
+  spans.close_span(handshake, sim::Time::microseconds(100));
+  spans.open_span(1, SpanKind::pacing, root, sim::Time::microseconds(100));
 
   const std::string out =
-      chrome_trace_json(recorder, sim::Time::microseconds(400));
+      text_of(write_chrome_trace, hub, sim::Time::microseconds(400));
   EXPECT_EQ(out.front(), '{');
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"M\""), std::string::npos);  // thread metadata
   EXPECT_NE(out.find("flow 1 demo"), std::string::npos);
-  // handshake span: [0, 100) us; pacing closed by the end time at 400 us.
-  EXPECT_NE(out.find("\"name\":\"handshake\",\"ts\":0.000,\"dur\":100.000"),
+  // Phases are drawn once, as pid-3 spans: handshake [0, 100) us; pacing
+  // still open, so it closes at the end time of 400 us.
+  EXPECT_NE(out.find("\"name\":\"handshake\",\"ts\":0.000,"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"ph\":\"E\",\"pid\":3,\"tid\":1,\"cat\":\"span\","
+                     "\"name\":\"handshake\",\"ts\":100.000}"),
             std::string::npos)
       << out;
-  EXPECT_NE(out.find("\"name\":\"pacing\",\"ts\":100.000,\"dur\":300.000"),
+  EXPECT_NE(out.find("\"name\":\"pacing\",\"ts\":100.000,"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"ph\":\"E\",\"pid\":3,\"tid\":1,\"cat\":\"span\","
+                     "\"name\":\"pacing\",\"ts\":400.000}"),
             std::string::npos)
       << out;
+  EXPECT_EQ(out.find("\"ph\":\"X\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);  // instant event
   EXPECT_NE(out.find("segment_sent"), std::string::npos);
+  // The phase_enter tape event is not drawn twice.
+  EXPECT_EQ(out.find("phase_enter"), std::string::npos) << out;
 }
 
 TEST(ChromeTrace, TraceFromEmulabRunHasPacingSpans) {
   // Acceptance shape for the CI smoke check: a real halfback run must
-  // produce per-flow phase spans, including the paced-start phase.
+  // produce per-flow phase spans on pid 3, including the paced start.
   const ExportedRun run = run_and_export();
-  EXPECT_NE(run.trace.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(run.trace.find("\"name\":\"pacing\""), std::string::npos);
-  EXPECT_NE(run.trace.find("\"name\":\"handshake\""), std::string::npos);
+  EXPECT_NE(run.trace.find("\"ph\":\"B\",\"pid\":3,"), std::string::npos);
+  EXPECT_NE(run.trace.find("\"cat\":\"span\",\"name\":\"pacing\""),
+            std::string::npos);
+  EXPECT_NE(run.trace.find("\"cat\":\"span\",\"name\":\"handshake\""),
+            std::string::npos);
+  EXPECT_EQ(run.trace.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(ChromeTrace, HubOverloadNestsSpanEventsAndKeepsTapePrefix) {
   const ExportedRun run = run_and_export();
-  // The recorder-only overload's output is a byte-exact prefix of the
-  // full-hub overload (minus the closing bracket): adding the span layer
-  // must never disturb the tape events.
-  const std::string closing = "\n]}\n";
-  ASSERT_GE(run.trace.size(), closing.size());
-  const std::string tape_prefix =
-      run.trace.substr(0, run.trace.size() - closing.size());
-  EXPECT_EQ(run.hub_trace.compare(0, tape_prefix.size(), tape_prefix), 0);
-  // The span layer: pid-3 process metadata plus nested B/E duration pairs.
-  EXPECT_NE(run.hub_trace.find("\"args\":{\"name\":\"spans\"}"),
-            std::string::npos);
-  EXPECT_NE(run.hub_trace.find("\"ph\":\"B\""), std::string::npos);
-  EXPECT_NE(run.hub_trace.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(run.hub_trace.find("\"name\":\"blast\""), std::string::npos);
+  // The tape events form the trace's prefix: every pid-1/pid-2 event comes
+  // before the span layer's first pid-3 event (its process metadata).
+  const std::size_t spans_begin = run.trace.find("\"pid\":3,");
+  ASSERT_NE(spans_begin, std::string::npos);
+  EXPECT_EQ(run.trace.find("\"args\":{\"name\":\"spans\"}", spans_begin),
+            run.trace.find("\"args\":{\"name\":\"spans\"}"));
+  EXPECT_LT(run.trace.rfind("\"pid\":1,"), spans_begin);
+  EXPECT_LT(run.trace.rfind("\"pid\":2,"), spans_begin);
+  // The span layer: nested B/E duration pairs.
+  EXPECT_NE(run.trace.find("\"ph\":\"B\""), std::string::npos);
+  EXPECT_NE(run.trace.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_NE(run.trace.find("\"name\":\"blast\""), std::string::npos);
   // B and E counts must match (every span closes at export).
   std::size_t opens = 0;
   std::size_t closes = 0;
   for (std::size_t pos = 0;
-       (pos = run.hub_trace.find("\"ph\":\"B\"", pos)) != std::string::npos;
+       (pos = run.trace.find("\"ph\":\"B\"", pos)) != std::string::npos;
        ++pos) {
     ++opens;
   }
   for (std::size_t pos = 0;
-       (pos = run.hub_trace.find("\"ph\":\"E\"", pos)) != std::string::npos;
+       (pos = run.trace.find("\"ph\":\"E\"", pos)) != std::string::npos;
        ++pos) {
     ++closes;
   }
@@ -205,7 +238,8 @@ TEST(SpansJsonl, OneObjectPerSpanPlusFooter) {
                                            sim::Time::milliseconds(1));
   spans.close_span(hs, sim::Time::milliseconds(2));
 
-  const std::string out = spans_jsonl(spans, sim::Time::milliseconds(7));
+  const std::string out =
+      text_of(write_spans_jsonl, spans, sim::Time::milliseconds(7));
   EXPECT_NE(
       out.find("{\"span\":1,\"parent\":0,\"flow\":9,\"kind\":\"flow\","
                "\"begin_ns\":1000000,\"end_ns\":7000000,\"open\":true,"
@@ -228,7 +262,7 @@ TEST(TimeseriesJsonl, EmitsTouchedWindowsOnlyInCreationOrder) {
   link.tally_bytes(sim::Time::milliseconds(25), 3000);  // window 2 @10ms width
   cls.tally_dup(sim::Time::milliseconds(5));            // window 0
 
-  const std::string out = timeseries_jsonl(hub);
+  const std::string out = text_of(write_timeseries_jsonl, hub);
   const std::size_t link_pos = out.find("\"series\":\"link.0\"");
   const std::size_t cls_pos = out.find("\"series\":\"class.halfback\"");
   ASSERT_NE(link_pos, std::string::npos) << out;
@@ -250,7 +284,7 @@ TEST(ManifestJson, CarriesProvenanceFields) {
   manifest.trace_hash = 0x0123456789abcdefULL;
   manifest.sim_end = sim::Time::seconds(2);
   manifest.events_dispatched = 1000;
-  const std::string out = manifest_json(manifest, nullptr);
+  const std::string out = text_of(write_manifest_json, manifest, nullptr);
   EXPECT_NE(out.find("\"experiment\":\"emulab\""), std::string::npos);
   EXPECT_NE(out.find("\"scheme\":\"halfback\""), std::string::npos);
   EXPECT_NE(out.find("\"seed\":42"), std::string::npos);

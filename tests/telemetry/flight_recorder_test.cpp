@@ -1,8 +1,11 @@
 // FlightRecorder / Tape semantics: slab-backed rings, wrap-around keeping
-// the newest events, and the bounded phase-transition list.
+// the newest events, and the plain-text rendering.
 #include "telemetry/flight_recorder.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "sim/time.h"
 
@@ -48,56 +51,18 @@ TEST(FlightRecorder, EventsReadBackOldestFirst) {
 }
 
 TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
-  FlightRecorder recorder{FlightRecorder::Config{.events_per_tape = 4}};
+  constexpr std::size_t kRing = FlightRecorder::kEventsPerTape;
+  FlightRecorder recorder;
   Tape& tape = recorder.tape(TrackKind::flow, 1);
-  for (std::uint32_t i = 0; i < 10; ++i) {
+  for (std::uint32_t i = 0; i < kRing + 6; ++i) {
     tape.record(us(i), TapeEventKind::segment_sent, i);
   }
-  EXPECT_EQ(tape.size(), 4u);
+  EXPECT_EQ(tape.size(), kRing);
   EXPECT_EQ(tape.dropped(), 6u);
-  // Survivors are the newest four, oldest first.
-  for (std::size_t i = 0; i < 4; ++i) {
+  // Survivors are the newest kRing, oldest first.
+  for (std::size_t i = 0; i < kRing; ++i) {
     EXPECT_EQ(tape.event(i).a, 6u + i);
   }
-}
-
-TEST(FlightRecorder, ConsecutiveDuplicatePhasesCollapse) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.enter_phase(us(0), FlowPhase::handshake);
-  tape.enter_phase(us(5), FlowPhase::pacing);
-  tape.enter_phase(us(9), FlowPhase::pacing);  // duplicate: collapsed
-  ASSERT_EQ(tape.phases().size(), 2u);
-  EXPECT_EQ(tape.phases()[0].phase, FlowPhase::handshake);
-  EXPECT_EQ(tape.phases()[1].phase, FlowPhase::pacing);
-  EXPECT_EQ(tape.phases()[1].start, us(5));
-}
-
-TEST(FlightRecorder, ZeroWidthPhaseIsReplacedNotKept) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.enter_phase(us(0), FlowPhase::handshake);
-  // Generic "transfer" refined to "pacing" at the same instant: the
-  // zero-width transfer span must not survive.
-  tape.enter_phase(us(5), FlowPhase::transfer);
-  tape.enter_phase(us(5), FlowPhase::pacing);
-  ASSERT_EQ(tape.phases().size(), 2u);
-  EXPECT_EQ(tape.phases()[1].phase, FlowPhase::pacing);
-  EXPECT_EQ(tape.phases()[1].start, us(5));
-}
-
-TEST(FlightRecorder, PhaseListIsCappedButRingStillRecords) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  // Alternate phases far past the cap.
-  for (int i = 0; i < 40; ++i) {
-    tape.enter_phase(us(i), i % 2 == 0 ? FlowPhase::pacing : FlowPhase::ropr);
-  }
-  EXPECT_EQ(tape.phases().size(), 16u);  // kMaxPhaseSpans
-  // Once the span list is full the last stored phase stops advancing, so
-  // every second alternation now collapses as a duplicate: 16 recorded
-  // before the cap, then half of the remaining 24.
-  EXPECT_EQ(tape.size(), 28u);
 }
 
 TEST(FlightRecorder, PhaseEnterMirrorsIntoTheRing) {
@@ -110,11 +75,10 @@ TEST(FlightRecorder, PhaseEnterMirrorsIntoTheRing) {
 }
 
 TEST(FlightRecorder, ManyTapesSpanSlabsWithStableContents) {
-  // 3 tapes per slab forces several slab allocations; every ring must stay
-  // distinct and addressable afterwards.
-  FlightRecorder recorder{
-      FlightRecorder::Config{.events_per_tape = 8, .tapes_per_slab = 3}};
-  constexpr std::uint64_t kTapes = 20;
+  // More than two slabs' worth of tapes forces several slab allocations;
+  // every ring must stay distinct and addressable afterwards.
+  FlightRecorder recorder;
+  constexpr std::uint64_t kTapes = 2 * FlightRecorder::kTapesPerSlab + 5;
   for (std::uint64_t id = 0; id < kTapes; ++id) {
     Tape& tape = recorder.tape(TrackKind::flow, id);
     tape.record(us(static_cast<std::int64_t>(id)), TapeEventKind::flow_start,
@@ -129,18 +93,6 @@ TEST(FlightRecorder, ManyTapesSpanSlabsWithStableContents) {
     // Creation order is export order.
     EXPECT_EQ(&recorder.tape_at(id), tape);
   }
-}
-
-TEST(FlightRecorder, ZeroConfigValuesAreClampedToOne) {
-  FlightRecorder recorder{
-      FlightRecorder::Config{.events_per_tape = 0, .tapes_per_slab = 0}};
-  EXPECT_EQ(recorder.config().events_per_tape, 1u);
-  EXPECT_EQ(recorder.config().tapes_per_slab, 1u);
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.record(us(1), TapeEventKind::flow_start);
-  tape.record(us(2), TapeEventKind::complete);
-  EXPECT_EQ(tape.size(), 1u);
-  EXPECT_EQ(tape.event(0).kind, TapeEventKind::complete);
 }
 
 TEST(FlightRecorder, EnumNamesAreStable) {
@@ -170,16 +122,25 @@ TEST(FlightRecorder, RenderTapePrintsOneLinePerEventWithItsPayload) {
 }
 
 TEST(FlightRecorder, RenderTapeNotesOverwrittenEvents) {
-  FlightRecorder recorder{FlightRecorder::Config{.events_per_tape = 2}};
+  constexpr std::uint32_t kRing = FlightRecorder::kEventsPerTape;
+  FlightRecorder recorder;
   Tape& tape = recorder.tape(TrackKind::link, 0, "link 0");
-  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+  for (std::uint32_t seq = 0; seq <= kRing; ++seq) {
     tape.record(us(seq), TapeEventKind::queue_drop, seq, 4);
   }
-  EXPECT_EQ(render_tape(tape),
-            "link 0\n"
-            "  (1 older events overwritten)\n"
-            "     0.001 ms  queue_drop      flow 4 seq 1\n"
-            "     0.002 ms  queue_drop      flow 4 seq 2\n");
+  const std::string out = render_tape(tape);
+  EXPECT_EQ(out.rfind("link 0\n"
+                      "  (1 older events overwritten)\n"
+                      "     0.001 ms  queue_drop      flow 4 seq 1\n"
+                      "     0.002 ms  queue_drop      flow 4 seq 2\n",
+                      0),
+            0u)
+      << out;
+  // The header, the overwrite note, then the newest kRing events.
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), kRing + 2);
+  EXPECT_TRUE(out.ends_with("queue_drop      flow 4 seq " +
+                            std::to_string(kRing) + "\n"))
+      << out;
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "exp/emulab.h"
 #include "exp/planetlab.h"
-#include "telemetry/export.h"
 #include "telemetry/manifest.h"
 
 namespace halfback::telemetry {
@@ -159,27 +158,6 @@ TEST(Manifest, PlanetLabManifestUsesTrialSeedAndEventCount) {
   EXPECT_EQ(m.sim_end, trial.record.completion_time);
 }
 
-TEST(Hub, FlowTapesCarryPhaseSpansForHalfback) {
-  Hub hub;
-  EmulabRunner::Config config = golden_emulab_config();
-  config.telemetry = &hub;
-  EmulabRunner{config}.run(golden_emulab_parts());
-  // Every halfback flow should show at least handshake -> pacing.
-  std::size_t flow_tapes = 0;
-  bool saw_pacing = false;
-  for (std::size_t i = 0; i < hub.recorder().tape_count(); ++i) {
-    const Tape& tape = hub.recorder().tape_at(i);
-    if (tape.track() != TrackKind::flow) continue;
-    ++flow_tapes;
-    EXPECT_GE(tape.phases().size(), 2u) << tape.label();
-    for (const PhaseSpan& span : tape.phases()) {
-      if (span.phase == FlowPhase::pacing) saw_pacing = true;
-    }
-  }
-  EXPECT_EQ(flow_tapes, 6u);
-  EXPECT_TRUE(saw_pacing);
-}
-
 TEST(HubSpans, HalfbackRunRecordsFlowSpanTrees) {
   Hub hub;
   EmulabRunner::Config config = golden_emulab_config();
@@ -250,60 +228,6 @@ TEST(HubSeries, HalfbackRunRecordsLinkAndClassSeries) {
   EXPECT_GT(link_bytes, 6u * 100'000u);
   EXPECT_GE(class_bytes, 6u * 100'000u);
   EXPECT_GT(class_inflight_peak, 0u);
-}
-
-TEST(HubMerge, ShardSpansAndSeriesMergeDeterministically) {
-  // The sharded reduce for the new layers: spans append in shard order
-  // with ids re-based; series fold by name. Two parents merging the same
-  // shards in the same order must export byte-identical artifacts.
-  auto record_shard = [](Hub& shard, std::uint64_t flow, std::int64_t ms) {
-    const std::uint32_t root = shard.spans().open_span(
-        flow, SpanKind::flow, 0, sim::Time::milliseconds(ms));
-    const std::uint32_t hs = shard.spans().open_span(
-        flow, SpanKind::handshake, root, sim::Time::milliseconds(ms));
-    shard.spans().close_span(hs, sim::Time::milliseconds(ms + 1));
-    shard.spans().close_span(root, sim::Time::milliseconds(ms + 5));
-    shard.series("link.0").tally_bytes(sim::Time::milliseconds(ms), 1000);
-    shard.series("class.halfback")
-        .tally_packets(sim::Time::milliseconds(ms), 2);
-  };
-  Hub shard_a, shard_b;
-  record_shard(shard_a, 1, 10);
-  record_shard(shard_b, 2, 20);
-
-  Hub parent_x, parent_y;
-  parent_x.merge_from(shard_a);
-  parent_x.merge_from(shard_b);
-  parent_y.merge_from(shard_a);
-  parent_y.merge_from(shard_b);
-
-  const sim::Time end = sim::Time::milliseconds(100);
-  EXPECT_EQ(spans_jsonl(parent_x.spans(), end),
-            spans_jsonl(parent_y.spans(), end));
-  EXPECT_EQ(timeseries_jsonl(parent_x), timeseries_jsonl(parent_y));
-  // Re-based ids: shard_b's root follows shard_a's two spans.
-  ASSERT_EQ(parent_x.spans().size(), 4u);
-  EXPECT_EQ(parent_x.spans().at(2).id, 3u);
-  EXPECT_EQ(parent_x.spans().at(3).parent, 3u);
-  // Series folded by name, not duplicated.
-  EXPECT_EQ(parent_x.series_count(), 2u);
-  EXPECT_EQ(parent_x.series("link.0").window(1).bytes, 1000u);
-  EXPECT_EQ(parent_x.series("link.0").window(2).bytes, 1000u);
-}
-
-TEST(HubMerge, FoldsShardRegistriesIntoTheParent) {
-  // The sharded-engine reduce: each worker records into its own Hub; the
-  // parent folds them after join. Tapes stay per-shard by design — only
-  // the metric registry merges.
-  Hub parent, shard;
-  parent.registry().counter("flows_completed", "x")->add(3);
-  shard.registry().counter("flows_completed", "x")->add(4);
-  shard.registry().gauge("max_queue_depth", "x")->set(9.0);
-  parent.merge_from(shard);
-  EXPECT_EQ(parent.registry().counter("flows_completed", "")->value(), 7u);
-  EXPECT_EQ(parent.registry().gauge("max_queue_depth", "")->value(), 9.0);
-  // The shard is read, not drained.
-  EXPECT_EQ(shard.registry().counter("flows_completed", "")->value(), 4u);
 }
 
 }  // namespace

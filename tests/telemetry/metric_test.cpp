@@ -209,85 +209,5 @@ TEST(Histogram, LazyStorageGrowsToHighestBucketOnly) {
             Histogram::bucket_index(1'000'000, h->sub_bucket_bits()) + 1);
 }
 
-// ---- merge_from: the sharded-engine reduce ---------------------------------
-
-TEST(Merge, CountersAddAndGaugesKeepTheMaximum) {
-  MetricRegistry into, from;
-  into.counter("packets", "x")->add(10);
-  from.counter("packets", "x")->add(32);
-  into.gauge("depth", "x")->set(7.0);
-  from.gauge("depth", "x")->set(3.0);
-  into.merge_from(from);
-  EXPECT_EQ(into.counter("packets", "")->value(), 42u);
-  EXPECT_EQ(into.gauge("depth", "")->value(), 7.0);
-  // A second shard with a higher high-water mark wins.
-  MetricRegistry shard2;
-  shard2.gauge("depth", "x")->set(11.0);
-  into.merge_from(shard2);
-  EXPECT_EQ(into.gauge("depth", "")->value(), 11.0);
-}
-
-TEST(Merge, HistogramsFoldExactlyBucketwise) {
-  MetricRegistry into, from;
-  Histogram* a = into.histogram("rtt", "x");
-  Histogram* b = from.histogram("rtt", "x");
-  // Populations that, merged, are indistinguishable from one histogram
-  // having recorded every value — merge is exact, not approximate.
-  MetricRegistry both;
-  Histogram* ref = both.histogram("rtt", "x");
-  for (std::uint64_t v = 1; v <= 500; ++v) {
-    a->record(v);
-    ref->record(v);
-  }
-  for (std::uint64_t v = 400; v <= 100'000; v += 37) {
-    b->record(v);
-    ref->record(v);
-  }
-  into.merge_from(from);
-  EXPECT_EQ(a->count(), ref->count());
-  EXPECT_EQ(a->sum(), ref->sum());
-  EXPECT_EQ(a->min(), ref->min());
-  EXPECT_EQ(a->max(), ref->max());
-  ASSERT_EQ(a->bucket_count(), ref->bucket_count());
-  for (std::size_t i = 0; i < ref->bucket_count(); ++i) {
-    EXPECT_EQ(a->bucket_value(i), ref->bucket_value(i)) << "bucket " << i;
-  }
-}
-
-TEST(Merge, UnknownInstrumentsAreCreatedInSourceRegistrationOrder) {
-  MetricRegistry into, from;
-  into.counter("shared", "x")->add(1);
-  from.gauge("zulu", "registered first in the shard")->set(2.0);
-  from.counter("shared", "x")->add(2);
-  from.counter("alpha", "registered last in the shard")->add(5);
-  into.merge_from(from);
-  ASSERT_EQ(into.size(), 3u);
-  EXPECT_EQ(into.entries()[0].name, "shared");
-  EXPECT_EQ(into.entries()[1].name, "zulu");
-  EXPECT_EQ(into.entries()[2].name, "alpha");
-  EXPECT_EQ(into.counter("shared", "")->value(), 3u);
-  EXPECT_EQ(into.gauge("zulu", "")->value(), 2.0);
-  EXPECT_EQ(into.counter("alpha", "")->value(), 5u);
-}
-
-TEST(Merge, KindAndResolutionMismatchesThrow) {
-  MetricRegistry into, from;
-  into.counter("name", "a counter here");
-  from.gauge("name", "a gauge there");
-  EXPECT_THROW(into.merge_from(from), std::invalid_argument);
-
-  MetricRegistry coarse, fine;
-  coarse.histogram("h", "x", Unit::none, /*sub_bucket_bits=*/2);
-  fine.histogram("h", "x", Unit::none, /*sub_bucket_bits=*/4);
-  EXPECT_THROW(coarse.merge_from(fine), std::invalid_argument);
-}
-
-TEST(Merge, SelfMergeIsANoOp) {
-  MetricRegistry registry;
-  registry.counter("c", "x")->add(21);
-  registry.merge_from(registry);
-  EXPECT_EQ(registry.counter("c", "")->value(), 21u);
-}
-
 }  // namespace
 }  // namespace halfback::telemetry

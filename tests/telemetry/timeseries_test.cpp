@@ -58,49 +58,5 @@ TEST(WindowSeries, WindowCountTracksHighestTouchedIndex) {
   EXPECT_EQ(series.window(5).retx, 1u);
 }
 
-TEST(WindowSeries, MergeAddsTalliesAndMaxesPeaks) {
-  WindowSeries a{"link.0", Time::milliseconds(10), 8};
-  a.tally_bytes(Time::milliseconds(1), 100);
-  a.raise_queue_peak(Time::milliseconds(1), 3);
-
-  WindowSeries b{"link.0", Time::milliseconds(10), 8};
-  b.tally_bytes(Time::milliseconds(1), 50);
-  b.raise_queue_peak(Time::milliseconds(1), 7);
-  b.tally_dup(Time::milliseconds(12));
-
-  a.merge_from(b);
-  ASSERT_EQ(a.window_count(), 2u);
-  EXPECT_EQ(a.window(0).bytes, 150u);
-  EXPECT_EQ(a.window(0).queue_peak, 7u);
-  EXPECT_EQ(a.window(1).dups, 1u);
-}
-
-TEST(WindowSeries, MergeRejectsMismatchedWidths) {
-  WindowSeries a{"link.0", Time::milliseconds(10), 4};
-  WindowSeries b{"link.0", Time::milliseconds(20), 4};
-  EXPECT_THROW(a.merge_from(b), std::invalid_argument);
-}
-
-TEST(WindowSeries, MergeOrderIsCommutativeOnContent) {
-  // The shard-merge discipline relies on fold results not depending on
-  // which shard recorded what — adds and maxes are order-free.
-  WindowSeries left{"s", Time::milliseconds(10), 4};
-  WindowSeries a{"s", Time::milliseconds(10), 4};
-  WindowSeries b{"s", Time::milliseconds(10), 4};
-  a.tally_packets(Time::milliseconds(2), 5);
-  a.raise_inflight_peak(Time::milliseconds(2), 100);
-  b.tally_packets(Time::milliseconds(2), 3);
-  b.raise_inflight_peak(Time::milliseconds(2), 400);
-
-  left.merge_from(a);
-  left.merge_from(b);
-  WindowSeries right{"s", Time::milliseconds(10), 4};
-  right.merge_from(b);
-  right.merge_from(a);
-  ASSERT_EQ(left.window_count(), right.window_count());
-  EXPECT_EQ(left.window(0).packets, right.window(0).packets);
-  EXPECT_EQ(left.window(0).inflight_peak, right.window(0).inflight_peak);
-}
-
 }  // namespace
 }  // namespace halfback::telemetry

@@ -5,16 +5,16 @@ Usage: check_chrome_trace.py TRACE.json [MANIFEST.json]
 
 Validates the structural contract documented in docs/telemetry.md:
   - the trace is a JSON object with a traceEvents array;
-  - every event carries ph/pid/tid/name with the types Perfetto expects;
-  - duration events (ph "X") have non-negative ts/dur;
-  - there is at least one per-flow phase span, and the phase names come
-    from the FlowPhase catalog (halfback runs must show "pacing");
-  - nested span events (ph "B"/"E", the causal span log on pid 3) pair up
-    per (pid, tid): every E matches the innermost open B by name, never
-    ends before it begins, and no B is left open — which together prove
-    each child span is contained in its parent's interval;
-  - span names on pid 3 come from the SpanKind catalog, and every span
-    B event carries its args.span id;
+  - every event carries ph/pid/tid/name with the types Perfetto expects,
+    and timed events have a non-negative ts;
+  - phases are drawn once, as the causal span log on pid 3: nested span
+    events (ph "B"/"E") pair up per (pid, tid): every E matches the
+    innermost open B by name, never ends before it begins, and no B is
+    left open — which together prove each child span is contained in its
+    parent's interval;
+  - span names on pid 3 come from the SpanKind catalog, every span B event
+    carries its args.span id, and there is a "pacing" span (halfback runs
+    must show the paced start; a TCP trace fails here);
   - the manifest (if given) carries the provenance fields with 0x-prefixed
     16-digit hashes.
 
@@ -24,7 +24,6 @@ Exits nonzero with a message on the first violation, so CI fails loudly.
 import json
 import sys
 
-FLOW_PHASES = {"handshake", "pacing", "transfer", "ropr", "fallback", "done"}
 SPAN_KINDS = {"flow", "handshake", "pacing", "blast", "ropr_repair",
               "fallback", "rto_recovery"}
 
@@ -43,8 +42,7 @@ def check_trace(path):
     if not isinstance(events, list) or not events:
         fail(f"{path}: traceEvents must be a non-empty array")
 
-    phase_spans = 0
-    flow_phase_names = set()
+    span_names = set()
     nested_pairs = 0
     open_stacks = {}  # (pid, tid) -> [(name, ts), ...]
     last_ts = {}      # (pid, tid) -> last B/E timestamp seen
@@ -57,24 +55,17 @@ def check_trace(path):
             if not isinstance(ev.get(key), kind):
                 fail(f"{where}: missing or mistyped {key!r}: {ev}")
         ph = ev["ph"]
-        if ph not in ("M", "X", "i", "B", "E"):
+        if ph not in ("M", "i", "B", "E"):
             fail(f"{where}: unexpected ph {ph!r}")
-        if ph in ("X", "i", "B", "E"):
+        if ph in ("i", "B", "E"):
             ts = ev.get("ts")
             if not isinstance(ts, (int, float)) or ts < 0:
                 fail(f"{where}: bad ts: {ev}")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                fail(f"{where}: bad dur: {ev}")
-            phase_spans += 1
-            if ev["pid"] == 1:  # pid 1 = flow tapes
-                if ev["name"] not in FLOW_PHASES:
-                    fail(f"{where}: unknown flow phase {ev['name']!r}")
-                flow_phase_names.add(ev["name"])
         if ph in ("B", "E"):
-            if ev["pid"] == 3 and ev["name"] not in SPAN_KINDS:
-                fail(f"{where}: unknown span kind {ev['name']!r}")
+            if ev["pid"] == 3:  # pid 3 = the span log
+                if ev["name"] not in SPAN_KINDS:
+                    fail(f"{where}: unknown span kind {ev['name']!r}")
+                span_names.add(ev["name"])
             key = (ev["pid"], ev["tid"])
             # Timestamps must not go backwards within a thread: together
             # with the stack discipline below this proves every child
@@ -109,15 +100,14 @@ def check_trace(path):
         if stack:
             fail(f"{path}: (pid {pid}, tid {tid}) ends with unclosed B "
                  f"events: {[name for name, _ in stack]}")
-    if phase_spans == 0:
-        fail(f"{path}: no phase spans (ph 'X') at all")
-    if "pacing" not in flow_phase_names:
-        fail(f"{path}: no 'pacing' flow phase span — halfback cells must "
-             f"show the paced start (saw: {sorted(flow_phase_names)})")
+    if nested_pairs == 0:
+        fail(f"{path}: no span events (ph 'B'/'E') at all")
+    if "pacing" not in span_names:
+        fail(f"{path}: no 'pacing' span on pid 3 — halfback cells must "
+             f"show the paced start (saw: {sorted(span_names)})")
     print(f"check_chrome_trace: {path}: OK "
-          f"({len(events)} events, {phase_spans} phase spans, "
-          f"{nested_pairs} nested span pairs, "
-          f"flow phases: {sorted(flow_phase_names)})")
+          f"({len(events)} events, {nested_pairs} nested span pairs, "
+          f"span kinds: {sorted(span_names)})")
 
 
 def check_manifest(path):

@@ -1063,13 +1063,12 @@ std::string ProjectModel::layer_of(std::string_view path) {
 
 bool ProjectModel::is_interface_header(std::string_view to) {
   // The sanctioned observability interfaces: any src/ layer may include
-  // these (and only these) from above its station. auditor.h and the
-  // telemetry probe headers depend only on sim/ and stats/ themselves, so
-  // the file-level graph stays acyclic. See docs/static-analysis.md.
+  // these (and only these) from above its station — the audit hook, the
+  // telemetry hub, and the one recording header (tracks). None of them
+  // includes a file that includes them back, so the file-level graph stays
+  // acyclic. See docs/static-analysis.md.
   return to == "src/audit/auditor.h" || to == "src/telemetry/hub.h" ||
-         to == "src/telemetry/flight_recorder.h" ||
-         to == "src/telemetry/metric.h" || to == "src/telemetry/registry.h" ||
-         to == "src/telemetry/span.h" || to == "src/telemetry/timeseries.h";
+         to == "src/telemetry/track.h";
 }
 
 std::string ProjectModel::layer_graph_dot() const {
