@@ -1,5 +1,7 @@
 #include "audit/invariant_auditor.h"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "net/link.h"
@@ -9,17 +11,89 @@
 
 namespace halfback::audit {
 
-namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-}  // namespace
+// --- flat shadow state -------------------------------------------------------
 
-void InvariantAuditor::mix(std::uint64_t value) {
-  // FNV-1a over the value's eight bytes, keeping the hash order-sensitive.
-  for (int i = 0; i < 8; ++i) {
-    trace_hash_ ^= (value >> (8 * i)) & 0xffULL;
-    trace_hash_ *= kFnvPrime;
+void InvariantAuditor::SeqSet::insert(std::uint32_t seq) {
+  if (seq >= kBitmapSeqs) {
+    beyond_.insert(seq);
+    return;
+  }
+  const std::size_t word = seq / 64;
+  if (word >= bits_.size()) {
+    // Double, so a flow walking its seqs upwards grows O(log n) times.
+    bits_.resize(std::min<std::size_t>(std::max(word + 1, 2 * bits_.size()),
+                                       kBitmapSeqs / 64));
+  }
+  bits_[word] |= 1ULL << (seq % 64);
+}
+
+bool InvariantAuditor::SeqSet::contains(std::uint32_t seq) const {
+  if (seq >= kBitmapSeqs) return beyond_.contains(seq);
+  const std::size_t word = seq / 64;
+  return word < bits_.size() && (bits_[word] >> (seq % 64) & 1ULL) != 0;
+}
+
+std::size_t InvariantAuditor::ShadowIndex::home(Kind kind, std::uint64_t key) const {
+  // Fibonacci hashing: the multiply spreads aligned addresses and
+  // consecutive flow ids alike, and the top bits pick the slot.
+  const std::uint64_t tagged = key + static_cast<std::uint64_t>(kind);
+  return static_cast<std::size_t>((tagged * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+std::pair<std::uint32_t, bool> InvariantAuditor::ShadowIndex::emplace(
+    Kind kind, std::uint64_t key, std::uint32_t next) {
+  if ((size_ + 1) * 2 > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(kind, key);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.position == 0) {
+      slot = Slot{key, kind, next + 1};
+      ++size_;
+      return {next, true};
+    }
+    if (slot.key == key && slot.kind == kind) return {slot.position - 1, false};
   }
 }
+
+void InvariantAuditor::ShadowIndex::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t capacity = old.empty() ? 64 : 2 * old.size();
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  const std::size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.position == 0) continue;
+    std::size_t i = home(slot.kind, slot.key);
+    while (slots_[i].position != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+InvariantAuditor::QueueShadow& InvariantAuditor::queue_shadow(
+    const net::PacketQueue& queue) {
+  const auto [position, fresh] =
+      index_.emplace(ShadowIndex::Kind::queue, reinterpret_cast<std::uintptr_t>(&queue),
+                     static_cast<std::uint32_t>(queues_.size()));
+  if (fresh) queues_.push_back(QueueShadow{.queue = &queue});
+  return queues_[position];
+}
+
+InvariantAuditor::LinkShadow& InvariantAuditor::link_shadow(const net::Link& link) {
+  const auto [position, fresh] =
+      index_.emplace(ShadowIndex::Kind::link, reinterpret_cast<std::uintptr_t>(&link),
+                     static_cast<std::uint32_t>(links_.size()));
+  if (fresh) links_.push_back(LinkShadow{.link = &link});
+  return links_[position];
+}
+
+InvariantAuditor::FlowShadow& InvariantAuditor::flow_shadow(std::uint64_t flow) {
+  const auto [position, fresh] = index_.emplace(
+      ShadowIndex::Kind::flow, flow, static_cast<std::uint32_t>(flows_.size()));
+  if (fresh) flows_.emplace_back();
+  return flows_[position];
+}
+
+// --- reporting ---------------------------------------------------------------
 
 void InvariantAuditor::violation(std::string what) {
   ++total_violations_;
@@ -34,15 +108,6 @@ std::string InvariantAuditor::report() const {
         << " further violations not stored\n";
   }
   return out.str();
-}
-
-InvariantAuditor::QueueShadow& InvariantAuditor::queue_shadow(
-    const net::PacketQueue& queue) {
-  return queues_[&queue];
-}
-
-InvariantAuditor::LinkShadow& InvariantAuditor::link_shadow(const net::Link& link) {
-  return links_[&link];
 }
 
 // --- sim -------------------------------------------------------------------
@@ -80,15 +145,15 @@ void InvariantAuditor::on_event_run(sim::Time at, std::uint64_t seq) {
 // --- net: links ------------------------------------------------------------
 
 void InvariantAuditor::on_link_registered(const net::Link& link) {
-  link_shadow(link);
-  queue_shadow(link.queue()).link = &link;
+  const auto position = static_cast<std::uint32_t>(&link_shadow(link) - links_.data());
+  queue_shadow(link.queue()).link = position;
 }
 
 void InvariantAuditor::on_link_offered(const net::Link& link,
                                        const net::Packet& packet) {
   ++link_shadow(link).offered;
   if (packet.type == net::PacketType::data) {
-    flows_[packet.flow].wire_seqs.insert(packet.seq);
+    flow_shadow(packet.flow).wire_seqs.insert(packet.seq);
   }
   mix(packet.uid);
 }
@@ -149,7 +214,7 @@ void InvariantAuditor::on_link_fault_duplicated(const net::Link& link,
   // Extend the destination delivery budget for this transmission: one
   // injected copy = one extra legitimate arrival of the same uid.
   if (packet.type == net::PacketType::data && packet.uid != 0) {
-    ++flows_[packet.flow].dup_credit[packet.uid];
+    ++flow_shadow(packet.flow).repeats[packet.uid].credit;
   }
   mix(packet.uid);
 }
@@ -170,16 +235,17 @@ void InvariantAuditor::on_queue_enqueued(const net::PacketQueue& queue,
   shadow.bytes += packet.size_bytes;
   ++shadow.packets;
   ++shadow.enqueued;
-  if (queue.byte_length() != shadow.bytes) {
+  const std::uint64_t held = queue.byte_length();
+  if (held != shadow.bytes) {
     std::ostringstream out;
     out << "queue byte accounting diverged after enqueue: queue reports "
-        << queue.byte_length() << " B, audit expects " << shadow.bytes << " B";
+        << held << " B, audit expects " << shadow.bytes << " B";
     violation(out.str());
   }
   const std::uint64_t capacity = queue.capacity_bytes();
-  if (capacity > 0 && queue.byte_length() > capacity) {
+  if (capacity > 0 && held > capacity) {
     std::ostringstream out;
-    out << "queue over-full: holds " << queue.byte_length() << " B, capacity "
+    out << "queue over-full: holds " << held << " B, capacity "
         << capacity << " B";
     violation(out.str());
   }
@@ -199,7 +265,7 @@ void InvariantAuditor::on_queue_dropped(const net::PacketQueue& queue,
       --shadow.packets;
     }
   }
-  if (shadow.link != nullptr) ++link_shadow(*shadow.link).queue_dropped;
+  if (shadow.link != kNoLink) ++links_[shadow.link].queue_dropped;
 }
 
 void InvariantAuditor::on_queue_dequeued(const net::PacketQueue& queue,
@@ -212,10 +278,11 @@ void InvariantAuditor::on_queue_dequeued(const net::PacketQueue& queue,
     --shadow.packets;
   }
   ++shadow.dequeued;
-  if (queue.byte_length() != shadow.bytes) {
+  const std::uint64_t held = queue.byte_length();
+  if (held != shadow.bytes) {
     std::ostringstream out;
     out << "queue byte accounting diverged after dequeue: queue reports "
-        << queue.byte_length() << " B, audit expects " << shadow.bytes << " B";
+        << held << " B, audit expects " << shadow.bytes << " B";
     violation(out.str());
   }
 }
@@ -233,13 +300,12 @@ void InvariantAuditor::on_node_received(std::uint32_t node,
   // delivered uids against sender-side sends would be unsound, because some
   // schemes (RC3's low-priority RLP copies) transmit outside the
   // SenderBase::send_segment path that feeds on_segment_sent.
-  FlowShadow& flow = flows_[packet.flow];
-  const std::uint32_t count = ++flow.delivered_count[packet.uid];
-  std::uint32_t allowed = 1;
-  if (!flow.dup_credit.empty()) {
-    auto credit = flow.dup_credit.find(packet.uid);
-    if (credit != flow.dup_credit.end()) allowed += credit->second;
-  }
+  FlowShadow& flow = flow_shadow(packet.flow);
+  // A first arrival is always within budget; only repeats need the books.
+  if (flow.arrived.insert(packet.uid)) return;
+  RepeatBook& book = flow.repeats[packet.uid];
+  const std::uint32_t count = 1 + ++book.repeats;
+  const std::uint32_t allowed = 1 + book.credit;
   if (count > allowed) {
     std::ostringstream out;
     out << "packet delivered to its destination more often than sent: flow "
@@ -256,7 +322,7 @@ void InvariantAuditor::on_segment_sent(const transport::Scoreboard& scoreboard,
                                        std::uint64_t flow, const std::string& scheme,
                                        std::uint32_t seq, bool proactive,
                                        std::uint64_t uid) {
-  FlowShadow& shadow = flows_[flow];
+  FlowShadow& shadow = flow_shadow(flow);
   if (seq >= scoreboard.total_segments()) {
     violation("segment sent beyond the flow length");
   }
@@ -280,7 +346,7 @@ void InvariantAuditor::on_segment_sent(const transport::Scoreboard& scoreboard,
 void InvariantAuditor::on_ack_applied(const transport::Scoreboard& scoreboard,
                                       std::uint64_t flow, const net::Packet& ack,
                                       const transport::AckUpdate& update) {
-  FlowShadow& shadow = flows_[flow];
+  FlowShadow& shadow = flow_shadow(flow);
   if (update.cum_ack_after < update.cum_ack_before ||
       update.cum_ack_before < shadow.cum_ack) {
     std::ostringstream out;
@@ -317,8 +383,8 @@ void InvariantAuditor::on_ack_applied(const transport::Scoreboard& scoreboard,
 // --- finalize ----------------------------------------------------------------
 
 void InvariantAuditor::finalize(bool drained) {
-  for (const auto& [link, shadow] : links_) {
-    const std::uint64_t queued = link != nullptr ? link->queue().packet_count() : 0;
+  for (const LinkShadow& shadow : links_) {
+    const std::uint64_t queued = shadow.link->queue().packet_count();
     if (shadow.accounted() + queued > shadow.expected()) {
       std::ostringstream out;
       out << "link conservation violated: offered=" << shadow.offered
@@ -337,12 +403,13 @@ void InvariantAuditor::finalize(bool drained) {
       violation(out.str());
     }
   }
-  for (const auto& [queue, shadow] : queues_) {
-    if (queue->byte_length() != shadow.bytes ||
-        queue->packet_count() != shadow.packets) {
+  for (const QueueShadow& shadow : queues_) {
+    const std::uint64_t held = shadow.queue->byte_length();
+    const std::uint64_t packets = shadow.queue->packet_count();
+    if (held != shadow.bytes || packets != shadow.packets) {
       std::ostringstream out;
       out << "queue residue mismatch at end of run: queue reports "
-          << queue->byte_length() << " B / " << queue->packet_count()
+          << held << " B / " << packets
           << " pkts, audit expects " << shadow.bytes << " B / " << shadow.packets
           << " pkts";
       violation(out.str());

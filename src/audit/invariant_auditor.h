@@ -24,17 +24,57 @@
 // inspects ok()/violations(). Install with Network::install_auditor (which
 // also covers the owning Simulator), or Simulator::set_auditor plus
 // PacketQueue::set_auditor for bare components.
+//
+// The shadow state is flat: links, queues and flows live in vectors in the
+// order the auditor first sees them, found through one open-addressing
+// index, and the per-flow sets are flat too. In steady state a hook does a
+// constant amount of work and no heap allocation; the containers only grow
+// (amortized) as a run meets new links, flows, uids and segments.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "audit/auditor.h"
+#include "transport/uid_set.h"
 
 namespace halfback::audit {
+
+/// FNV-1a's 64-bit offset basis: the trace hash of an empty run.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+/// FNV-1a's 64-bit prime.
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPrimePowers[k] is kFnvPrime^k (mod 2^64), for k = 0..8.
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
+/// One trace-hash step: FNV-1a over the eight little-endian bytes of
+/// `value`, i.e. for each byte b0..b7 in turn `hash ^= b; hash *= kFnvPrime`.
+/// XOR with a zero byte is the identity, so each zero byte above the
+/// value's highest set byte contributes a bare multiply by the prime; the
+/// loop runs over the significant bytes only and folds those multiplies
+/// into one by kFnvPrimePowers[zero bytes]. The result is the byte-serial
+/// value for every input.
+constexpr std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
+  std::size_t zero_bytes = 8;
+  for (; value != 0; value >>= 8, --zero_bytes) {
+    hash ^= value & 0xffULL;
+    hash *= kFnvPrime;
+  }
+  return hash * kFnvPrimePowers[zero_bytes];
+}
 
 /// Concrete Auditor that enforces the engine invariants above.
 class InvariantAuditor final : public Auditor {
@@ -56,13 +96,16 @@ class InvariantAuditor final : public Auditor {
   /// Multi-line report of all stored violations (empty string when ok()).
   std::string report() const;
 
-  /// Order-sensitive FNV-1a hash over the run trace so far. Two runs of the
-  /// same scenario with the same seed must produce identical hashes.
+  /// Order-sensitive FNV-1a hash over the run trace so far (see
+  /// fnv1a_mix). Two runs of the same scenario with the same seed must
+  /// produce identical hashes.
   std::uint64_t trace_hash() const { return trace_hash_; }
 
   /// End-of-run conservation sweep. Pass `drained` = true when the
   /// simulator's event queue is empty (every in-flight packet must then be
   /// accounted for); false tolerates packets still in flight or queued.
+  /// Links are checked first, then queues, each in the order the auditor
+  /// first saw them (registration order under Network::install_auditor).
   void finalize(bool drained);
 
   // --- Auditor hooks -------------------------------------------------------
@@ -91,10 +134,14 @@ class InvariantAuditor final : public Auditor {
                       const transport::AckUpdate& update) override;
 
  private:
+  /// Marks a queue whose owning link is unknown.
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+
   /// Shadow accounting for one queue, mirrored from the hook stream.
   struct QueueShadow {
-    const net::Link* link = nullptr;  ///< owning link, when known
-    std::uint64_t bytes = 0;          ///< bytes the queue should hold
+    const net::PacketQueue* queue = nullptr;
+    std::uint32_t link = kNoLink;  ///< owning link's position in links_
+    std::uint64_t bytes = 0;       ///< bytes the queue should hold
     std::uint64_t packets = 0;
     std::uint64_t enqueued = 0;
     std::uint64_t dequeued = 0;
@@ -106,6 +153,7 @@ class InvariantAuditor final : public Auditor {
   /// every injected duplicate raises the delivery budget by one, so the
   /// conserved identity is accounted() == offered + fault_duplicated.
   struct LinkShadow {
+    const net::Link* link = nullptr;
     std::uint64_t offered = 0;
     std::uint64_t delivered = 0;
     std::uint64_t corrupted = 0;
@@ -119,40 +167,92 @@ class InvariantAuditor final : public Auditor {
     std::uint64_t expected() const { return offered + fault_duplicated; }
   };
 
+  /// Set of segment indices: a bitmap over [0, kBitmapSeqs), grown on
+  /// demand, plus a flat set for larger seqs, so no seq costs memory
+  /// proportional to its value.
+  class SeqSet {
+   public:
+    static constexpr std::uint32_t kBitmapSeqs = 1U << 20;
+
+    void insert(std::uint32_t seq);
+    bool contains(std::uint32_t seq) const;
+
+   private:
+    std::vector<std::uint64_t> bits_;
+    transport::UidSet beyond_;  ///< seqs >= kBitmapSeqs
+  };
+
+  /// Arrival books of a uid that may or did reach its destination more
+  /// than once.
+  struct RepeatBook {
+    std::uint32_t credit = 0;   ///< injected duplicates of the uid
+    std::uint32_t repeats = 0;  ///< arrivals after the first
+  };
+
   /// Sender-side view of one flow.
   struct FlowShadow {
     std::uint32_t cum_ack = 0;
     bool have_proactive = false;
     std::uint32_t last_proactive_seq = 0;
-    /// Times each wire transmission (uid) reached the destination. The
-    /// budget is 1, plus one per injected duplicate recorded in dup_credit
-    /// (fed by on_link_fault_duplicated) — exactly-once delivery, extended
-    /// to exactly-(1+k)-times under injected duplication.
-    std::unordered_map<std::uint64_t, std::uint32_t> delivered_count;
-    std::unordered_map<std::uint64_t, std::uint32_t> dup_credit;
+    /// Wire transmissions (uids) that reached the destination. The budget
+    /// per uid is 1, plus one per injected duplicate (credit, fed by
+    /// on_link_fault_duplicated) — exactly-once delivery, extended to
+    /// exactly-(1+k)-times under injected duplication. Only credited or
+    /// repeated uids get a RepeatBook.
+    transport::UidSet arrived;
+    std::unordered_map<std::uint64_t, RepeatBook> repeats;
     /// Segment indices observed as data packets on any link. Some schemes
     /// (RC3's RLP copies) transmit outside the scoreboard path, so
     /// sacked=>sent is checked against the wire, not the scoreboard alone.
-    std::unordered_set<std::uint32_t> wire_seqs;
+    SeqSet wire_seqs;
+  };
+
+  /// Open-addressing map from a (kind, key) pair — a link or queue
+  /// address, or a flow id — to the entry's position in links_, queues_
+  /// or flows_. Grows at half load; lookups probe linearly.
+  class ShadowIndex {
+   public:
+    enum class Kind : std::uint32_t { link, queue, flow };
+
+    /// Position of (kind, key). When absent, records `next` as its
+    /// position and returns {next, true}.
+    std::pair<std::uint32_t, bool> emplace(Kind kind, std::uint64_t key,
+                                           std::uint32_t next);
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      Kind kind = Kind::link;
+      std::uint32_t position = 0;  ///< position + 1; 0 marks an empty slot
+    };
+
+    std::size_t home(Kind kind, std::uint64_t key) const;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;  ///< 64 - log2(slots_.size())
   };
 
   void violation(std::string what);
-  void mix(std::uint64_t value);
+  void mix(std::uint64_t value) { trace_hash_ = fnv1a_mix(trace_hash_, value); }
   QueueShadow& queue_shadow(const net::PacketQueue& queue);
   LinkShadow& link_shadow(const net::Link& link);
+  FlowShadow& flow_shadow(std::uint64_t flow);
 
   std::vector<std::string> violations_;
   std::uint64_t total_violations_ = 0;
-  std::uint64_t trace_hash_ = 14695981039346656037ULL;  ///< FNV-1a offset basis
+  std::uint64_t trace_hash_ = kFnvOffsetBasis;
 
   // Event-engine state.
   bool have_last_event_ = false;
   sim::Time last_event_time_;
   std::uint64_t last_event_seq_ = 0;
 
-  std::unordered_map<const net::PacketQueue*, QueueShadow> queues_;
-  std::unordered_map<const net::Link*, LinkShadow> links_;
-  std::unordered_map<std::uint64_t, FlowShadow> flows_;
+  ShadowIndex index_;
+  std::vector<LinkShadow> links_;
+  std::vector<QueueShadow> queues_;
+  std::vector<FlowShadow> flows_;
 };
 
 }  // namespace halfback::audit

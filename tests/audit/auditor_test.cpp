@@ -1,10 +1,16 @@
 // The auditor must stay silent on correct runs and fire on every class of
 // seeded violation: stale events, reordered dispatch, double delivery,
-// over-full queues, scoreboard inconsistencies, and broken ROPR order.
+// over-full queues, scoreboard inconsistencies, broken ROPR order, and the
+// end-of-run conservation sweep. Its per-flow state must stay exact as it
+// grows; this binary replaces the global operator new with a byte counter
+// so a test can bound what the auditor allocates.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <deque>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -15,6 +21,23 @@
 #include "sim/simulator.h"
 #include "support/dumbbell_fixture.h"
 #include "transport/scoreboard.h"
+
+namespace {
+/// Bytes requested from the global operator new so far.
+std::atomic<std::size_t> g_allocated_bytes{0};
+}  // namespace
+
+// Out of line, so the compiler never sees the malloc() behind a new
+// expression and pairs it with the operator delete that frees it.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
 
 namespace halfback::audit {
 namespace {
@@ -32,6 +55,14 @@ net::Packet make_data_packet(std::uint64_t uid, std::uint32_t seq = 0) {
   p.uid = uid;
   return p;
 }
+
+/// A bare link: no Network, so no hook reaches the auditor unless a test
+/// calls it.
+struct BareLink {
+  sim::Simulator sim{1};
+  net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
+                 std::make_unique<net::DropTailQueue>(1 << 20), 0.0};
+};
 
 // --- clean runs -------------------------------------------------------------
 
@@ -109,24 +140,28 @@ TEST(InvariantAuditorTest, DoubleDeliveredPacketIsFlagged) {
   auditor.on_node_received(2, p);
   EXPECT_TRUE(auditor.ok());
   auditor.on_node_received(2, p);  // the same wire transmission arrives again
-  EXPECT_FALSE(auditor.ok());
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations().front(),
+            "packet delivered to its destination more often than sent: flow 1 "
+            "seq 0 uid 7 arrived 2x with a budget of 1 (1 + injected duplicates)");
 }
 
 TEST(InvariantAuditorTest, InjectedDuplicateExtendsTheDeliveryBudget) {
   // netfault duplication legitimately lands the same uid at its
   // destination more than once; each on_link_fault_duplicated event buys
   // exactly one extra arrival, no more.
-  sim::Simulator sim{1};
-  net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
-                 std::make_unique<net::DropTailQueue>(1 << 20), 0.0};
+  BareLink bare;
   InvariantAuditor auditor;
   const net::Packet p = make_data_packet(/*uid=*/21);
-  auditor.on_link_fault_duplicated(link, p);  // one injected copy
+  auditor.on_link_fault_duplicated(bare.link, p);  // one injected copy
   auditor.on_node_received(2, p);
   auditor.on_node_received(2, p);  // the copy: within the extended budget
   EXPECT_TRUE(auditor.ok()) << auditor.report();
   auditor.on_node_received(2, p);  // a third arrival exceeds 1 + 1
-  EXPECT_FALSE(auditor.ok());
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations().front(),
+            "packet delivered to its destination more often than sent: flow 1 "
+            "seq 0 uid 21 arrived 3x with a budget of 2 (1 + injected duplicates)");
 }
 
 TEST(InvariantAuditorTest, ForwardingHopsDoNotCountAsDeliveries) {
@@ -195,6 +230,75 @@ TEST(InvariantAuditorTest, DropTailAccountingIsClean) {
   EXPECT_TRUE(auditor.ok()) << auditor.report();
   EXPECT_EQ(queue.stats().dequeued_packets, 2u);
   EXPECT_EQ(queue.stats().dropped_packets, 1u);
+}
+
+// --- end-of-run conservation sweep ------------------------------------------
+
+TEST(InvariantAuditorTest, FinalizeFlagsLinkConservation) {
+  // The link's queue holds a packet the auditor never saw offered: more
+  // packets are accounted for (here, queued) than were offered.
+  BareLink bare;
+  InvariantAuditor auditor;
+  auditor.on_link_registered(bare.link);
+  ASSERT_TRUE(bare.link.queue().enqueue(make_data_packet(1), sim::Time::zero()));
+
+  auditor.finalize(/*drained=*/false);
+  ASSERT_FALSE(auditor.violations().empty());
+  EXPECT_EQ(auditor.violations().front(),
+            "link conservation violated: offered=0 (+0 duplicated) delivered=0 "
+            "corrupted=0 filtered=0 dropped=0 fault_dropped=0 queued=1");
+}
+
+TEST(InvariantAuditorTest, FinalizeFlagsPacketsLostAfterDrain) {
+  BareLink bare;
+  InvariantAuditor auditor;
+  auditor.on_link_registered(bare.link);
+  auditor.on_link_offered(bare.link, make_data_packet(1));
+
+  auditor.finalize(/*drained=*/false);  // still in flight: tolerated
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  auditor.finalize(/*drained=*/true);
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations().front(),
+            "link lost packets: offered=1 (+0 duplicated) but only 0 accounted "
+            "and 0 queued after the event queue drained");
+}
+
+TEST(InvariantAuditorTest, FinalizeFlagsQueueResidueMismatch) {
+  // The queue releases a packet behind the auditor's back, so its residue
+  // no longer matches the shadow books.
+  InvariantAuditor auditor;
+  net::DropTailQueue queue{1 << 20};
+  queue.set_auditor(&auditor);
+  ASSERT_TRUE(queue.enqueue(make_data_packet(1), sim::Time::zero()));
+  ASSERT_TRUE(queue.enqueue(make_data_packet(2), sim::Time::zero()));
+  queue.set_auditor(nullptr);
+  ASSERT_TRUE(queue.dequeue(sim::Time::zero()).has_value());
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+
+  auditor.finalize(/*drained=*/false);
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations().front(),
+            "queue residue mismatch at end of run: queue reports 1500 B / 1 pkts, "
+            "audit expects 3000 B / 2 pkts");
+}
+
+TEST(InvariantAuditorTest, FinalizeListsLinksInRegistrationOrder) {
+  BareLink first;
+  BareLink second;
+  InvariantAuditor auditor;
+  auditor.on_link_registered(first.link);
+  auditor.on_link_registered(second.link);
+  auditor.on_link_offered(second.link, make_data_packet(1));
+  auditor.on_link_offered(second.link, make_data_packet(2));
+  auditor.on_link_offered(first.link, make_data_packet(3));
+
+  auditor.finalize(/*drained=*/true);
+  ASSERT_EQ(auditor.violations().size(), 2u) << auditor.report();
+  EXPECT_NE(auditor.violations()[0].find("offered=1 "), std::string::npos)
+      << auditor.report();
+  EXPECT_NE(auditor.violations()[1].find("offered=2 "), std::string::npos)
+      << auditor.report();
 }
 
 // --- scoreboard consistency -------------------------------------------------
@@ -280,6 +384,67 @@ TEST(InvariantAuditorTest, ForwardAblationIsExemptFromRoprOrder) {
   auditor.on_segment_sent(scoreboard, 1, "halfback-forward", 2, true, 11);
   auditor.on_segment_sent(scoreboard, 1, "halfback-forward", 3, true, 12);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
+// --- growth of the per-flow state -------------------------------------------
+
+TEST(InvariantAuditorTest, HundredThousandDistinctUidsStayClean) {
+  InvariantAuditor auditor;
+  for (std::uint64_t uid = 1; uid <= 100'000; ++uid) {
+    auditor.on_node_received(
+        2, make_data_packet(uid, static_cast<std::uint32_t>(uid % 70)));
+  }
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  // The set still answers exactly after growing: one old uid again is
+  // exactly one violation.
+  auditor.on_node_received(2, make_data_packet(4'242, 42));
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_NE(auditor.violations().front().find("arrived 2x with a budget of 1"),
+            std::string::npos)
+      << auditor.report();
+}
+
+TEST(InvariantAuditorTest, CreditedDuplicateIsCleanAtTwoArrivalsAndRedAtThree) {
+  BareLink bare;
+  InvariantAuditor auditor;
+  const net::Packet p = make_data_packet(77, 3);
+  auditor.on_node_received(2, p);
+  auditor.on_link_fault_duplicated(bare.link, p);  // credited after the first arrival
+  auditor.on_node_received(2, p);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  auditor.on_node_received(2, p);
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_NE(auditor.violations().front().find("arrived 3x with a budget of 2"),
+            std::string::npos)
+      << auditor.report();
+}
+
+TEST(InvariantAuditorTest, HugeSeqSatisfiesSackedImpliesSentWithoutProportionalMemory) {
+  BareLink bare;
+  InvariantAuditor auditor;
+  transport::Scoreboard scoreboard{10};
+  net::Packet ack;
+  ack.type = net::PacketType::ack;
+  constexpr std::uint32_t kHugeSeq = UINT32_MAX - 1;
+  transport::AckUpdate sent_update;
+  sent_update.newly_sacked.push_back(kHugeSeq);
+  transport::AckUpdate unsent_update;
+  unsent_update.newly_sacked.push_back(kHugeSeq - 1);
+
+  const std::size_t before = g_allocated_bytes.load();
+  auditor.on_link_offered(bare.link, make_data_packet(5, kHugeSeq));
+  auditor.on_ack_applied(scoreboard, /*flow=*/1, ack, sent_update);
+  const std::size_t grown = g_allocated_bytes.load() - before;
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  // A bitmap reaching the seq would take 512 MiB; the flow's whole state
+  // stays within a few KiB.
+  EXPECT_LT(grown, 64u * 1024u);
+
+  // Membership is exact, not a blanket pass above the bitmap.
+  auditor.on_ack_applied(scoreboard, /*flow=*/1, ack, unsent_update);
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations().front(),
+            "segment 4294967293 of flow 1 was SACKed but never sent");
 }
 
 // --- reporting --------------------------------------------------------------

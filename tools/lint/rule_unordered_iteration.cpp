@@ -4,8 +4,10 @@
 // trace, a hash, or a results vector silently breaks bit-identical
 // reproducibility. In the trace-hashed directories (src/exp, src/stats,
 // src/audit) every range-for or .begin() over a variable declared with an
-// unordered type must either go away or carry a "// lint: ordered-ok"
-// justification explaining why order cannot reach any output.
+// unordered type — in the file itself or, for a .cpp, in its same-stem
+// header, where a class declares the members its .cpp iterates — must
+// either go away or carry a "// lint: ordered-ok" justification explaining
+// why order cannot reach any output.
 #include <array>
 #include <set>
 #include <string>
@@ -30,42 +32,67 @@ bool is_unordered_type_name(std::string_view t) {
   return false;
 }
 
-class UnorderedIterationRule final : public TokenRule {
+/// Names declared with an unordered type anywhere in `file` (members,
+/// locals, parameters). `std::unordered_map<K, V> name` — skip the template
+/// arguments, then optional &/*/const, then the declared name.
+void collect_unordered_names(const SourceFile& file, std::set<std::string>& names) {
+  const auto& code = file.code();
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokenKind::identifier ||
+        !is_unordered_type_name(code[i].text)) {
+      continue;
+    }
+    std::size_t j = i + 1;
+    if (!punct_at(code, j, "<")) continue;
+    const std::size_t past = skip_angles(code, j);
+    if (past == j) continue;
+    j = past;
+    while (punct_at(code, j, "&") || punct_at(code, j, "*") ||
+           ident_at(code, j, "const")) {
+      ++j;
+    }
+    if (j < code.size() && code[j].kind == TokenKind::identifier) {
+      names.insert(code[j].text);
+    }
+  }
+}
+
+/// The header a .cpp implements: same directory, same stem, ".h".
+const SourceFile* companion_header(const ProjectModel& model, const SourceFile& file) {
+  const std::string& path = file.path();
+  if (!path.ends_with(".cpp")) return nullptr;
+  const auto header = model.file_index(path.substr(0, path.size() - 4) + ".h");
+  return header ? &model.file(*header) : nullptr;
+}
+
+/// A token rule that also reads each .cpp's companion header: a class's
+/// members are declared in the header and iterated in the .cpp.
+class UnorderedIterationRule final : public Rule {
  public:
   UnorderedIterationRule()
-      : TokenRule{"unordered-iteration", "ordered-ok",
-                  "no iteration over unordered containers in trace-hashed "
-                  "paths (src/exp, src/stats, src/audit) without "
-                  "'// lint: ordered-ok'"} {}
+      : Rule{"unordered-iteration", "ordered-ok",
+             "no iteration over unordered containers in trace-hashed "
+             "paths (src/exp, src/stats, src/audit) without "
+             "'// lint: ordered-ok'"} {}
 
-  void check_file(const SourceFile& file,
-                  std::vector<Finding>& out) const override {
-    if (!file.in_any_dir({"src/exp/", "src/stats/", "src/audit/"})) return;
-    const auto& code = file.code();
-
-    // Pass 1: names declared with an unordered type anywhere in this file
-    // (members, locals, parameters). `std::unordered_map<K, V> name` — skip
-    // the template arguments, then optional &/*, then the declared name.
-    std::set<std::string> unordered_names;
-    for (std::size_t i = 0; i < code.size(); ++i) {
-      if (code[i].kind != TokenKind::identifier ||
-          !is_unordered_type_name(code[i].text)) {
-        continue;
+  void check(const ProjectModel& model, std::vector<Finding>& out) const override {
+    for (const SourceFile& file : model.files()) {
+      if (!file.in_any_dir({"src/exp/", "src/stats/", "src/audit/"})) continue;
+      // Pass 1: unordered names declared in this file or its header.
+      std::set<std::string> unordered_names;
+      collect_unordered_names(file, unordered_names);
+      if (const SourceFile* header = companion_header(model, file)) {
+        collect_unordered_names(*header, unordered_names);
       }
-      std::size_t j = i + 1;
-      if (!punct_at(code, j, "<")) continue;
-      const std::size_t past = skip_angles(code, j);
-      if (past == j) continue;
-      j = past;
-      while (punct_at(code, j, "&") || punct_at(code, j, "*") ||
-             ident_at(code, j, "const")) {
-        ++j;
-      }
-      if (j < code.size() && code[j].kind == TokenKind::identifier) {
-        unordered_names.insert(code[j].text);
-      }
+      if (!unordered_names.empty()) check_iterations(file, unordered_names, out);
     }
-    if (unordered_names.empty()) return;
+  }
+
+ private:
+  void check_iterations(const SourceFile& file,
+                        const std::set<std::string>& unordered_names,
+                        std::vector<Finding>& out) const {
+    const auto& code = file.code();
 
     // Pass 2a: range-for whose range expression mentions one of the names.
     for (std::size_t i = 0; i < code.size(); ++i) {

@@ -29,7 +29,8 @@ class TokenRule : public Rule {
                           std::vector<Finding>& out) const = 0;
 };
 
-// Token rules: TokenRule subclasses, one src/ file at a time.
+// Token rules: one src/ file at a time. All but unordered-iteration are
+// TokenRule subclasses; it also reads each .cpp's companion header.
 std::unique_ptr<Rule> make_nondeterminism_rule();
 std::unique_ptr<Rule> make_unordered_iteration_rule();
 std::unique_ptr<Rule> make_raw_unit_type_rule();
