@@ -39,7 +39,6 @@ struct Options {
   std::uint64_t budget_events = 0; ///< per-cell event budget (0 = default)
   std::uint64_t storm_window = 0;  ///< storm-detector window (0 = default)
   double storm_rate = 0.0;         ///< events/sim-second threshold (0 = default)
-  std::uint64_t cell_attempts = 0; ///< attempts per cell (0 = default policy)
   std::string quarantine_path;     ///< write the quarantine manifest here
 };
 
@@ -117,8 +116,6 @@ inline Options parse_options(int argc, char** argv) {
       opt.storm_window = parse_count("--storm-window", v);
     } else if ((v = value("--storm-rate="))) {
       opt.storm_rate = parse_number("--storm-rate", v);
-    } else if ((v = value("--cell-attempts="))) {
-      opt.cell_attempts = parse_count("--cell-attempts", v);
     } else if ((v = value("--quarantine="))) {
       opt.quarantine_path = v;
     } else if (arg == "--help" || arg == "-h") {
@@ -127,8 +124,7 @@ inline Options parse_options(int argc, char** argv) {
           "[--duration=SECONDS] [--reps=N] [--csv=DIR] [--telemetry=DIR]\n"
           "       [--percentiles]\n"
           "       [--allow-quarantine] [--budget-events=N] [--storm-window=N]\n"
-          "       [--storm-rate=EVENTS_PER_SIM_SECOND] [--cell-attempts=N]\n"
-          "       [--quarantine=FILE]\n",
+          "       [--storm-rate=EVENTS_PER_SIM_SECOND] [--quarantine=FILE]\n",
           argv[0]);
       std::exit(0);
     } else {
@@ -152,22 +148,23 @@ inline const char* display(schemes::Scheme s) {
   return schemes::info(s).display_name;
 }
 
-/// Exit 1 when any of `trials` (exp::TrialResult or alike) reports an
-/// invariant violation from its auditor: a figure drawn from an unsound
-/// run must not pass for a result. Prints to stderr, so stdout is the
-/// same as an unaudited run's whenever the audit is clean.
-template <class Trials>
-void exit_on_audit_violations(const Trials& trials, const std::string& label) {
+/// Exit 1 when any of `results` (an exp::RunRecord-derived result, or a
+/// sweep cell carrying its runs' count) reports an invariant violation
+/// from its auditor: a figure drawn from an unsound run must not pass for
+/// a result. Prints to stderr, so stdout is the same as an unaudited
+/// run's whenever the audit is clean.
+template <class Results>
+void exit_on_audit_violations(const Results& results, const std::string& label) {
   std::uint64_t violations = 0;
   std::size_t failing = 0;
-  for (const auto& t : trials) {
-    violations += t.audit_violations;
-    if (t.audit_violations > 0) ++failing;
+  for (const auto& r : results) {
+    violations += r.audit_violations;
+    if (r.audit_violations > 0) ++failing;
   }
   if (violations == 0) return;
-  std::fprintf(stderr, "%s: %llu invariant violation(s) in %zu of %zu trials\n",
+  std::fprintf(stderr, "%s: %llu invariant violation(s) in %zu of %zu results\n",
                label.c_str(), static_cast<unsigned long long>(violations),
-               failing, trials.size());
+               failing, results.size());
   std::exit(1);
 }
 

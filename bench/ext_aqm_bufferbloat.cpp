@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     schemes::Scheme scheme;
     double mean_fct_ms = 0.0;
     double bg_share = 0.0;
+    std::uint64_t audit_violations = 0;
   };
   std::vector<Cell> cells{
       {net::QueueKind::drop_tail, schemes::Scheme::tcp},
@@ -64,8 +65,10 @@ int main(int argc, char** argv) {
             {exp::WorkloadPart{cell.scheme, shorts, exp::FlowRole::primary, {}}, bg});
         cell.mean_fct_ms = run.mean_fct_ms(exp::FlowRole::primary);
         cell.bg_share = run.bottleneck_utilization;
+        cell.audit_violations = run.audit_violations;
       },
       opt.threads);
+  bench::exit_on_audit_violations(cells, "ext_aqm_bufferbloat");
 
   stats::Table table{{"bottleneck queue", "short-flow scheme", "mean FCT (ms)",
                       "bottleneck utilization"}};

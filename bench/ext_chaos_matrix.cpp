@@ -43,16 +43,13 @@ int main(int argc, char** argv) {
   config.verify_determinism = opt.full;
   config.telemetry_dir = opt.telemetry_dir;
   config.record_percentiles = opt.percentiles;
-  // Supervision knobs: flags override the stock per-cell budget / retry
-  // policy (docs/robustness.md). The storm-guard CI job uses these to
-  // force a pathological cell into quarantine.
+  // Supervision knobs: flags override the stock per-cell budget
+  // (docs/robustness.md). The storm-guard CI job uses these to force a
+  // pathological cell into quarantine.
   if (opt.budget_events != 0) config.cell_budget.max_events = opt.budget_events;
   if (opt.storm_window != 0) config.cell_budget.storm_window = opt.storm_window;
   if (opt.storm_rate != 0.0) {
     config.cell_budget.storm_events_per_sim_second = opt.storm_rate;
-  }
-  if (opt.cell_attempts != 0) {
-    config.retry.max_attempts = static_cast<std::uint32_t>(opt.cell_attempts);
   }
 
   const exp::ChaosSweepResult sweep = exp::chaos_sweep(config, scheme_set);
@@ -73,7 +70,7 @@ int main(int argc, char** argv) {
   std::uint64_t violations_total = 0;
   bool all_deterministic = true;
   for (const exp::ChaosCell& cell : cells) {
-    // Quarantined cells carry the partial state of their last attempt;
+    // Quarantined cells carry the partial state of their run at the trip;
     // they are accounted for by the quarantine manifest, not by the
     // completed-cell acceptance bars.
     if (!cell.quarantined) {
@@ -81,12 +78,10 @@ int main(int argc, char** argv) {
       violations_total += cell.audit_violations;
       all_deterministic = all_deterministic && cell.deterministic;
     }
-    std::string status = "ok";
-    if (cell.quarantined) {
-      status = std::string{"QUARANTINED:"} + std::string{to_string(cell.trip)};
-    } else if (cell.attempts > 1) {
-      status = "retried x" + std::to_string(cell.attempts - 1);
-    }
+    const std::string status =
+        cell.quarantined
+            ? std::string{"QUARANTINED:"} + std::string{to_string(cell.trip)}
+            : std::string{"ok"};
     std::vector<std::string> row{cell.scenario, bench::display(cell.scheme),
                                  std::to_string(cell.unfinished),
                                  stats::Table::num(cell.mean_fct_ms, 1),
@@ -181,12 +176,10 @@ int main(int argc, char** argv) {
   // Completeness accounting: every cell is attempted; quarantined cells are
   // excluded from the acceptance bars above but never silently dropped.
   std::printf(
-      "\nsupervision: %llu attempted / %llu completed / %llu quarantined, "
-      "%llu retries\n",
+      "\nsupervision: %llu attempted / %llu completed / %llu quarantined\n",
       static_cast<unsigned long long>(quarantine.attempted),
       static_cast<unsigned long long>(quarantine.completed),
-      static_cast<unsigned long long>(quarantine.quarantined),
-      static_cast<unsigned long long>(quarantine.retries));
+      static_cast<unsigned long long>(quarantine.quarantined));
   if (!quarantine.clean()) {
     std::printf("quarantine manifest:\n%s",
                 telemetry::quarantine_json(quarantine).c_str());

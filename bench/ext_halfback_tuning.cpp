@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> header{"variant"};
   for (std::uint64_t kb : sizes_kb) header.push_back(std::to_string(kb) + "KB");
   stats::Table small{header};
+  std::vector<exp::RunResult> idle_runs;
   for (const Variant& v : variants) {
     std::vector<std::string> row{v.name};
     for (std::uint64_t kb : sizes_kb) {
@@ -64,9 +65,11 @@ int main(int argc, char** argv) {
                              {}};
       exp::RunResult run = runner.run({part});
       row.push_back(stats::Table::num(run.mean_fct_ms(exp::FlowRole::primary), 0));
+      idle_runs.push_back(std::move(run));
     }
     small.add_row(row);
   }
+  bench::exit_on_audit_violations(idle_runs, "ext_halfback_tuning idle");
   small.print();
 
   // Part 2: overhead and FCT under a 45% all-short workload — the ratio
@@ -84,6 +87,7 @@ int main(int argc, char** argv) {
   stats::Table load{{"variant", "mean FCT (ms)", "median (ms)",
                      "proactive retx/flow", "timeouts/flow"}};
   std::vector<std::vector<std::string>> rows(variants.size());
+  std::vector<exp::RunResult> load_runs(variants.size());
   exp::parallel_for(
       variants.size(),
       [&](std::size_t i) {
@@ -107,8 +111,10 @@ int main(int argc, char** argv) {
                    stats::Table::num(fct.median(), 0),
                    stats::Table::num(proactive.mean(), 1),
                    stats::Table::num(timeouts.mean(), 2)};
+        load_runs[i] = std::move(run);
       },
       opt.threads);
+  bench::exit_on_audit_violations(load_runs, "ext_halfback_tuning load");
   for (auto& row : rows) load.add_row(std::move(row));
   load.print();
   std::printf(

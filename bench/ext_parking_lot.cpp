@@ -10,18 +10,17 @@
 
 #include "common.h"
 #include "exp/parallel.h"
+#include "exp/rig.h"
 #include "net/topology.h"
-#include "schemes/factory.h"
 #include "stats/summary.h"
-#include "workload/flow_schedule.h"
 #include "stats/table.h"
-#include "transport/agent.h"
+#include "workload/flow_schedule.h"
 
 using namespace halfback;
 
 namespace {
 
-struct Result {
+struct Result : exp::RunRecord {
   stats::Summary fct_ms;
   double timeouts = 0;
   std::size_t flows = 0;
@@ -29,23 +28,17 @@ struct Result {
 
 Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
                  std::uint64_t seed, double duration_s) {
-  sim::Simulator simulator{seed};
-  net::Network network{simulator};
+  exp::Rig rig{seed};
   net::ParkingLotConfig topo;
   topo.hops = hops;
-  net::ParkingLot lot = net::build_parking_lot(network, topo);
+  net::ParkingLot lot = net::build_parking_lot(rig.network(), topo);
 
-  std::vector<std::unique_ptr<transport::TransportAgent>> agents;
-  auto agent_for = [&](net::NodeId id) -> transport::TransportAgent& {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-    return *agents.back();
-  };
-  transport::TransportAgent& main_sender = agent_for(lot.main_sender);
-  agent_for(lot.main_receiver);
+  transport::TransportAgent& main_sender = rig.add_agent(lot.main_sender);
+  rig.add_agent(lot.main_receiver);
   std::vector<transport::TransportAgent*> cross_agents;
   for (int h = 0; h < hops; ++h) {
-    cross_agents.push_back(&agent_for(lot.cross_senders[static_cast<std::size_t>(h)]));
-    agent_for(lot.cross_receivers[static_cast<std::size_t>(h)]);
+    cross_agents.push_back(&rig.add_agent(lot.cross_senders[static_cast<std::size_t>(h)]));
+    rig.add_agent(lot.cross_receivers[static_cast<std::size_t>(h)]);
   }
 
   schemes::SchemeContext context;
@@ -58,40 +51,34 @@ Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
   sc.bottleneck = topo.bottleneck_rate;
   sc.duration = sim::Time::seconds(duration_s);
   for (int h = 0; h < hops; ++h) {
+    const auto hop = static_cast<std::size_t>(h);
     auto schedule =
         workload::make_schedule(workload::FlowSizeDist::fixed(100'000), sc, rng);
     for (const workload::FlowArrival& arrival : schedule) {
-      const net::FlowId flow = next_flow++;
-      simulator.schedule_at(arrival.at, [&, h, flow, bytes = arrival.bytes] {
-        auto sender = schemes::make_sender(
-            schemes::Scheme::tcp, context, simulator,
-            network.node(lot.cross_senders[static_cast<std::size_t>(h)]),
-            lot.cross_receivers[static_cast<std::size_t>(h)], flow, bytes);
-        cross_agents[static_cast<std::size_t>(h)]->start_flow(std::move(sender));
-      });
+      rig.start_at(arrival.at, *cross_agents[hop], context,
+                   exp::FlowSpec{schemes::Scheme::tcp, lot.cross_receivers[hop],
+                                 next_flow++, arrival.bytes});
     }
   }
 
   // Main path: a 100 KB flow of the scheme under test every ~2 s.
-  Result result;
-  std::vector<transport::SenderBase*> main_flows;
+  std::vector<std::size_t> main_flows;
   for (double t = 1.0; t < duration_s; t += 2.0) {
-    const net::FlowId flow = next_flow++;
-    simulator.schedule_at(sim::Time::seconds(t), [&, flow] {
-      auto sender =
-          schemes::make_sender(scheme, context, simulator,
-                               network.node(lot.main_sender), lot.main_receiver,
-                               flow, 100'000);
-      main_flows.push_back(&main_sender.start_flow(std::move(sender)));
-    });
+    main_flows.push_back(rig.start_at(
+        sim::Time::seconds(t), main_sender, context,
+        exp::FlowSpec{scheme, lot.main_receiver, next_flow++, 100'000}));
   }
-  simulator.run_until(sim::Time::seconds(duration_s + 30));
+  rig.simulator().run_until(sim::Time::seconds(duration_s + 30));
 
-  for (transport::SenderBase* flow : main_flows) {
+  Result result;
+  rig.finish(result);
+  for (std::size_t start : main_flows) {
+    const transport::SenderBase* flow = rig.started(start);
+    if (flow == nullptr) continue;  // start never fired
     ++result.flows;
     result.fct_ms.add(flow->complete()
                           ? flow->record().fct().to_ms()
-                          : (simulator.now() - flow->record().start_time).to_ms());
+                          : (result.sim_end - flow->record().start_time).to_ms());
     result.timeouts += flow->record().timeouts;
   }
   return result;
@@ -115,31 +102,34 @@ int main(int argc, char** argv) {
     int hops;
     double util;
     schemes::Scheme scheme;
-    Result result;
   };
   std::vector<Job> jobs;
   for (int hops : hop_counts) {
     for (double util : cross_utils) {
-      for (schemes::Scheme s : kSet) jobs.push_back({hops, util, s, {}});
+      for (schemes::Scheme s : kSet) jobs.push_back({hops, util, s});
     }
   }
+  std::vector<Result> results(jobs.size());
   exp::parallel_for(
       jobs.size(),
       [&](std::size_t i) {
-        jobs[i].result = run_chain(jobs[i].scheme, jobs[i].hops, jobs[i].util,
-                                   opt.seed, duration_s);
+        results[i] = run_chain(jobs[i].scheme, jobs[i].hops, jobs[i].util,
+                               opt.seed, duration_s);
       },
       opt.threads);
+  bench::exit_on_audit_violations(results, "ext_parking_lot");
 
   stats::Table table{{"hops", "cross util %", "scheme", "mean FCT (ms)",
                       "median (ms)", "timeouts/flow"}};
-  for (const Job& job : jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    const Result& result = results[i];
     table.add_row({std::to_string(job.hops), stats::Table::num(100 * job.util, 0),
                    bench::display(job.scheme),
-                   stats::Table::num(job.result.fct_ms.mean(), 0),
-                   stats::Table::num(job.result.fct_ms.median(), 0),
-                   stats::Table::num(job.result.timeouts /
-                                         static_cast<double>(job.result.flows),
+                   stats::Table::num(result.fct_ms.mean(), 0),
+                   stats::Table::num(result.fct_ms.median(), 0),
+                   stats::Table::num(result.timeouts /
+                                         static_cast<double>(result.flows),
                                      2)});
   }
   table.print();

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     double median_fct_ms = 0.0;
     double proactive = 0.0;
     double drops_per_flow = 0.0;
+    std::uint64_t audit_violations = 0;
   };
 
   const double duration_s = opt.duration_s > 0 ? opt.duration_s : 30.0;
@@ -74,8 +75,10 @@ int main(int argc, char** argv) {
         cell.proactive = proactive.mean();
         cell.drops_per_flow = static_cast<double>(run.bottleneck_drops_total) /
                               static_cast<double>(run.flows.size());
+        cell.audit_violations = run.audit_violations;
       },
       opt.threads);
+  bench::exit_on_audit_violations(cells, "ext_rc3_comparison");
 
   stats::Table table{{"util %", "deployment", "scheme", "mean FCT (ms)",
                       "median (ms)", "extra copies/flow", "drops/flow"}};

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   }
 
   auto cells = exp::utilization_sweep(config, schemes::evaluation_set());
+  bench::exit_on_audit_violations(cells, "fig01");
   auto capacity = exp::feasible_capacities(
       cells, {}, [](const exp::SweepCell& c) { return c.median_fct_ms; });
   auto latency = exp::low_load_fct(cells);

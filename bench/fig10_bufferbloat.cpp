@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   struct Cell {
     double mean_fct_ms = 0.0;
     double mean_retx = 0.0;
+    std::uint64_t audit_violations = 0;
   };
   std::vector<Cell> cells(buffers_kb.size() * schemes_list.size());
 
@@ -65,9 +66,11 @@ int main(int argc, char** argv) {
               return static_cast<double>(f.record.normal_retx);
             });
         cell.mean_retx = retx.empty() ? 0.0 : retx.mean();
+        cell.audit_violations = run.audit_violations;
         cells[i] = cell;
       },
       opt.threads);
+  bench::exit_on_audit_violations(cells, "fig10");
 
   std::printf("(a) mean flow completion time (ms)\n");
   std::vector<std::string> header{"buffer KB"};

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
         opt.duration_s > 0 ? opt.duration_s : (opt.full ? 300.0 : 60.0));
 
     auto cells = exp::flow_size_sweep(config, schemes::evaluation_set());
+    bench::exit_on_audit_violations(cells, "fig11 " + dist.name());
 
     // Pivot into bin-by-scheme.
     std::map<double, std::map<schemes::Scheme, double>> by_bin;

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   }
 
   auto cells = exp::utilization_sweep(config, schemes::evaluation_set());
+  bench::exit_on_audit_violations(cells, "fig12");
 
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : schemes::evaluation_set()) {

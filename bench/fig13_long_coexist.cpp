@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   }
 
   auto cells = exp::mix_sweep(config, kSet);
+  bench::exit_on_audit_violations(cells, "fig13");
 
   auto print_panel = [&](const char* title, bool shorts) {
     std::vector<std::string> header{"util %"};

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   if (!opt.full) config.utilizations = {0.10, 0.20, 0.30};
 
   auto points = exp::friendliness_matrix(config, kSet);
+  bench::exit_on_audit_violations(points, "fig14");
 
   stats::Table table{{"scheme", "util %", "TCP FCT vs reference (x)",
                       "scheme FCT vs reference (y)", "Jain fairness of FCTs"}};

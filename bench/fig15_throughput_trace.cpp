@@ -1,6 +1,7 @@
 // Fig. 15 — throughput timelines (§4.3.4): a saturated background TCP flow
 // disturbed by (a) an optimal burst, (b) Halfback, (c) one TCP short flow,
 // (d) two half-size TCP short flows.
+#include <array>
 #include <cstdio>
 
 #include "common.h"
@@ -14,13 +15,20 @@ int main(int argc, char** argv) {
   bench::Options opt = bench::parse_options(argc, argv);
   bench::print_header("Figure 15", "throughput of background and short flows", opt);
 
-  for (exp::TraceScenario scenario :
-       {exp::TraceScenario::optimal, exp::TraceScenario::halfback,
-        exp::TraceScenario::single_tcp, exp::TraceScenario::two_tcp_halves}) {
+  constexpr std::array<exp::TraceScenario, 4> kPanels{
+      exp::TraceScenario::optimal, exp::TraceScenario::halfback,
+      exp::TraceScenario::single_tcp, exp::TraceScenario::two_tcp_halves};
+  std::vector<exp::TraceResult> runs;
+  for (exp::TraceScenario scenario : kPanels) {
     exp::TraceConfig config;
     config.seed = opt.seed;
-    auto traces = exp::run_trace(config, scenario);
-    std::printf("--- panel: %s ---\n", exp::to_string(scenario));
+    runs.push_back(exp::run_trace(config, scenario));
+  }
+  bench::exit_on_audit_violations(runs, "fig15");
+
+  for (std::size_t panel = 0; panel < kPanels.size(); ++panel) {
+    const std::vector<exp::FlowTrace>& traces = runs[panel].flows;
+    std::printf("--- panel: %s ---\n", exp::to_string(kPanels[panel]));
 
     std::vector<stats::PlotSeries> plot;
     for (const exp::FlowTrace& flow : traces) {

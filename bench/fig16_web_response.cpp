@@ -41,19 +41,23 @@ int main(int argc, char** argv) {
         catalog, utils[u], bottleneck, sim::Time::seconds(duration_s), rng));
   }
 
-  std::vector<double> mean_response(utils.size() * kSet.size());
+  std::vector<exp::WebRunOutcome> outcomes(utils.size() * kSet.size());
   exp::parallel_for(
-      mean_response.size(),
+      outcomes.size(),
       [&](std::size_t i) {
         const std::size_t u = i / kSet.size();
         const schemes::Scheme scheme = kSet[i % kSet.size()];
         exp::WebRunner::Config config;
         config.seed = opt.seed;
         exp::WebRunner runner{config};
-        exp::WebRunOutcome outcome = runner.run(scheme, catalog, schedules[u]);
-        mean_response[i] = outcome.mean_response_s();
+        outcomes[i] = runner.run(scheme, catalog, schedules[u]);
       },
       opt.threads);
+  bench::exit_on_audit_violations(outcomes, "fig16");
+  std::vector<double> mean_response;
+  for (const exp::WebRunOutcome& outcome : outcomes) {
+    mean_response.push_back(outcome.mean_response_s());
+  }
 
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : kSet) header.push_back(bench::display(s));

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   }
 
   auto cells = exp::utilization_sweep(config, kAblationSet);
+  bench::exit_on_audit_violations(cells, "fig17");
 
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : kAblationSet) header.push_back(bench::display(s));

@@ -1,11 +1,10 @@
-// Deadline-censoring helpers shared by the trial environments.
+// Deadline-censoring helpers for the access-path trial.
 //
-// PlanetLabEnv and HomeNetEnv both run one watched short flow against a
-// per-trial timeout. Both must account for an unfinished flow the same
-// way — censor its completion time AT the deadline, so FCT means reflect
-// the stall instead of silently dropping it or under-reporting with
-// whatever instant the queue happened to drain at. This header is that
-// single shared semantics; tests/exp/env_test.cpp pins the two
+// run_access_trial (exp/planetlab.h), behind both PlanetLabEnv and
+// HomeNetEnv, runs one watched short flow against a per-trial timeout. An
+// unfinished flow is censored AT the deadline, so FCT means reflect the
+// stall instead of silently dropping it or under-reporting with whatever
+// instant the queue happened to drain at. tests/exp/env_test.cpp pins both
 // environments to it.
 #pragma once
 

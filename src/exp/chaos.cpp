@@ -96,15 +96,12 @@ std::vector<ChaosScenario> chaos_catalog() {
 namespace {
 
 RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario,
-                   schemes::Scheme scheme, std::uint64_t seed,
-                   telemetry::Hub* hub = nullptr,
+                   schemes::Scheme scheme, telemetry::Hub* hub = nullptr,
                    telemetry::RunManifest* manifest_out = nullptr) {
   EmulabRunner::Config runner_config = config.runner;
-  runner_config.seed = seed;
   runner_config.faults = scenario.faults;
   runner_config.telemetry = hub;
   runner_config.budget = config.cell_budget;
-  runner_config.wall_limit = config.cell_wall_limit;
   EmulabRunner runner{runner_config};
   WorkloadPart part;
   part.scheme = scheme;
@@ -202,15 +199,9 @@ ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
            std::string{schemes::name(schemes[i % scheme_count])};
   };
 
-  SupervisorConfig supervisor;
-  supervisor.seed = config.runner.seed;
-  supervisor.retry = config.retry;
-  supervisor.threads = config.threads;
-
   result.supervision = supervised_for(
       cells.size(),
-      [&](const CellAttempt& id) {
-        const std::size_t i = id.index;
+      [&](std::size_t i) {
         const ChaosScenario& scenario = catalog[i / scheme_count];
         const schemes::Scheme scheme = schemes[i % scheme_count];
         const bool exporting = !config.telemetry_dir.empty();
@@ -220,13 +211,12 @@ ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
         std::optional<telemetry::Hub> hub;
         if (need_hub) hub.emplace();
         telemetry::RunManifest manifest;
-        RunResult run = run_cell(config, scenario, scheme, id.seed,
+        RunResult run = run_cell(config, scenario, scheme,
                                  need_hub ? &*hub : nullptr,
                                  exporting ? &manifest : nullptr);
         // Keep the (possibly partial) summary either way: a quarantined
-        // cell's last attempt is the triage evidence.
+        // cell's run is the triage evidence.
         cells[i] = summarize(scenario, scheme, run);
-        cells[i].attempts = id.attempt + 1;
         if (config.record_percentiles) {
           const telemetry::Histogram& fct = *hub->transport().fct;
           cells[i].p50_fct_ms =
@@ -244,12 +234,12 @@ ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
                       run.sim_end);
         }
         if (config.verify_determinism) {
-          RunResult rerun = run_cell(config, scenario, scheme, id.seed);
+          RunResult rerun = run_cell(config, scenario, scheme);
           cells[i].deterministic = rerun.trace_hash == run.trace_hash;
         }
         return AttemptOutcome{};
       },
-      supervisor, cell_name);
+      config.threads, cell_name);
 
   for (const telemetry::QuarantineRecord& record :
        result.supervision.manifest.records) {

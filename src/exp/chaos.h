@@ -62,13 +62,12 @@ struct ChaosCell {
   bool deterministic = true;
 
   /// Supervision outcome (see exp/supervisor.h). A quarantined cell's
-  /// statistics above are the partial state of its last attempt at the
-  /// budget trip — kept for triage, excluded from "the run finished"
-  /// claims by the quarantined flag.
-  std::uint64_t events_executed = 0;     ///< last attempt's dispatch count
-  std::uint32_t attempts = 1;            ///< attempts consumed (1 + retries)
-  bool quarantined = false;              ///< exhausted its retry budget
-  sim::BudgetTrip trip = sim::BudgetTrip::none;  ///< last attempt's trip
+  /// statistics above are the partial state of its run at the budget trip
+  /// — kept for triage, excluded from "the run finished" claims by the
+  /// quarantined flag.
+  std::uint64_t events_executed = 0;     ///< the run's dispatch count
+  bool quarantined = false;              ///< its budget tripped or it threw
+  sim::BudgetTrip trip = sim::BudgetTrip::none;  ///< the run's trip
 };
 
 /// The stock per-cell budget: a hard event ceiling plus a storm detector
@@ -111,13 +110,6 @@ struct ChaosSweepConfig {
   /// to catch the next rc3×adversarial-style storm with a structured
   /// quarantine instead of a crawling CI job. See docs/robustness.md.
   sim::RunBudget cell_budget = default_cell_budget();
-  /// Per-cell wall-clock watchdog; zero (default) arms nothing.
-  std::chrono::milliseconds cell_wall_limit{0};
-  /// Retry policy for cells whose budget trips. The default quarantines
-  /// after the first failure (a deterministic cell fails identically on a
-  /// same-seed retry; retries draw fresh seeds, which changes the cell's
-  /// claimed result, so they are opt-in).
-  RetryPolicy retry;
 };
 
 /// Outcome of a supervised chaos sweep: the per-cell matrix plus the
@@ -130,7 +122,7 @@ struct ChaosSweepResult {
 };
 
 /// Run the full matrix: one cell per (catalog scenario, scheme), under the
-/// supervised executor (budgets, retry, quarantine — exp/supervisor.h).
+/// supervised executor (budgets, quarantine — exp/supervisor.h).
 /// Cells are ordered scenario-major, matching chaos_catalog() order.
 ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
                              std::span<const schemes::Scheme> schemes);

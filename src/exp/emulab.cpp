@@ -1,9 +1,9 @@
 #include "exp/emulab.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
-#include "audit/invariant_auditor.h"
 #include "telemetry/hub.h"
 
 namespace halfback::exp {
@@ -86,13 +86,8 @@ std::size_t RunResult::unfinished_count(FlowRole role) const {
 }
 
 RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
-  sim::Simulator simulator{config_.seed};
-  net::Network network{simulator};
-
-  audit::InvariantAuditor auditor;
-  network.install_auditor(auditor);
-
-  net::Dumbbell dumbbell = net::build_dumbbell(network, config_.dumbbell);
+  Rig rig{config_.seed};
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), config_.dumbbell);
 
   // Chaos layer: when faults are configured, each bottleneck direction gets
   // its own deterministic injector. The RNGs derive from the experiment
@@ -111,112 +106,62 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     dumbbell.bottleneck_reverse->set_fault_hook(fault_reverse.get());
   }
 
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->instrument_network(network);
-  }
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> agents;
-  for (net::NodeId id : dumbbell.senders) {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
+  for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
+  for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
   const std::size_t sender_count = dumbbell.senders.size();
+  rig.install(config_.telemetry, config_.profiler, config_.budget);
 
-  // Per-flow bottleneck loss accounting (data direction).
-  std::unordered_map<net::FlowId, std::uint32_t> drops;
+  // Per-flow bottleneck loss accounting (data direction), indexed by flow
+  // id: flows are numbered 1..N in schedule order.
+  std::size_t flow_count = 0;
+  for (const WorkloadPart& part : parts) flow_count += part.schedule.size();
+  std::vector<std::uint32_t> drops(flow_count + 1, 0);
   dumbbell.bottleneck_forward->queue().set_drop_callback(
       [&drops](const net::Packet& p) {
         if (p.type == net::PacketType::data) ++drops[p.flow];
       });
 
-  schemes::SchemeContext base_context;
-  base_context.sender_config = config_.sender_config;
-  base_context.halfback_config = config_.halfback_config;
-
-  struct LiveFlow {
-    transport::SenderBase* sender = nullptr;
-    FlowRole role = FlowRole::primary;
-  };
-  std::unordered_map<net::FlowId, LiveFlow> live;
-  net::FlowId next_flow = 1;
-  std::size_t next_pair = 0;
-  sim::Time last_arrival;
-
-  // One context per part (they share the path cache through base_context's
-  // copy only if created here; TCP-Cache parts share within a part).
+  // One context per part: TCP-Cache flows share their path cache through
+  // it, within a part only.
   std::vector<schemes::SchemeContext> contexts;
   contexts.reserve(parts.size());
   for (const WorkloadPart& part : parts) {
-    schemes::SchemeContext context = base_context;
-    if (part.sender_config.has_value()) context.sender_config = *part.sender_config;
-    contexts.push_back(std::move(context));
+    schemes::SchemeContext& context = contexts.emplace_back();
+    context.sender_config = part.sender_config.value_or(config_.sender_config);
+    context.halfback_config = config_.halfback_config;
   }
 
-  for (std::size_t part_index = 0; part_index < parts.size(); ++part_index) {
-    const WorkloadPart& part = parts[part_index];
-    schemes::SchemeContext& context = contexts[part_index];
-    for (const workload::FlowArrival& arrival : part.schedule) {
+  // Start i (in schedule order) is flow i + 1, on pair i mod sender_count.
+  std::vector<FlowRole> roles;
+  roles.reserve(flow_count);
+  sim::Time last_arrival;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const workload::FlowArrival& arrival : parts[p].schedule) {
       last_arrival = std::max(last_arrival, arrival.at);
-      const net::FlowId flow = next_flow++;
-      const std::size_t pair = next_pair++ % sender_count;
-      const schemes::Scheme scheme = part.scheme;
-      const FlowRole role = part.role;
-      const std::uint64_t bytes = arrival.bytes;
-      simulator.schedule_at(arrival.at, [&, &context = context, flow, pair, scheme, role,
-                                         bytes] {
-        auto sender = schemes::make_sender(
-            scheme, context, simulator, network.node(dumbbell.senders[pair]),
-            dumbbell.receivers[pair], flow, bytes);
-        transport::SenderBase& ref =
-            agents[pair]->start_flow(std::move(sender));
-        live[flow] = LiveFlow{&ref, role};
-      });
+      const std::size_t pair = roles.size() % sender_count;
+      rig.start_at(arrival.at, rig.agent(pair), contexts[p],
+                   FlowSpec{parts[p].scheme, dumbbell.receivers[pair],
+                            static_cast<net::FlowId>(roles.size() + 1),
+                            arrival.bytes});
+      roles.push_back(parts[p].role);
     }
   }
 
-  // Budgets: installing an enforcer switches the simulator onto the
-  // budgeted dispatch loop; with neither a budget nor a watchdog the run
-  // stays on the seed's unbudgeted path. The watchdog needs the enforcer
-  // even when no deterministic limit is set — the budgeted loop is what
-  // polls the abort flag and records the wall_clock trip.
-  std::optional<sim::BudgetEnforcer> enforcer;
-  if (config_.budget.any() || config_.wall_limit.count() > 0) {
-    enforcer.emplace(config_.budget);
-    simulator.set_budget(&*enforcer);
-  }
-  // Observers only pick the dispatch-loop instantiation; with none
-  // installed the run takes the plain loop.
-  if (config_.profiler != nullptr) simulator.set_profiler(config_.profiler);
-  {
-    std::optional<sim::WallClockWatchdog> watchdog;
-    if (config_.wall_limit.count() > 0) {
-      watchdog.emplace(simulator, config_.wall_limit);
-    }
-    simulator.run_until(last_arrival + config_.drain);
-    // Scope exit disarms and joins the watchdog: from here on the run is
-    // single-threaded again and fired() is stable.
-  }
+  rig.simulator().run_until(last_arrival + config_.drain);
 
   RunResult result;
-  result.sim_end = simulator.now();
-  result.events_executed = simulator.events_executed();
-  if (enforcer.has_value()) result.budget_report = enforcer->report();
-  // Walk flows in id (creation) order: iterating the unordered map directly
-  // would make result order — and FCT stats under start-time ties — depend
-  // on hash layout.
-  for (net::FlowId flow = 1; flow < next_flow; ++flow) {
-    const auto live_it = live.find(flow);
-    if (live_it == live.end()) continue;  // arrival never fired (past drain)
-    LiveFlow& live_flow = live_it->second;
+  rig.finish(result);
+  // Walk flows in id (creation) order before sorting by start time, so the
+  // result order under start-time ties is fixed.
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    const transport::SenderBase* sender = rig.started(i);
+    if (sender == nullptr) continue;  // arrival never fired (past drain)
     FlowResult fr;
-    fr.record = live_flow.sender->record();
-    fr.role = live_flow.role;
-    fr.finished = live_flow.sender->complete();
-    if (!fr.finished) fr.censored_fct = simulator.now() - fr.record.start_time;
-    auto it = drops.find(flow);
-    if (it != drops.end()) fr.bottleneck_drops = it->second;
+    fr.record = sender->record();
+    fr.role = roles[i];
+    fr.finished = sender->complete();
+    if (!fr.finished) fr.censored_fct = result.sim_end - fr.record.start_time;
+    fr.bottleneck_drops = drops[i + 1];
     result.flows.push_back(std::move(fr));
   }
   std::sort(result.flows.begin(), result.flows.end(),
@@ -226,9 +171,9 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   result.bottleneck_drops_total =
       dumbbell.bottleneck_forward->queue().stats().dropped_packets;
   result.bottleneck_utilization =
-      dumbbell.bottleneck_forward->utilization(simulator.now());
-  for (const auto& agent : agents) {
-    const transport::DeliveryStats& d = agent->delivery_stats();
+      dumbbell.bottleneck_forward->utilization(result.sim_end);
+  for (std::size_t i = 0; i < rig.agent_count(); ++i) {
+    const transport::DeliveryStats& d = rig.agent(i).delivery_stats();
     result.delivery.accepted += d.accepted;
     result.delivery.corrupted_rejected += d.corrupted_rejected;
     result.delivery.duplicate_rejected += d.duplicate_rejected;
@@ -245,16 +190,7 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     result.faults.duplicated += s.duplicated;
     result.faults.jittered += s.jittered;
     result.faults.delay_spikes += s.delay_spikes;
-  }
-  auditor.finalize(simulator.queue().empty());
-  result.trace_hash = auditor.trace_hash();
-  result.audit_violations = auditor.total_violations();
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->snapshot_network(network, simulator.now());
-    for (const netfault::FaultInjector* injector :
-         {fault_forward.get(), fault_reverse.get()}) {
-      if (injector != nullptr) config_.telemetry->record_injector(injector->stats());
-    }
+    if (config_.telemetry != nullptr) config_.telemetry->record_injector(s);
   }
   return result;
 }

@@ -2,23 +2,17 @@
 // dumbbell and collects per-flow results. Shared by Figs. 10-17.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "netfault/fault_config.h"
 #include "netfault/fault_injector.h"
-#include "schemes/factory.h"
-#include "sim/budget.h"
 #include "sim/dispatch_profiler.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "telemetry/manifest.h"
-#include "transport/agent.h"
 #include "workload/flow_schedule.h"
 
 namespace halfback::exp {
@@ -35,28 +29,12 @@ struct FlowResult {
   sim::Time censored_fct;  ///< elapsed time at sim end for unfinished flows
 };
 
-/// Aggregated outcome of one run.
-struct RunResult {
+/// Aggregated outcome of one run. After a budget trip (RunRecord::
+/// budget_report) the flow results are the partial state at the trip.
+struct RunResult : RunRecord {
   std::vector<FlowResult> flows;
   std::uint64_t bottleneck_drops_total = 0;
   double bottleneck_utilization = 0.0;
-  sim::Time sim_end;
-  /// Events the simulator dispatched over the whole run. A cell whose
-  /// event count explodes relative to its peers signals a scheme/fault
-  /// pathology (an RTO storm, a send loop that stopped making progress)
-  /// even when the run still finishes — regression tests pin it.
-  std::uint64_t events_executed = 0;
-
-  /// From the run's invariant auditor: run-trace hash (same seed +
-  /// schedules => same hash) and invariant-violation count (0 = clean run).
-  std::uint64_t trace_hash = 0;
-  std::uint64_t audit_violations = 0;
-
-  /// Budget outcome (sim/budget.h). `tripped == BudgetTrip::none` — always
-  /// the case when Config enables no budget — means the run finished
-  /// normally; anything else means the run aborted early and the flow
-  /// results below are the partial state at the trip.
-  sim::BudgetReport budget_report;
 
   /// Transport-boundary rejection counters summed over every host agent.
   /// The rejected fields stay zero unless the run injects faults.
@@ -115,10 +93,6 @@ class EmulabRunner {
     /// limit set, a trip aborts the run and RunResult::budget_report says
     /// why.
     sim::RunBudget budget;
-    /// Wall-clock watchdog limit; zero (default) arms nothing. Strictly a
-    /// safety net: a run that finishes inside the limit is bit-identical
-    /// to an unwatched run.
-    std::chrono::milliseconds wall_limit{0};
     /// Optional telemetry hub (owned by the caller, one per run). When set,
     /// the run installs it on the simulator, links, and every flow, and
     /// snapshots network gauges at the end. Purely observational: trace

@@ -4,11 +4,8 @@
 #include <array>
 #include <cmath>
 
-#include "audit/invariant_auditor.h"
-#include "exp/censor.h"
 #include "exp/parallel.h"
-#include "schemes/factory.h"
-#include "transport/agent.h"
+#include "sim/random.h"
 
 namespace halfback::exp {
 
@@ -47,46 +44,16 @@ std::vector<TrialResult> HomeNetEnv::run(schemes::Scheme scheme,
   parallel_for(
       server_rtts_.size(),
       [&](std::size_t i) {
-        sim::Simulator simulator{config_.seed * 131 + i};
-        net::Network network{simulator};
-        // One auditor per trial, as in PlanetLabEnv::run_one: each trial
-        // carries its own invariant checker and determinism hash.
-        audit::InvariantAuditor auditor;
-        network.install_auditor(auditor);
-        net::AccessPathConfig apc;
-        apc.rtt = server_rtts_[i];
-        apc.downlink_rate = profile.downlink;
-        apc.uplink_rate = profile.uplink;
-        apc.downlink_buffer_bytes = profile.buffer_bytes;
-        apc.downlink_loss_rate = profile.loss_rate;
-        net::AccessPath ap = net::build_access_path(network, apc);
-
-        transport::TransportAgent server_agent{simulator, network, ap.server};
-        transport::TransportAgent client_agent{simulator, network, ap.client};
-
-        schemes::SchemeContext context;
-        context.sender_config = config_.sender_config;
-        auto sender = schemes::make_sender(scheme, context, simulator,
-                                           network.node(ap.server), ap.client,
-                                           /*flow=*/1, config_.flow_bytes);
-        transport::SenderBase& ref = server_agent.start_flow(std::move(sender));
-        // Same deadline-censoring semantics as PlanetLabEnv (exp/censor.h):
-        // stop as soon as the flow completes, and charge an unfinished flow
-        // the full timeout.
-        drive_until_complete_or_deadline(
-            simulator, [&]() -> const transport::SenderBase* { return &ref; },
-            config_.per_trial_timeout);
-
-        TrialResult r;
-        r.path_rtt = server_rtts_[i];
-        r.record = ref.record();
-        r.finished = ref.complete();
-        if (!r.finished) censor_record_at(r.record, config_.per_trial_timeout);
-        r.saw_loss = r.record.normal_retx > 0 || r.record.timeouts > 0;
-        auditor.finalize(simulator.queue().empty());
-        r.trace_hash = auditor.trace_hash();
-        r.audit_violations = auditor.total_violations();
-        results[i] = r;
+        AccessTrial trial;
+        trial.path.rtt = server_rtts_[i];
+        trial.path.downlink_rate = profile.downlink;
+        trial.path.uplink_rate = profile.uplink;
+        trial.path.downlink_buffer_bytes = profile.buffer_bytes;
+        trial.path.downlink_loss_rate = profile.loss_rate;
+        trial.flow_bytes = config_.flow_bytes;
+        trial.sender_config = config_.sender_config;
+        trial.timeout = config_.per_trial_timeout;
+        results[i] = run_access_trial(trial, scheme, config_.seed * 131 + i);
       },
       config_.threads);
   return results;

@@ -4,13 +4,10 @@
 #include <cmath>
 #include <sstream>
 
-#include "audit/invariant_auditor.h"
 #include "exp/censor.h"
 #include "exp/parallel.h"
-#include "schemes/factory.h"
 #include "sim/random.h"
 #include "telemetry/hub.h"
-#include "transport/agent.h"
 
 namespace halfback::exp {
 namespace {
@@ -60,30 +57,13 @@ PlanetLabEnv::PlanetLabEnv(PlanetLabConfig config) : config_{config} {
   }
 }
 
-TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path,
-                                  std::uint64_t trial_seed,
-                                  telemetry::Hub* telemetry) const {
-  sim::Simulator simulator{trial_seed};
-  net::Network network{simulator};
-
-  // One auditor per trial: shards share nothing (see parallel_for), so each
-  // simulator carries its own invariant checker and determinism hash.
-  audit::InvariantAuditor auditor;
-  network.install_auditor(auditor);
-
-  net::AccessPathConfig apc;
-  apc.rtt = path.rtt;
-  apc.downlink_rate = path.bottleneck;
-  apc.uplink_rate = std::max(path.bottleneck * 0.25,
-                             sim::DataRate::megabits_per_second(2.0));
-  apc.downlink_buffer_bytes = path.buffer_bytes;
-  apc.downlink_loss_rate = path.random_loss;
-  net::AccessPath ap = net::build_access_path(network, apc);
-
-  if (telemetry != nullptr) telemetry->instrument_network(network);
-
-  transport::TransportAgent server_agent{simulator, network, ap.server};
-  transport::TransportAgent client_agent{simulator, network, ap.client};
+TrialResult run_access_trial(const AccessTrial& trial, schemes::Scheme scheme,
+                             std::uint64_t seed, telemetry::Hub* telemetry) {
+  Rig rig{seed};
+  net::AccessPath ap = net::build_access_path(rig.network(), trial.path);
+  transport::TransportAgent& server = rig.add_agent(ap.server);
+  rig.add_agent(ap.client);
+  rig.install(telemetry, nullptr, {});
 
   std::uint32_t flow_drops = 0;
   const net::FlowId kFlow = 1;
@@ -92,48 +72,55 @@ TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path
   });
 
   schemes::SchemeContext context;
-  context.sender_config = config_.sender_config;
+  context.sender_config = trial.sender_config;
 
   sim::Time flow_start;
-  if (path.cross_traffic) {
+  if (trial.cross_traffic) {
     // A long-lived TCP flow fills the queue first (2 s head start).
-    auto cross = schemes::make_sender(schemes::Scheme::tcp, context, simulator,
-                                      network.node(ap.server), ap.client,
-                                      /*flow=*/2, /*bytes=*/50'000'000);
-    server_agent.start_flow(std::move(cross));
+    rig.start(server, context,
+              FlowSpec{schemes::Scheme::tcp, ap.client, /*flow=*/2,
+                       /*bytes=*/50'000'000});
     flow_start = sim::Time::seconds(2);
   }
-
-  transport::SenderBase* sender_ptr = nullptr;
-  simulator.schedule_at(flow_start, [&] {
-    auto sender = schemes::make_sender(scheme, context, simulator,
-                                       network.node(ap.server), ap.client, kFlow,
-                                       config_.flow_bytes);
-    sender_ptr = &server_agent.start_flow(std::move(sender));
-  });
+  const std::size_t watched = rig.start_at(
+      flow_start, server, context, FlowSpec{scheme, ap.client, kFlow, trial.flow_bytes});
 
   // Run until the short flow completes (or the trial times out); the
-  // censor-at-deadline accounting is the shared semantics in exp/censor.h
-  // (HomeNetEnv uses the identical path).
-  const sim::Time deadline = flow_start + config_.per_trial_timeout;
+  // censor-at-deadline accounting is the shared semantics in exp/censor.h.
+  const sim::Time deadline = flow_start + trial.timeout;
   drive_until_complete_or_deadline(
-      simulator,
-      [&]() -> const transport::SenderBase* { return sender_ptr; }, deadline);
+      rig.simulator(),
+      [&]() -> const transport::SenderBase* { return rig.started(watched); },
+      deadline);
 
   TrialResult result;
-  result.path_rtt = path.rtt;
-  if (sender_ptr != nullptr) {
-    result.record = sender_ptr->record();
-    result.finished = sender_ptr->complete();
+  rig.finish(result);
+  result.path_rtt = trial.path.rtt;
+  if (const transport::SenderBase* sender = rig.started(watched)) {
+    result.record = sender->record();
+    result.finished = sender->complete();
     result.saw_loss = flow_drops > 0 || result.record.normal_retx > 0 ||
                       result.record.timeouts > 0;
     if (!result.finished) censor_record_at(result.record, deadline);
   }
-  auditor.finalize(simulator.queue().empty());
-  result.trace_hash = auditor.trace_hash();
-  result.audit_violations = auditor.total_violations();
-  if (telemetry != nullptr) telemetry->snapshot_network(network, simulator.now());
   return result;
+}
+
+TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path,
+                                  std::uint64_t trial_seed,
+                                  telemetry::Hub* telemetry) const {
+  AccessTrial trial;
+  trial.path.rtt = path.rtt;
+  trial.path.downlink_rate = path.bottleneck;
+  trial.path.uplink_rate = std::max(path.bottleneck * 0.25,
+                                    sim::DataRate::megabits_per_second(2.0));
+  trial.path.downlink_buffer_bytes = path.buffer_bytes;
+  trial.path.downlink_loss_rate = path.random_loss;
+  trial.cross_traffic = path.cross_traffic;
+  trial.flow_bytes = config_.flow_bytes;
+  trial.sender_config = config_.sender_config;
+  trial.timeout = config_.per_trial_timeout;
+  return run_access_trial(trial, scheme, trial_seed, telemetry);
 }
 
 telemetry::RunManifest PlanetLabEnv::manifest(
@@ -145,8 +132,8 @@ telemetry::RunManifest PlanetLabEnv::manifest(
   m.seed = trial_seed;
   m.config_digest = telemetry::fnv1a64(config_fingerprint(config_, trial_seed));
   m.trace_hash = result.trace_hash;
-  // TrialResult carries no separate sim-end clock; the completion time is
-  // the flow's finish (or its censoring point for unfinished trials).
+  // A trial's manifest ends at the flow's finish (or its censoring point
+  // for unfinished trials), not at the last polled slice (sim_end).
   m.sim_end = result.record.completion_time;
   if (telemetry != nullptr) {
     const telemetry::MetricRegistry& registry = telemetry->registry();

@@ -14,15 +14,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "schemes/scheme.h"
 #include "sim/bytes.h"
 #include "telemetry/manifest.h"
 #include "transport/sender.h"
-
-namespace halfback::telemetry {
-class Hub;
-}  // namespace halfback::telemetry
 
 namespace halfback::exp {
 
@@ -36,18 +33,33 @@ struct PathSample {
 };
 
 /// Outcome of one (path, scheme) trial.
-struct TrialResult {
+struct TrialResult : RunRecord {
   transport::FlowRecord record;
   sim::Time path_rtt;
   bool finished = false;
-  bool saw_loss = false;  ///< any retransmission or drop observed
-
-  /// From the trial's invariant auditor: an order-sensitive hash of the
-  /// run trace — identical seeds must reproduce it exactly — and the
-  /// invariant-violation count (0 = clean).
-  std::uint64_t trace_hash = 0;
-  std::uint64_t audit_violations = 0;
+  /// Any retransmission, timeout, or downlink queue drop of the flow.
+  bool saw_loss = false;
 };
+
+/// One access-path trial: a `flow_bytes` flow from the server to the
+/// client of `path`, run until it completes or `timeout` after it starts.
+/// With `cross_traffic`, a long TCP flow on the same path gets a 2 s head
+/// start first. PlanetLabEnv and HomeNetEnv both run their trials here.
+struct AccessTrial {
+  net::AccessPathConfig path;
+  bool cross_traffic = false;
+  sim::Bytes flow_bytes;
+  transport::SenderConfig sender_config;
+  sim::Time timeout;
+};
+
+/// Run `trial` with `scheme` on a fresh simulator seeded with `seed`. An
+/// unfinished flow is censored at its deadline (exp/censor.h). When
+/// `telemetry` is non-null the trial installs it on the links and flows —
+/// purely observational, the trace hash is unchanged.
+TrialResult run_access_trial(const AccessTrial& trial, schemes::Scheme scheme,
+                             std::uint64_t seed,
+                             telemetry::Hub* telemetry = nullptr);
 
 struct PlanetLabConfig {
   int pair_count = 2600;

@@ -1,7 +1,6 @@
 #include "exp/supervisor.h"
 
 #include <exception>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,76 +18,31 @@ AttemptOutcome AttemptOutcome::from_budget(const sim::BudgetReport& report) {
   return out;
 }
 
-std::uint64_t attempt_seed(std::uint64_t base, std::size_t cell,
-                           std::uint32_t attempt) {
-  if (attempt == 0) return base;
-  // splitmix64 over a mix of the three coordinates; any bit flip in any
-  // coordinate decorrelates the whole stream.
-  std::uint64_t x = base ^ (static_cast<std::uint64_t>(cell) * 0x9e3779b97f4a7c15ULL) ^
-                    (static_cast<std::uint64_t>(attempt) << 32);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-namespace {
-
-/// Per-cell supervision state, owned by exactly one worker at a time
-/// (parallel_for's contract), compacted into the manifest after join.
-struct CellState {
-  std::uint32_t attempts = 0;
-  bool completed = false;
-  AttemptOutcome last;
-};
-
-}  // namespace
-
 SupervisedReport supervised_for(
     std::size_t count,
-    const std::function<AttemptOutcome(const CellAttempt&)>& attempt,
-    const SupervisorConfig& config,
+    const std::function<AttemptOutcome(std::size_t)>& attempt,
+    unsigned threads,
     const std::function<std::string(std::size_t)>& cell_name) {
-  const std::uint32_t max_attempts =
-      config.retry.max_attempts == 0 ? 1 : config.retry.max_attempts;
-  std::vector<CellState> states(count);
-
+  // One slot per cell, owned by exactly one worker (parallel_for's
+  // contract), compacted into the manifest after join.
+  std::vector<AttemptOutcome> outcomes(count);
   parallel_for(
       count,
       [&](std::size_t i) {
-        CellState& state = states[i];
-        for (std::uint32_t a = 0; a < max_attempts; ++a) {
-          if (a > 0 && config.retry.backoff_base.count() > 0) {
-            // Exponential wall-clock backoff. Real time only: simulated
-            // clocks are untouched, so results stay seed-deterministic.
-            std::this_thread::sleep_for(config.retry.backoff_base *
-                                        (1u << (a - 1)));
-          }
-          CellAttempt id;
-          id.index = i;
-          id.attempt = a;
-          id.seed = attempt_seed(config.seed, i, a);
-          AttemptOutcome outcome;
-          try {
-            outcome = attempt(id);
-          } catch (const std::exception& e) {
-            outcome.completed = false;
-            outcome.reason = "exception";
-            outcome.detail = e.what();
-          } catch (...) {
-            outcome.completed = false;
-            outcome.reason = "exception";
-            outcome.detail = "unknown exception";
-          }
-          state.attempts = a + 1;
-          state.last = std::move(outcome);
-          if (state.last.completed) {
-            state.completed = true;
-            break;
-          }
+        AttemptOutcome& outcome = outcomes[i];
+        try {
+          outcome = attempt(i);
+        } catch (const std::exception& e) {
+          outcome.completed = false;
+          outcome.reason = "exception";
+          outcome.detail = e.what();
+        } catch (...) {
+          outcome.completed = false;
+          outcome.reason = "exception";
+          outcome.detail = "unknown exception";
         }
       },
-      config.threads);
+      threads);
 
   // Compact in index order on the calling thread, so the manifest bytes
   // are independent of worker count and scheduling.
@@ -96,9 +50,8 @@ SupervisedReport supervised_for(
   telemetry::QuarantineManifest& manifest = report.manifest;
   manifest.attempted = count;
   for (std::size_t i = 0; i < count; ++i) {
-    const CellState& state = states[i];
-    manifest.retries += state.attempts > 0 ? state.attempts - 1 : 0;
-    if (state.completed) {
+    AttemptOutcome& outcome = outcomes[i];
+    if (outcome.completed) {
       ++manifest.completed;
       continue;
     }
@@ -106,11 +59,10 @@ SupervisedReport supervised_for(
     telemetry::QuarantineRecord record;
     record.cell_index = i;
     record.cell = cell_name ? cell_name(i) : std::to_string(i);
-    record.attempts = state.attempts;
-    record.reason = state.last.reason;
-    record.events_at_trip = state.last.events_at_trip;
-    record.sim_time_at_trip = state.last.sim_time_at_trip;
-    record.detail = state.last.detail;
+    record.reason = std::move(outcome.reason);
+    record.events_at_trip = outcome.events_at_trip;
+    record.sim_time_at_trip = outcome.sim_time_at_trip;
+    record.detail = std::move(outcome.detail);
     manifest.records.push_back(std::move(record));
   }
   return report;

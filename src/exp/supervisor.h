@@ -1,27 +1,22 @@
-// Supervised experiment executor: parallel_for plus budgets, bounded
-// retry, quarantine, and partial-result accounting.
+// Supervised experiment executor: parallel_for plus budgets, quarantine,
+// and partial-result accounting.
 //
-// A sweep cell that storms (see sim/budget.h) should cost one budget trip,
-// a bounded number of retries, and one quarantine-manifest record — never
-// a hung CI job or a silently poisoned aggregate. supervised_for() wraps
-// exp::parallel_for with exactly that policy:
+// A sweep cell that storms (see sim/budget.h) should cost one budget trip
+// and one quarantine-manifest record — never a hung CI job or a silently
+// poisoned aggregate. supervised_for() wraps exp::parallel_for with
+// exactly that policy:
 //
-//   * each cell attempt gets a deterministic seed from attempt_seed():
-//     attempt 0 is the caller's base seed unchanged, so a fully healthy
-//     supervised sweep is bit-identical to an unsupervised one;
-//   * a failed attempt (budget trip or exception) is retried up to
-//     RetryPolicy::max_attempts times, with exponential wall-clock backoff
-//     between attempts (backoff never touches simulated time);
-//   * a cell that exhausts its attempts is quarantined: the sweep keeps
-//     going, and the telemetry::QuarantineManifest records who failed,
-//     how, and what the surviving aggregate covers
+//   * each cell runs once, on the caller's seed: a deterministic cell
+//     fails the same way on a rerun, so there is nothing to retry;
+//   * a failed cell (budget trip or exception) is quarantined: the sweep
+//     keeps going, and the telemetry::QuarantineManifest records who
+//     failed, how, and what the surviving aggregate covers
 //     (attempted / completed / quarantined).
 //
 // The manifest is a pure function of (seed, budgets, cell set) — worker
 // count never changes its bytes (tests/exp/supervisor_test.cpp pins this).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -32,27 +27,7 @@
 
 namespace halfback::exp {
 
-/// How hard the supervisor tries before quarantining a cell.
-struct RetryPolicy {
-  /// Total attempts per cell, first try included (minimum 1; 0 is treated
-  /// as 1).
-  std::uint32_t max_attempts = 1;
-
-  /// Wall-clock pause before retry k (k >= 1): backoff_base * 2^(k-1).
-  /// Zero (the default) retries immediately — the right choice for
-  /// deterministic simulations, where a retry only helps via its fresh
-  /// seed; nonzero suits harnesses contending for real resources.
-  std::chrono::milliseconds backoff_base{0};
-};
-
-/// Identity of one attempt at one cell, handed to the attempt callback.
-struct CellAttempt {
-  std::size_t index = 0;      ///< cell index in [0, count)
-  std::uint32_t attempt = 0;  ///< 0 = first try
-  std::uint64_t seed = 0;     ///< attempt_seed(base, index, attempt)
-};
-
-/// What an attempt reports back. Default-constructed = success.
+/// What a cell's run reports back. Default-constructed = success.
 struct AttemptOutcome {
   bool completed = true;
   std::string reason;  ///< on failure: a BudgetTrip name or "exception"
@@ -65,40 +40,24 @@ struct AttemptOutcome {
       HB_EFFECTS(alloc);
 };
 
-struct SupervisorConfig {
-  /// Base seed. Attempt 0 of every cell runs with exactly this value (the
-  /// attempt callback composes in the cell index however the experiment
-  /// already does), so healthy cells reproduce the unsupervised sweep
-  /// bit-for-bit; retries draw fresh seeds from attempt_seed().
-  std::uint64_t seed = 1;
-  RetryPolicy retry;
-  unsigned threads = 0;  ///< parallel_for worker count (0 = hardware)
-};
-
-/// Deterministic per-attempt seed: attempt 0 returns `base` unchanged;
-/// attempt k >= 1 mixes (base, cell, k) through splitmix64 so retry
-/// streams are independent of each other and of every first-try stream.
-std::uint64_t attempt_seed(std::uint64_t base, std::size_t cell,
-                           std::uint32_t attempt) HB_EFFECTS();
-
 /// Outcome of a supervised sweep: the quarantine manifest doubles as the
-/// completeness accounting (attempted / completed / quarantined / retries).
+/// completeness accounting (attempted / completed / quarantined).
 struct SupervisedReport {
   telemetry::QuarantineManifest manifest;
 
-  /// True when every cell completed (possibly after retries).
+  /// True when every cell completed.
   bool complete() const { return manifest.clean(); }
 };
 
-/// Run `attempt` for every cell index in [0, count) under `config`,
-/// retrying and quarantining as described above. `cell_name` labels
-/// quarantine records (e.g. "adversarial/rc3"); it is only called for
-/// quarantined cells. Exceptions escaping `attempt` count as failed
-/// attempts (reason "exception") rather than aborting the sweep.
+/// Run `attempt` once for every cell index in [0, count) on `threads`
+/// workers (0 = hardware), quarantining the cells that fail. `cell_name`
+/// labels quarantine records (e.g. "adversarial/rc3"); it is only called
+/// for quarantined cells. Exceptions escaping `attempt` fail the cell
+/// (reason "exception") rather than aborting the sweep.
 SupervisedReport supervised_for(
     std::size_t count,
-    const std::function<AttemptOutcome(const CellAttempt&)>& attempt,
-    const SupervisorConfig& config,
+    const std::function<AttemptOutcome(std::size_t)>& attempt,
+    unsigned threads,
     const std::function<std::string(std::size_t)>& cell_name);
 
 }  // namespace halfback::exp

@@ -30,6 +30,7 @@ SweepCell summarize(schemes::Scheme scheme, double utilization, const RunResult&
     return static_cast<double>(f.record.timeouts);
   });
   cell.mean_timeouts = timeouts.empty() ? 0.0 : timeouts.mean();
+  cell.audit_violations = run.audit_violations;
   return cell;
 }
 
@@ -96,6 +97,7 @@ std::vector<SweepCell> utilization_sweep(const UtilizationSweepConfig& config,
         out.mean_timeouts += in.mean_timeouts;
         out.flows += in.flows;
         out.unfinished += in.unfinished;
+        out.audit_violations += in.audit_violations;
       }
       out.mean_fct_ms /= reps;
       out.median_fct_ms /= reps;
@@ -165,6 +167,7 @@ std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
   // Baseline: short flows run TCP.
   const std::size_t u_count = config.utilizations.size();
   std::vector<double> base_short(u_count), base_long(u_count);
+  std::vector<std::uint64_t> base_violations(u_count);
   parallel_for(
       u_count,
       [&](std::size_t u) {
@@ -174,6 +177,7 @@ std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
         RunResult run = runner.run({shorts, longs});
         base_short[u] = run.mean_fct_ms(FlowRole::primary);
         base_long[u] = run.mean_fct_ms(FlowRole::background);
+        base_violations[u] = run.audit_violations;
       },
       config.threads);
 
@@ -204,6 +208,7 @@ std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
             base_short[job.u] > 0 ? cell.short_fct_ms / base_short[job.u] : 0.0;
         cell.long_fct_normalized =
             base_long[job.u] > 0 ? cell.long_fct_ms / base_long[job.u] : 0.0;
+        cell.audit_violations = run.audit_violations + base_violations[job.u];
         cells[i] = cell;
       },
       config.threads);
@@ -237,6 +242,7 @@ std::vector<FriendlinessPoint> friendliness_matrix(
 
   // Reference runs: all flows the same protocol.
   std::vector<double> tcp_reference(u_count);
+  std::vector<std::uint64_t> tcp_reference_violations(u_count);
   parallel_for(
       u_count,
       [&](std::size_t u) {
@@ -244,6 +250,7 @@ std::vector<FriendlinessPoint> friendliness_matrix(
         RunResult run = runner.run(
             {WorkloadPart{schemes::Scheme::tcp, schedules[u], FlowRole::primary, {}}});
         tcp_reference[u] = run.mean_fct_ms(FlowRole::primary);
+        tcp_reference_violations[u] = run.audit_violations;
       },
       config.threads);
 
@@ -289,6 +296,8 @@ std::vector<FriendlinessPoint> friendliness_matrix(
             tcp_reference[job.u] > 0 ? tcp_mixed / tcp_reference[job.u] : 0.0;
         p.scheme_fct_vs_reference =
             scheme_reference > 0 ? scheme_mixed / scheme_reference : 0.0;
+        p.audit_violations = ref_run.audit_violations + mixed.audit_violations +
+                             tcp_reference_violations[job.u];
         points[i] = p;
       },
       config.threads);
@@ -327,6 +336,7 @@ std::vector<FlowSizeCell> flow_size_sweep(const FlowSizeSweepConfig& config,
           cell.bin_center_kb = (static_cast<double>(bin) + 0.5) * config.bin_bytes.to_kb();
           cell.mean_fct_ms = summary.mean();
           cell.flows = summary.count();
+          cell.audit_violations = run.audit_violations;
           per_scheme[si].push_back(cell);
         }
       },

@@ -22,6 +22,8 @@ struct SweepCell {
   double mean_timeouts = 0.0;
   std::size_t flows = 0;
   std::size_t unfinished = 0;
+  /// Invariant violations summed over the cell's replications (0 = clean).
+  std::uint64_t audit_violations = 0;
 };
 
 /// Fig. 12 / Fig. 17: all-short-flow workload at each utilization, same
@@ -72,6 +74,9 @@ struct MixCell {
   /// Normalized by the same-utilization all-TCP baseline (1.0 = no change).
   double short_fct_normalized = 0.0;
   double long_fct_normalized = 0.0;
+  /// Invariant violations in the cell's run plus the all-TCP baseline it
+  /// is normalized by (0 = clean).
+  std::uint64_t audit_violations = 0;
 };
 
 std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
@@ -95,6 +100,9 @@ struct FriendlinessPoint {
   /// Jain fairness index over all flows' FCTs in the mixed run (1 = every
   /// flow fared equally, regardless of protocol).
   double fct_fairness = 0.0;
+  /// Invariant violations in the point's mixed and all-scheme runs plus
+  /// the all-TCP reference it is scaled by (0 = clean).
+  std::uint64_t audit_violations = 0;
 };
 
 std::vector<FriendlinessPoint> friendliness_matrix(
@@ -117,6 +125,8 @@ struct FlowSizeCell {
   double bin_center_kb = 0.0;  // lint: unit-ok(statistics edge: bin center in KB for the Fig. 11 axis)
   double mean_fct_ms = 0.0;    // lint: unit-ok(statistics edge: report column in ms)
   std::size_t flows = 0;
+  /// Invariant violations in the scheme's run this bin was cut from.
+  std::uint64_t audit_violations = 0;
 };
 
 std::vector<FlowSizeCell> flow_size_sweep(const FlowSizeSweepConfig& config,

@@ -1,6 +1,6 @@
 #include "exp/trace.h"
 
-#include <memory>
+#include <algorithm>
 
 #include "sim/timer.h"
 #include "telemetry/timeseries.h"
@@ -17,24 +17,16 @@ const char* to_string(TraceScenario scenario) {
   return "?";
 }
 
-std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenario) {
-  sim::Simulator simulator{config.seed};
-  net::Network network{simulator};
+TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
+  Rig rig{config.seed};
   net::DumbbellConfig dc = config.dumbbell;
   dc.sender_count = std::max(dc.sender_count, 3);
   dc.receiver_count = std::max(dc.receiver_count, 3);
-  net::Dumbbell dumbbell = net::build_dumbbell(network, dc);
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> server_agents;
-  std::vector<std::unique_ptr<transport::TransportAgent>> client_agents;
-  for (net::NodeId id : dumbbell.senders) {
-    server_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    client_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), dc);
+  // Agents 0..pairs-1 send, pairs..2*pairs-1 receive.
+  for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
+  for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
+  const std::size_t pairs = dumbbell.senders.size();
 
   schemes::SchemeContext context;
   context.sender_config = config.sender_config;
@@ -46,9 +38,9 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
     std::size_t pair = 0;
     telemetry::WindowSeries series;
     std::uint32_t seen_segments = 0;
-    transport::SenderBase* sender = nullptr;
+    std::size_t start = 0;  ///< Rig::start_at index
   };
-  std::vector<std::unique_ptr<Tracked>> tracked;
+  std::vector<Tracked> tracked;
   // Samples land in the bucket that just ended, so the last one recorded
   // before the horizon falls inside [0, duration).
   const auto buckets =
@@ -57,27 +49,13 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
   auto start_flow = [&](const std::string& label, schemes::Scheme scheme,
                         std::uint64_t bytes, std::size_t pair, sim::Time at,
                         std::uint32_t burst_window) {
-    auto t = std::make_unique<Tracked>(
-        Tracked{label, static_cast<net::FlowId>(tracked.size() + 1), pair,
-                telemetry::WindowSeries{label, config.bucket, buckets}, 0,
-                nullptr});
-    Tracked* raw = t.get();
-    tracked.push_back(std::move(t));
-    simulator.schedule_at(at, [&, raw, scheme, bytes, burst_window] {
-      std::unique_ptr<transport::SenderBase> sender;
-      if (burst_window > 0) {
-        // "Optimal": the whole flow leaves in one immediate burst (an ICW
-        // covering the flow), the best a sender-side scheme could do.
-        sender = schemes::make_optimal_sender(
-            context, simulator, network.node(dumbbell.senders[raw->pair]),
-            dumbbell.receivers[raw->pair], raw->flow, bytes, burst_window);
-      } else {
-        sender = schemes::make_sender(scheme, context, simulator,
-                                      network.node(dumbbell.senders[raw->pair]),
-                                      dumbbell.receivers[raw->pair], raw->flow, bytes);
-      }
-      raw->sender = &server_agents[raw->pair]->start_flow(std::move(sender));
-    });
+    const auto flow = static_cast<net::FlowId>(tracked.size() + 1);
+    const std::size_t start = rig.start_at(
+        at, rig.agent(pair), context,
+        FlowSpec{scheme, dumbbell.receivers[pair], flow, bytes, burst_window});
+    tracked.push_back(Tracked{label, flow, pair,
+                              telemetry::WindowSeries{label, config.bucket, buckets},
+                              0, start});
   };
 
   // Background TCP flow on pair 0 from t=0.
@@ -86,6 +64,8 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
 
   switch (scenario) {
     case TraceScenario::optimal:
+      // "Optimal": the whole flow leaves in one immediate burst (an ICW
+      // covering the flow), the best a sender-side scheme could do.
       start_flow("short-optimal", schemes::Scheme::tcp, config.short_bytes, 1,
                  config.short_start, /*burst_window=*/97);
       break;
@@ -106,19 +86,20 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
   }
 
   // Sample receiver progress every bucket, on one reusable timer.
+  sim::Simulator& simulator = rig.simulator();
   sim::Timer sampler;
   sampler.bind(simulator, [&] {
-    for (auto& t : tracked) {
-      transport::Receiver* r = client_agents[t->pair]->receiver(t->flow);
+    for (Tracked& t : tracked) {
+      transport::Receiver* r = rig.agent(pairs + t.pair).receiver(t.flow);
       if (r == nullptr) continue;
       const std::uint32_t now_segments = r->stats().unique_segments;
-      if (now_segments > t->seen_segments) {
+      if (now_segments > t.seen_segments) {
         const std::uint64_t bytes =
-            static_cast<std::uint64_t>(now_segments - t->seen_segments) *
+            static_cast<std::uint64_t>(now_segments - t.seen_segments) *
             net::kSegmentPayloadBytes;
         // Attribute to the bucket that just ended.
-        t->series.tally_bytes(simulator.now() - config.bucket, bytes);
-        t->seen_segments = now_segments;
+        t.series.tally_bytes(simulator.now() - config.bucket, bytes);
+        t.seen_segments = now_segments;
       }
     }
     if (simulator.now() < config.duration) {
@@ -129,22 +110,24 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
 
   simulator.run_until(config.duration);
 
+  TraceResult result;
+  rig.finish(result);
   const double bucket_seconds = config.bucket.to_seconds();
-  std::vector<FlowTrace> out;
-  for (auto& t : tracked) {
+  for (const Tracked& t : tracked) {
     FlowTrace ft;
-    ft.label = t->label;
-    for (std::size_t i = 0; i < t->series.window_count(); ++i) {
-      const double bytes = static_cast<double>(t->series.window(i).bytes);
+    ft.label = t.label;
+    for (std::size_t i = 0; i < t.series.window_count(); ++i) {
+      const double bytes = static_cast<double>(t.series.window(i).bytes);
       ft.throughput.push_back({config.bucket * static_cast<double>(i),
                                bytes * 8.0 / bucket_seconds / 1e6});
     }
-    if (t->sender != nullptr && t->sender->complete()) {
-      ft.completion = t->sender->record().completion_time;
+    const transport::SenderBase* sender = rig.started(t.start);
+    if (sender != nullptr && sender->complete()) {
+      ft.completion = sender->record().completion_time;
     }
-    out.push_back(std::move(ft));
+    result.flows.push_back(std::move(ft));
   }
-  return out;
+  return result;
 }
 
 }  // namespace halfback::exp

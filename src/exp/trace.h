@@ -5,7 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/emulab.h"
+#include "exp/rig.h"
+#include "net/topology.h"
 #include "sim/bytes.h"
 
 namespace halfback::exp {
@@ -46,6 +47,12 @@ struct FlowTrace {
   sim::Time completion;  ///< zero if the flow did not finish
 };
 
-std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenario);
+/// One Fig. 15 panel: the background flow's trace first, then the short
+/// flow(s) in start order.
+struct TraceResult : RunRecord {
+  std::vector<FlowTrace> flows;
+};
+
+TraceResult run_trace(const TraceConfig& config, TraceScenario scenario);
 
 }  // namespace halfback::exp

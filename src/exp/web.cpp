@@ -40,21 +40,12 @@ std::size_t WebRunOutcome::unfinished_pages() const {
 WebRunOutcome WebRunner::run(schemes::Scheme scheme,
                              const workload::WebsiteCatalog& catalog,
                              const std::vector<workload::WebRequest>& requests) {
-  sim::Simulator simulator{config_.seed};
-  net::Network network{simulator};
-  net::Dumbbell dumbbell = net::build_dumbbell(network, config_.dumbbell);
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> server_agents;
-  std::vector<std::unique_ptr<transport::TransportAgent>> client_agents;
-  for (net::NodeId id : dumbbell.senders) {
-    server_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    client_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  const std::size_t pair_count = server_agents.size();
+  Rig rig{config_.seed};
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), config_.dumbbell);
+  // Agents 0..pair_count-1 are the servers; the clients follow.
+  for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
+  for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
+  const std::size_t pair_count = dumbbell.senders.size();
 
   schemes::SchemeContext context;
   context.sender_config = config_.sender_config;
@@ -68,16 +59,12 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
   std::function<void(PageState&)> launch_next = [&](PageState& state) {
     if (state.next_object >= state.page->object_bytes.size()) return;
     const std::uint64_t bytes = state.page->object_bytes[state.next_object++];
-    const net::FlowId flow = next_flow++;
-    auto sender = schemes::make_sender(
-        scheme, context, simulator, network.node(dumbbell.senders[state.pair]),
-        dumbbell.receivers[state.pair], flow, bytes);
-    (void)bytes;
-    server_agents[state.pair]->start_flow(
-        std::move(sender),
-        transport::SenderBase::CompletionRef{state.on_flow_complete});
+    rig.start(rig.agent(state.pair), context,
+              FlowSpec{scheme, dumbbell.receivers[state.pair], next_flow++, bytes},
+              transport::SenderBase::CompletionRef{state.on_flow_complete});
   };
 
+  sim::Simulator& simulator = rig.simulator();
   auto on_object_complete = [&](PageState& state) {
     ++state.completed_objects;
     if (state.completed_objects == state.page->object_bytes.size()) {
@@ -112,24 +99,27 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
     };
     pages.push_back(std::move(state));
     // Browser behaviour: the HTML document is fetched first on a single
-    // connection; the subresource lanes open once it arrives.
+    // connection; the subresource lanes open once it arrives. Flow ids are
+    // assigned as objects start, so the request is a plain event rather
+    // than a Rig::start_at.
     simulator.schedule_at(req.at, [&, raw] { launch_next(*raw); });
   }
 
   simulator.run_until(last_request + config_.drain);
 
   WebRunOutcome outcome;
+  rig.finish(outcome);
   outcome.pages.reserve(pages.size());
   for (const auto& page : pages) {
     PageResult r = page->result;
-    if (!r.finished) r.completed = simulator.now();  // censored
+    if (!r.finished) r.completed = outcome.sim_end;  // censored
     outcome.pages.push_back(r);
   }
 
   double fct = 0, timeouts = 0, normal = 0, proactive = 0;
   std::size_t flows = 0;
-  for (const auto& agent : server_agents) {
-    for (const transport::FlowRecord& record : agent->completed()) {
+  for (std::size_t server = 0; server < pair_count; ++server) {
+    for (const transport::FlowRecord& record : rig.agent(server).completed()) {
       ++flows;
       fct += record.fct().to_ms();
       timeouts += record.timeouts;

@@ -5,7 +5,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "exp/emulab.h"
+#include "exp/rig.h"
+#include "net/topology.h"
 #include "workload/web.h"
 
 namespace halfback::exp {
@@ -31,7 +32,7 @@ struct WebFlowStats {
 };
 
 /// Outcome of one web run: per-page results plus object-flow aggregates.
-struct WebRunOutcome {
+struct WebRunOutcome : RunRecord {
   std::vector<PageResult> pages;
   WebFlowStats flow_stats;
 

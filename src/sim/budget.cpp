@@ -46,7 +46,6 @@ std::string_view to_string(BudgetTrip trip) {
     case BudgetTrip::event_count: return "event_count";
     case BudgetTrip::sim_horizon: return "sim_horizon";
     case BudgetTrip::storm: return "storm";
-    case BudgetTrip::wall_clock: return "wall_clock";
   }
   return "?";
 }
@@ -121,36 +120,6 @@ void BudgetEnforcer::record_trip(BudgetTrip trip, const Simulator& simulator) {
   for (auto& [name, count] : ranked) {
     report_.top_pending.push_back({std::move(name), count});
   }
-}
-
-WallClockWatchdog::WallClockWatchdog(Simulator& simulator,
-                                     std::chrono::milliseconds limit)
-    : simulator_{simulator},
-      thread_{[this, limit] { watch(limit); }} {}
-
-WallClockWatchdog::~WallClockWatchdog() { disarm(); }
-
-void WallClockWatchdog::disarm() {
-  {
-    std::lock_guard<std::mutex> hold{mu_};
-    disarmed_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-bool WallClockWatchdog::fired() const {
-  std::lock_guard<std::mutex> hold{mu_};
-  return fired_;
-}
-
-void WallClockWatchdog::watch(std::chrono::milliseconds limit) {
-  std::unique_lock<std::mutex> hold{mu_};
-  if (cv_.wait_for(hold, limit, [this] { return disarmed_; })) {
-    return;  // disarmed in time: the run finished on its own
-  }
-  fired_ = true;
-  simulator_.request_abort();
 }
 
 }  // namespace halfback::sim

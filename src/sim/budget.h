@@ -12,19 +12,11 @@
 // Determinism contract: the event-count, sim-horizon, and storm checks are
 // pure functions of the event stream, so a budgeted run either completes
 // bit-identically to the unbudgeted run or aborts at the same event on
-// every replay. The wall-clock watchdog is the one deliberately
-// non-deterministic piece: it can only request an abort (recorded as
-// BudgetTrip::wall_clock), never alter a completed run's results, so
-// fault-free golden trace hashes stay bit-identical whether or not a
-// watchdog was armed.
+// every replay.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/annotations.h"
@@ -68,7 +60,6 @@ enum class BudgetTrip : std::uint8_t {
   event_count,  ///< RunBudget::max_events exhausted
   sim_horizon,  ///< next event past RunBudget::max_sim_time
   storm,        ///< dispatch rate over RunBudget::storm_events_per_sim_second
-  wall_clock,   ///< WallClockWatchdog (or other abort request) fired
 };
 
 std::string_view to_string(BudgetTrip trip);
@@ -102,8 +93,7 @@ struct BudgetReport {
 
 /// Budget checks for one Simulator run. Install with
 /// Simulator::set_budget(); the simulator consults before_dispatch() ahead
-/// of every event and calls record_trip() when a check (or an external
-/// abort request) fires.
+/// of every event and calls record_trip() when a check fires.
 ///
 /// The per-event path is the two inline compares in before_dispatch();
 /// everything that allocates (the census, the report) runs only at the
@@ -165,45 +155,6 @@ class BudgetEnforcer {
   std::uint64_t window_events_ = 0;
   Time window_start_;
   Time last_window_span_;
-};
-
-/// Wall-clock safety net for a run that the deterministic budgets missed.
-///
-/// Arms a watcher thread that, after `limit` of real time, asks the
-/// simulator to abort (Simulator::request_abort()); the budgeted dispatch
-/// loop notices the request at the next event boundary and stops with
-/// BudgetTrip::wall_clock. The watchdog can only abort — it never touches
-/// simulator state directly — so a run that completes before the limit is
-/// bit-identical to an unwatched run.
-///
-/// disarm() (also run by the destructor) wakes the watcher and joins it;
-/// after disarm() returns, fired() is stable.
-class WallClockWatchdog {
- public:
-  WallClockWatchdog(Simulator& simulator, std::chrono::milliseconds limit);
-  ~WallClockWatchdog();
-  WallClockWatchdog(const WallClockWatchdog&) = delete;
-  WallClockWatchdog& operator=(const WallClockWatchdog&) = delete;
-
-  /// Stop the watcher (idempotent). Blocks until the thread joins.
-  void disarm() HB_EFFECTS(block);
-
-  /// True if the limit elapsed and an abort was requested.
-  bool fired() const HB_EFFECTS(block);
-
- private:
-  void watch(std::chrono::milliseconds limit) HB_EFFECTS(block);
-
-  Simulator& simulator_;
-  // std::condition_variable requires the raw std::mutex, which carries no
-  // capability attribute (see annotations.h), so the guard relation is
-  // stated here instead of via HB_GUARDED_BY: disarmed_ and fired_ are
-  // read/written only under mu_.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  bool fired_ = false;
-  std::thread thread_;
 };
 
 }  // namespace halfback::sim

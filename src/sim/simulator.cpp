@@ -69,11 +69,6 @@ void Simulator::dispatch(Time deadline) {
       if (next > deadline) break;
     }
     if constexpr ((kMask & kBudget) != 0) {
-      if (abort_requested_.load(std::memory_order_relaxed)) {
-        budget_->record_trip(BudgetTrip::wall_clock, *this);
-        stopped_ = true;
-        break;
-      }
       const BudgetTrip trip = budget_->before_dispatch(next, events_executed_);
       if (trip != BudgetTrip::none) {
         budget_->record_trip(trip, *this);

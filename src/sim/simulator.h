@@ -1,7 +1,6 @@
 // The simulation driver: owns virtual time and the event queue.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -138,16 +137,6 @@ class Simulator {
   void set_profiler(DispatchProfiler* profiler) { profiler_ = profiler; }
   DispatchProfiler* profiler() const { return profiler_; }
 
-  /// Ask the run to abort at the next event boundary (recorded as
-  /// BudgetTrip::wall_clock when a budget enforcer is installed). The one
-  /// cross-thread entry point: safe to call from a watchdog thread while
-  /// the run executes. Without an enforcer the request is ignored: only
-  /// the budgeted loop polls the flag.
-  void request_abort() { abort_requested_ = true; }
-  bool abort_requested() const {
-    return abort_requested_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Run the loop instantiation for the feature mask `features` (see
   /// simulator.cpp) plus the bits of the installed observers: run() and
@@ -169,7 +158,6 @@ class Simulator {
   telemetry::Hub* telemetry_ = nullptr;
   BudgetEnforcer* budget_ = nullptr;
   DispatchProfiler* profiler_ = nullptr;
-  std::atomic<bool> abort_requested_{false};
 };
 
 }  // namespace halfback::sim

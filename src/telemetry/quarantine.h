@@ -1,12 +1,12 @@
 // Quarantine manifest: the deterministic record of which cells of a
-// supervised sweep failed their budgets, how hard the supervisor tried,
-// and what the surviving aggregate actually covers.
+// supervised sweep failed their budgets and what the surviving aggregate
+// actually covers.
 //
 // A supervised sweep (exp::supervised_for) degrades gracefully: cells that
-// exhaust their retry budget are quarantined, the rest aggregate as usual,
-// and this manifest is the accounting that makes the partial result honest
-// — N attempted / N completed / N quarantined, plus one record per
-// quarantined cell naming the tripped budget. The manifest is a pure
+// fail are quarantined, the rest aggregate as usual, and this manifest is
+// the accounting that makes the partial result honest — N attempted / N
+// completed / N quarantined, plus one record per quarantined cell naming
+// the tripped budget. The manifest is a pure
 // function of (seed, budgets, cell set): same inputs give byte-identical
 // JSON regardless of worker count, so it can be diffed and golden-tested
 // like every other artifact in this repo.
@@ -26,7 +26,6 @@ namespace halfback::telemetry {
 struct QuarantineRecord {
   std::uint64_t cell_index = 0;  ///< position in the sweep's cell order
   std::string cell;              ///< human name, e.g. "adversarial/rc3"
-  std::uint32_t attempts = 0;    ///< attempts consumed (1 + retries)
   std::string reason;            ///< BudgetTrip name or "exception"
   std::uint64_t events_at_trip = 0;
   sim::Time sim_time_at_trip;
@@ -37,8 +36,7 @@ struct QuarantineRecord {
 struct QuarantineManifest {
   std::uint64_t attempted = 0;    ///< cells the sweep tried
   std::uint64_t completed = 0;    ///< cells with usable results
-  std::uint64_t quarantined = 0;  ///< cells that exhausted retries
-  std::uint64_t retries = 0;      ///< extra attempts across all cells
+  std::uint64_t quarantined = 0;  ///< cells that failed
   std::vector<QuarantineRecord> records;  ///< quarantined cells, index order
 
   bool clean() const { return quarantined == 0; }

@@ -11,10 +11,16 @@
 // not pure.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "exp/emulab.h"
+#include "exp/homenet.h"
 #include "exp/planetlab.h"
+#include "exp/trace.h"
+#include "exp/web.h"
 #include "schemes/scheme.h"
 #include "workload/flow_schedule.h"
+#include "workload/web.h"
 
 namespace halfback::exp {
 namespace {
@@ -24,6 +30,21 @@ constexpr std::uint64_t kGoldenPlanetLabTcp = 0xe6e86e6f4b6fd07dULL;
 constexpr std::uint64_t kGoldenPlanetLabHalfback = 0xc1ea3c0a33978304ULL;
 constexpr std::uint64_t kGoldenPlanetLabRc3 = 0xa9ca10dd2bef1ccaULL;
 constexpr std::uint64_t kGoldenEmulabHalfback = 0xf36e16201b236f8aULL;
+
+// Captured when run_trace, WebRunner and HomeNetEnv moved onto exp::Rig.
+// The trace and web drivers ran unaudited before; the previous tree with
+// an auditor added to both gives these same hashes. HomeNet's watched flow
+// now starts on a t=0 event, as PlanetLab's does, which moved its hashes
+// but no FCT.
+constexpr std::array<std::uint64_t, 4> kGoldenTrace{
+    0x377baaf71cfab0aeULL,   // optimal
+    0xfdc00bfc6cee98d8ULL,   // halfback
+    0xfe30a0c5b91a1fd6ULL,   // single-tcp
+    0xe282b2dae3a7a9e3ULL};  // two-tcp-halves
+constexpr std::uint64_t kGoldenWebHalfback = 0x6625da7839adf16fULL;
+constexpr std::array<std::uint64_t, 4> kGoldenHomeNetWifiHalfback{
+    0x06b74e486a9c5b8bULL, 0xacfcb23011596f8fULL, 0x6d85aa64614d962dULL,
+    0x237e328dd73ba11cULL};
 
 PlanetLabEnv golden_env() {
   PlanetLabConfig config;
@@ -68,6 +89,50 @@ TEST(RefactorStability, EmulabTraceHashMatchesSeedGolden) {
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.flows.size(), 6u);
   EXPECT_EQ(run.trace_hash, kGoldenEmulabHalfback);
+}
+
+TEST(RefactorStability, TraceHashesMatchGolden) {
+  const std::array<TraceScenario, 4> scenarios{
+      TraceScenario::optimal, TraceScenario::halfback, TraceScenario::single_tcp,
+      TraceScenario::two_tcp_halves};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    SCOPED_TRACE(to_string(scenarios[i]));
+    const TraceResult run = run_trace(TraceConfig{}, scenarios[i]);
+    EXPECT_EQ(run.audit_violations, 0u);
+    EXPECT_EQ(run.trace_hash, kGoldenTrace[i]);
+  }
+}
+
+TEST(RefactorStability, WebTraceHashMatchesGolden) {
+  workload::WebCatalogConfig cc;
+  cc.site_count = 6;
+  const workload::WebsiteCatalog catalog{cc, sim::Random{9}};
+  std::vector<workload::WebRequest> requests;
+  for (std::size_t i = 0; i < 4; ++i) {
+    requests.push_back({sim::Time::seconds(1.5 * static_cast<double>(i)), i});
+  }
+  WebRunner::Config config;
+  config.seed = 3;
+  const WebRunOutcome run =
+      WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests);
+  EXPECT_EQ(run.audit_violations, 0u);
+  EXPECT_EQ(run.unfinished_pages(), 0u);
+  EXPECT_EQ(run.trace_hash, kGoldenWebHalfback);
+}
+
+TEST(RefactorStability, HomeNetWifiTraceHashesMatchGolden) {
+  // The four trials of HomeNetEnvTest.EveryTrialIsAuditedAndReproducesItsHash.
+  HomeNetConfig config;
+  config.server_count = 4;
+  config.threads = 2;
+  const auto trials =
+      HomeNetEnv{config}.run(schemes::Scheme::halfback, home_profiles()[2]);
+  ASSERT_EQ(trials.size(), kGoldenHomeNetWifiHalfback.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(trials[i].audit_violations, 0u);
+    EXPECT_EQ(trials[i].trace_hash, kGoldenHomeNetWifiHalfback[i]);
+  }
 }
 
 }  // namespace

@@ -50,12 +50,11 @@ TEST(ParseOptions, PercentilesDefaultOff) {
 TEST(ParseOptions, ParsesSupervisionFlags) {
   const Options opt =
       parse({"--allow-quarantine", "--budget-events=5000", "--storm-window=250",
-             "--storm-rate=1e6", "--cell-attempts=3", "--quarantine=/tmp/q.json"});
+             "--storm-rate=1e6", "--quarantine=/tmp/q.json"});
   EXPECT_TRUE(opt.allow_quarantine);
   EXPECT_EQ(opt.budget_events, 5000u);
   EXPECT_EQ(opt.storm_window, 250u);
   EXPECT_DOUBLE_EQ(opt.storm_rate, 1e6);
-  EXPECT_EQ(opt.cell_attempts, 3u);
   EXPECT_EQ(opt.quarantine_path, "/tmp/q.json");
 }
 
@@ -65,7 +64,6 @@ TEST(ParseOptions, SupervisionDefaultsAreOff) {
   EXPECT_EQ(opt.budget_events, 0u);
   EXPECT_EQ(opt.storm_window, 0u);
   EXPECT_DOUBLE_EQ(opt.storm_rate, 0.0);
-  EXPECT_EQ(opt.cell_attempts, 0u);
   EXPECT_TRUE(opt.quarantine_path.empty());
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "exp/censor.h"
+#include "exp/emulab.h"
 #include "exp/homenet.h"
 #include "exp/planetlab.h"
 #include "exp/trace.h"
@@ -238,7 +239,7 @@ TEST(WebRunnerTest, HalfbackPagesFasterThanTcp) {
 
 TEST(TraceTest, BackgroundFlowDipsAndRecovers) {
   TraceConfig config;
-  auto traces = run_trace(config, TraceScenario::halfback);
+  auto traces = run_trace(config, TraceScenario::halfback).flows;
   ASSERT_EQ(traces.size(), 2u);
   const FlowTrace& bg = traces[0];
   // Background reaches near-full rate before the short flow starts...
@@ -266,12 +267,73 @@ TEST(TraceTest, AllScenariosProduceShortFlows) {
        {TraceScenario::optimal, TraceScenario::halfback, TraceScenario::single_tcp,
         TraceScenario::two_tcp_halves}) {
     TraceConfig config;
-    auto traces = run_trace(config, scenario);
+    auto traces = run_trace(config, scenario).flows;
     const std::size_t expected = scenario == TraceScenario::two_tcp_halves ? 3u : 2u;
     EXPECT_EQ(traces.size(), expected) << to_string(scenario);
     for (std::size_t i = 1; i < traces.size(); ++i) {
       EXPECT_GT(traces[i].completion, sim::Time::zero()) << to_string(scenario);
     }
+  }
+}
+
+TEST(RunRigTest, EveryDriverIsAuditedAndReproducesItsHash) {
+  // Every driver builds its runs on exp::Rig, so each reports the same
+  // audited record: a nonzero trace hash, no invariant violations, and the
+  // same hash again on a same-seed rerun.
+  const auto expect_audited = [](const char* driver, const RunRecord& first,
+                                 const RunRecord& again) {
+    SCOPED_TRACE(driver);
+    EXPECT_NE(first.trace_hash, 0u);
+    EXPECT_EQ(first.audit_violations, 0u);
+    EXPECT_GT(first.events_executed, 0u);
+    EXPECT_EQ(again.trace_hash, first.trace_hash);
+  };
+
+  {
+    EmulabRunner::Config config;
+    config.dumbbell.sender_count = 2;
+    config.dumbbell.receiver_count = 2;
+    config.drain = sim::Time::seconds(10);
+    WorkloadPart part;
+    part.scheme = schemes::Scheme::halfback;
+    for (int i = 0; i < 3; ++i) {
+      part.schedule.push_back({sim::Time::milliseconds(100.0 * i), 100'000});
+    }
+    expect_audited("EmulabRunner", EmulabRunner{config}.run({part}),
+                   EmulabRunner{config}.run({part}));
+  }
+  {
+    PlanetLabConfig config;
+    config.pair_count = 2;
+    const PlanetLabEnv env{config};
+    expect_audited("PlanetLab trial",
+                   env.run_one(schemes::Scheme::halfback, env.paths()[0], 11),
+                   env.run_one(schemes::Scheme::halfback, env.paths()[0], 11));
+  }
+  {
+    HomeNetConfig config;
+    config.server_count = 1;
+    const HomeNetProfile& wifi = home_profiles()[2];
+    expect_audited("HomeNet", HomeNetEnv{config}.run(schemes::Scheme::tcp, wifi)[0],
+                   HomeNetEnv{config}.run(schemes::Scheme::tcp, wifi)[0]);
+  }
+  {
+    TraceConfig config;
+    config.duration = sim::Time::seconds(2);
+    expect_audited("run_trace", run_trace(config, TraceScenario::halfback),
+                   run_trace(config, TraceScenario::halfback));
+  }
+  {
+    workload::WebCatalogConfig cc;
+    cc.site_count = 3;
+    workload::WebsiteCatalog catalog{cc, sim::Random{5}};
+    const std::vector<workload::WebRequest> requests{{sim::Time::zero(), 0},
+                                                     {sim::Time::seconds(1), 1}};
+    WebRunner::Config config;
+    config.drain = sim::Time::seconds(10);
+    expect_audited("WebRunner",
+                   WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests),
+                   WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests));
   }
 }
 

@@ -1,12 +1,11 @@
-// The supervised executor (exp/supervisor.h): deterministic attempt seeds,
-// bounded retry, quarantine records, and a manifest whose bytes never
-// depend on worker count.
+// The supervised executor (exp/supervisor.h): one run per cell,
+// quarantine records, and a manifest whose bytes never depend on worker
+// count.
 #include "exp/supervisor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,54 +15,32 @@
 namespace halfback::exp {
 namespace {
 
-TEST(AttemptSeedTest, FirstAttemptIsTheBaseSeedUnchanged) {
-  // The healthy-path contract: a supervised sweep whose cells all succeed
-  // on attempt 0 must see exactly the seeds an unsupervised sweep would.
-  EXPECT_EQ(attempt_seed(1, 0, 0), 1u);
-  EXPECT_EQ(attempt_seed(42, 17, 0), 42u);
-  EXPECT_EQ(attempt_seed(0xdeadbeef, 999, 0), 0xdeadbeefu);
-}
-
-TEST(AttemptSeedTest, RetrySeedsAreDistinctAcrossCellsAndAttempts) {
-  std::set<std::uint64_t> seeds;
-  for (std::size_t cell = 0; cell < 16; ++cell) {
-    for (std::uint32_t attempt = 1; attempt <= 4; ++attempt) {
-      seeds.insert(attempt_seed(1, cell, attempt));
-    }
-  }
-  EXPECT_EQ(seeds.size(), 16u * 4u);  // no collisions in this small grid
-  EXPECT_EQ(seeds.count(1u), 0u);     // and none equals the base seed
-}
-
 TEST(SupervisorTest, HealthyCellsRunOnceAndTheManifestIsClean) {
-  std::vector<std::uint64_t> seeds(8, 0);
-  SupervisorConfig config;
-  config.seed = 99;
+  std::vector<int> runs(8, 0);
   const SupervisedReport report = supervised_for(
       8,
-      [&](const CellAttempt& id) {
-        seeds[id.index] = id.seed;
+      [&](std::size_t i) {
+        ++runs[i];
         return AttemptOutcome{};
       },
-      config, nullptr);
+      0, nullptr);
 
   EXPECT_TRUE(report.complete());
   EXPECT_EQ(report.manifest.attempted, 8u);
   EXPECT_EQ(report.manifest.completed, 8u);
   EXPECT_EQ(report.manifest.quarantined, 0u);
-  EXPECT_EQ(report.manifest.retries, 0u);
   EXPECT_TRUE(report.manifest.records.empty());
-  for (std::uint64_t seed : seeds) EXPECT_EQ(seed, 99u);
+  for (int count : runs) EXPECT_EQ(count, 1);
 }
 
 TEST(SupervisorTest, AFailingCellExhaustsItsAttemptsAndIsQuarantined) {
-  SupervisorConfig config;
-  config.retry.max_attempts = 3;
+  std::atomic<int> calls{0};
   const SupervisedReport report = supervised_for(
       5,
-      [&](const CellAttempt& id) {
+      [&](std::size_t i) {
+        ++calls;
         AttemptOutcome outcome;
-        if (id.index == 3) {
+        if (i == 3) {
           outcome.completed = false;
           outcome.reason = "event_count";
           outcome.detail = "synthetic storm";
@@ -71,59 +48,30 @@ TEST(SupervisorTest, AFailingCellExhaustsItsAttemptsAndIsQuarantined) {
         }
         return outcome;
       },
-      config, [](std::size_t i) { return "cell-" + std::to_string(i); });
+      0, [](std::size_t i) { return "cell-" + std::to_string(i); });
 
+  EXPECT_EQ(calls.load(), 5);  // the failing cell is not run again
   EXPECT_FALSE(report.complete());
   EXPECT_EQ(report.manifest.attempted, 5u);
   EXPECT_EQ(report.manifest.completed, 4u);
   EXPECT_EQ(report.manifest.quarantined, 1u);
-  EXPECT_EQ(report.manifest.retries, 2u);  // cell 3 retried twice
   ASSERT_EQ(report.manifest.records.size(), 1u);
   const telemetry::QuarantineRecord& record = report.manifest.records.front();
   EXPECT_EQ(record.cell_index, 3u);
   EXPECT_EQ(record.cell, "cell-3");
-  EXPECT_EQ(record.attempts, 3u);
   EXPECT_EQ(record.reason, "event_count");
   EXPECT_EQ(record.detail, "synthetic storm");
   EXPECT_EQ(record.events_at_trip, 12345u);
 }
 
-TEST(SupervisorTest, ARetryWithAFreshSeedCanRescueACell) {
-  SupervisorConfig config;
-  config.seed = 7;
-  config.retry.max_attempts = 2;
-  std::vector<std::uint64_t> attempt1_seeds(4, 0);
-  const SupervisedReport report = supervised_for(
-      4,
-      [&](const CellAttempt& id) {
-        AttemptOutcome outcome;
-        if (id.index == 2 && id.attempt == 0) {
-          outcome.completed = false;
-          outcome.reason = "storm";
-        }
-        if (id.attempt == 1) attempt1_seeds[id.index] = id.seed;
-        return outcome;
-      },
-      config, nullptr);
-
-  EXPECT_TRUE(report.complete());
-  EXPECT_EQ(report.manifest.completed, 4u);
-  EXPECT_EQ(report.manifest.quarantined, 0u);
-  EXPECT_EQ(report.manifest.retries, 1u);
-  // Only the rescued cell ran a second attempt, with its derived seed.
-  EXPECT_EQ(attempt1_seeds[2], attempt_seed(7, 2, 1));
-  for (std::size_t i : {0u, 1u, 3u}) EXPECT_EQ(attempt1_seeds[i], 0u);
-}
-
 TEST(SupervisorTest, ExceptionsAreQuarantinedNotPropagated) {
-  SupervisorConfig config;
   const SupervisedReport report = supervised_for(
       3,
-      [&](const CellAttempt& id) -> AttemptOutcome {
-        if (id.index == 1) throw std::runtime_error{"worker blew up"};
+      [&](std::size_t i) -> AttemptOutcome {
+        if (i == 1) throw std::runtime_error{"worker blew up"};
         return AttemptOutcome{};
       },
-      config, nullptr);
+      0, nullptr);
 
   EXPECT_EQ(report.manifest.quarantined, 1u);
   ASSERT_EQ(report.manifest.records.size(), 1u);
@@ -136,23 +84,19 @@ TEST(SupervisorTest, ManifestBytesAreIndependentOfWorkerCount) {
   // the two sweeps. The manifest must be byte-identical — the compaction
   // happens in index order on the calling thread.
   const auto run = [](unsigned threads) {
-    SupervisorConfig config;
-    config.seed = 5;
-    config.threads = threads;
-    config.retry.max_attempts = 2;
     return supervised_for(
         12,
-        [](const CellAttempt& id) {
+        [](std::size_t i) {
           AttemptOutcome outcome;
-          if (id.index % 3 == 0) {
+          if (i % 3 == 0) {
             outcome.completed = false;
             outcome.reason = "storm";
-            outcome.detail = "cell " + std::to_string(id.index);
-            outcome.events_at_trip = 1000 + id.index;
+            outcome.detail = "cell " + std::to_string(i);
+            outcome.events_at_trip = 1000 + i;
           }
           return outcome;
         },
-        config, [](std::size_t i) { return "c" + std::to_string(i); });
+        threads, [](std::size_t i) { return "c" + std::to_string(i); });
   };
 
   const SupervisedReport serial = run(1);
@@ -160,26 +104,6 @@ TEST(SupervisorTest, ManifestBytesAreIndependentOfWorkerCount) {
   EXPECT_EQ(telemetry::quarantine_json(serial.manifest),
             telemetry::quarantine_json(wide.manifest));
   EXPECT_EQ(serial.manifest.quarantined, 4u);  // cells 0, 3, 6, 9
-  EXPECT_EQ(serial.manifest.retries, 4u);      // each failed cell retried once
-}
-
-TEST(SupervisorTest, ZeroMaxAttemptsIsTreatedAsOne) {
-  SupervisorConfig config;
-  config.retry.max_attempts = 0;
-  std::atomic<int> calls{0};
-  const SupervisedReport report = supervised_for(
-      2,
-      [&](const CellAttempt&) {
-        ++calls;
-        AttemptOutcome outcome;
-        outcome.completed = false;
-        outcome.reason = "storm";
-        return outcome;
-      },
-      config, nullptr);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(report.manifest.quarantined, 2u);
-  EXPECT_EQ(report.manifest.retries, 0u);
 }
 
 }  // namespace

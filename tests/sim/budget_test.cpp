@@ -1,13 +1,11 @@
-// Run budgets and the wall-clock watchdog (sim/budget.h).
+// Run budgets (sim/budget.h).
 //
 // The deterministic checks (event count, sim horizon, storm detector) must
-// trip at the same event on every replay and leave a structured report; the
-// watchdog may only abort, never alter a completed run's results.
+// trip at the same event on every replay and leave a structured report.
 #include "sim/budget.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <functional>
 
 #include "sim/simulator.h"
@@ -141,70 +139,6 @@ TEST(BudgetTest, RunUntilUnderBudgetStillHonorsTheDeadline) {
   EXPECT_FALSE(enforcer.tripped());
   EXPECT_EQ(simulator.now(), Time::milliseconds(50));
   EXPECT_EQ(simulator.events_executed(), 50u);
-}
-
-TEST(WatchdogTest, FiresAndAbortsARunawayRun) {
-  Simulator simulator{1};
-  TickLoop loop{simulator, Time::nanoseconds(1)};
-  loop.start();
-
-  // No deterministic limit would catch this chain before the heat death of
-  // the test: only the watchdog's abort request ends the run.
-  BudgetEnforcer enforcer{RunBudget{}};
-  simulator.set_budget(&enforcer);
-  WallClockWatchdog watchdog{simulator, std::chrono::milliseconds(20)};
-  simulator.run();
-  watchdog.disarm();
-
-  EXPECT_TRUE(watchdog.fired());
-  ASSERT_TRUE(enforcer.tripped());
-  EXPECT_EQ(enforcer.report().tripped, BudgetTrip::wall_clock);
-  EXPECT_GT(simulator.events_executed(), 0u);
-}
-
-TEST(WatchdogTest, ACompletedRunIsUntouchedByTheWatchdog) {
-  // The tick chain fires during run(), long after setup returns, so its
-  // state lives in a struct scoped to the test, not in lambda locals.
-  struct BoundedTicks {
-    Simulator& simulator;
-    int remaining;
-    std::function<void()> tick;
-    BoundedTicks(Simulator& s, int count) : simulator{s}, remaining{count} {
-      tick = [this] {
-        if (--remaining > 0) simulator.schedule(Time::milliseconds(1), tick);
-      };
-      simulator.schedule(Time::milliseconds(1), tick);
-    }
-  };
-
-  Simulator plain{3};
-  BoundedTicks plain_loop{plain, 200};
-  plain.run();
-
-  Simulator watched{3};
-  BudgetEnforcer enforcer{RunBudget{}};
-  watched.set_budget(&enforcer);
-  BoundedTicks watched_loop{watched, 200};
-  {
-    WallClockWatchdog watchdog{watched, std::chrono::seconds(600)};
-    watched.run();
-    watchdog.disarm();
-    EXPECT_FALSE(watchdog.fired());
-  }
-
-  EXPECT_FALSE(enforcer.tripped());
-  EXPECT_EQ(watched.events_executed(), plain.events_executed());
-  EXPECT_EQ(watched.now(), plain.now());
-}
-
-TEST(WatchdogTest, DisarmIsIdempotentAndTheDestructorDisarms) {
-  Simulator simulator{1};
-  WallClockWatchdog watchdog{simulator, std::chrono::seconds(600)};
-  watchdog.disarm();
-  watchdog.disarm();
-  EXPECT_FALSE(watchdog.fired());
-  EXPECT_FALSE(simulator.abort_requested());
-  // Destructor runs disarm() again on scope exit — must not throw or hang.
 }
 
 }  // namespace

@@ -157,8 +157,8 @@ TEST(ShapeValidation, Fig14HalfbackIsTcpFriendly) {
 
 TEST(ShapeValidation, Fig15HalfbackShortFlowFinishesFastest) {
   exp::TraceConfig config;
-  auto halfback = exp::run_trace(config, exp::TraceScenario::halfback);
-  auto tcp = exp::run_trace(config, exp::TraceScenario::single_tcp);
+  auto halfback = exp::run_trace(config, exp::TraceScenario::halfback).flows;
+  auto tcp = exp::run_trace(config, exp::TraceScenario::single_tcp).flows;
   ASSERT_GT(halfback[1].completion, sim::Time::zero());
   ASSERT_GT(tcp[1].completion, sim::Time::zero());
   EXPECT_LT(halfback[1].completion, tcp[1].completion);
