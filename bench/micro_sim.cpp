@@ -218,12 +218,18 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Event-engine throughput on the steady-state hot path: a population of
-/// recurring timers, each re-arming itself from its own callback — the
-/// access pattern of retransmission timers, pacers, delayed ACKs, and link
-/// clocks, which is what dominates real runs. (The seed measured the same
-/// workload through its std::function re-schedule chains, the only API it
-/// had; BENCH_micro_sim.json records that number as the baseline.) Returns
+/// Event-engine throughput through the heap: a population of 512 recurring
+/// timers, each re-arming itself 1-97 us ahead from its own callback — the
+/// access pattern of retransmission timers, pacers and delayed ACKs. Every
+/// deadline here is a whole microsecond and hundreds are pending, so a
+/// re-arm is almost never strictly earlier than everything pending: nearly
+/// every event takes the heap path and the queue's front slot stays empty.
+/// Real runs are the other way round: on the perfbench workloads 55-73% of
+/// schedules are earlier than everything pending (a serialization-done, a
+/// packet's next hop) and skip the heap, which is the pattern
+/// measure_packets_per_sec exercises. (The seed measured this workload
+/// through its std::function re-schedule chains, the only API it had;
+/// BENCH_micro_sim.json records that number as the baseline.) Returns
 /// timer fires/second of wall time (best of `reps` to damp scheduler
 /// noise).
 double measure_events_per_sec(int reps, telemetry::Hub* hub = nullptr,

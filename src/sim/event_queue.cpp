@@ -89,17 +89,42 @@ void EventQueue::sift_down(std::size_t i) {
   place(i, s);
 }
 
-Event* EventQueue::pop_root() {
-  Event* root = heap_.front().event;
-  root->heap_index_ = Event::kNotQueued;
-  root->queue_ = nullptr;
-  const HeapSlot last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
+void EventQueue::heap_insert(Event& event) {
+  // lint: hot-ok(amortized heap growth; steady state reuses capacity)
+  heap_.push_back(HeapSlot{event.at_, event.seq_, &event});
+  event.heap_index_ = heap_.size() - 1;
+  sift_up(event.heap_index_);
+}
+
+// --- front slot --------------------------------------------------------------
+
+// The front slot holds the earliest pending event outside the heap. An event
+// enters it only when runs_first() holds, so the slot always precedes every
+// heap entry; anything that would precede the slot's event demotes it first.
+
+void EventQueue::demote_front() {
+  if (front_ == nullptr) return;
+  Event& event = *front_;
+  front_ = nullptr;
+  heap_insert(event);
+}
+
+Event* EventQueue::pop_earliest() {
+  Event* event = front_;
+  if (event != nullptr) {
+    front_ = nullptr;
+  } else {
+    event = heap_.front().event;
+    const HeapSlot last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      place(0, last);
+      sift_down(0);
+    }
   }
-  return root;
+  event->heap_index_ = Event::kNotQueued;
+  event->queue_ = nullptr;
+  return event;
 }
 
 // --- intrusive API -----------------------------------------------------------
@@ -109,20 +134,29 @@ void EventQueue::schedule_event(Event& event, Time at) {
     // lint: hot-ok(programming-error guard; unreachable in a correct scheduler)
     throw std::logic_error{"EventQueue::schedule_event on an already-queued event"};
   }
+  const bool first = runs_first(at);
   event.at_ = at;
   event.seq_ = next_seq_++;
   event.queue_ = this;
-  // lint: hot-ok(amortized heap growth; steady state reuses capacity)
-  heap_.push_back(HeapSlot{at, event.seq_, &event});
-  event.heap_index_ = heap_.size() - 1;
-  sift_up(event.heap_index_);
+  if (first) {
+    demote_front();
+    front_ = &event;
+    event.heap_index_ = Event::kInFront;
+  } else {
+    heap_insert(event);
+  }
 }
 
 void EventQueue::reschedule_event(Event& event, Time at) {
+  // The slot's event leaves it without a sift: reschedule it as cancel + schedule.
+  if (&event == front_) cancel_event(event);
   if (!event.queued()) {
     schedule_event(event, at);
     return;
   }
+  // A heap event moved before the front slot's becomes the earliest: the
+  // slot's event goes back into the heap first (which may move this one).
+  if (front_ != nullptr && at < front_->at_) demote_front();
   event.at_ = at;
   event.seq_ = next_seq_++;
   const std::size_t i = event.heap_index_;
@@ -138,6 +172,10 @@ void EventQueue::cancel_event(Event& event) {
   const std::size_t i = event.heap_index_;
   event.heap_index_ = Event::kNotQueued;
   event.queue_ = nullptr;
+  if (&event == front_) {
+    front_ = nullptr;
+    return;
+  }
   const HeapSlot last = heap_.back();
   heap_.pop_back();
   if (i < heap_.size()) {
@@ -178,13 +216,14 @@ EventHandle EventQueue::schedule(Time at, std::function<void()> fn) {
 // --- queue driving -----------------------------------------------------------
 
 Time EventQueue::next_time() const {
+  if (front_ != nullptr) return front_->at_;
   if (heap_.empty()) throw std::logic_error{"EventQueue::next_time on empty queue"};
   return heap_.front().at;
 }
 
 Time EventQueue::run_next() {
-  if (heap_.empty()) throw std::logic_error{"EventQueue::run_next on empty queue"};
-  Event* event = pop_root();
+  if (empty()) throw std::logic_error{"EventQueue::run_next on empty queue"};
+  Event* event = pop_earliest();
   const Time at = event->at_;
   HALFBACK_AUDIT_HOOK(auditor_, on_event_run(at, event->seq_));
   // fire() may reschedule the event, or even destroy it (a timer firing its
@@ -194,6 +233,7 @@ Time EventQueue::run_next() {
 }
 
 void EventQueue::clear() {
+  if (front_ != nullptr) cancel_event(*front_);
   for (const HeapSlot& slot : heap_) {
     slot.event->heap_index_ = Event::kNotQueued;
     slot.event->queue_ = nullptr;

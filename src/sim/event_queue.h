@@ -1,8 +1,11 @@
 // The event queue at the heart of the discrete-event engine.
 //
-// The queue is an indexed binary min-heap over *intrusive* events: an Event
-// carries its own deadline, FIFO sequence number, and heap slot, so
-// scheduling, O(log n) cancellation, and in-place reschedule never allocate.
+// The queue is an indexed 4-ary min-heap over *intrusive* events, plus a
+// one-event front slot: an Event carries its own deadline, FIFO sequence
+// number, and heap slot, so scheduling, O(log n) cancellation, and in-place
+// reschedule never allocate. Most events are scheduled earlier than
+// everything already pending (a link's serialization-done, the next hop of
+// a packet); those wait in the front slot and dispatch without a sift.
 // Components that fire the same logical event repeatedly (retransmission
 // timers, pacers, link transmissions) embed an Event subclass — usually via
 // sim::Timer — and reuse it for the lifetime of the component.
@@ -62,6 +65,7 @@ class Event {
  private:
   friend class EventQueue;
   static constexpr std::size_t kNotQueued = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kInFront = kNotQueued - 1;  ///< in the front slot
 
   Time at_;
   std::uint64_t seq_ = 0;            ///< FIFO tie-break, fresh per (re)schedule
@@ -127,10 +131,10 @@ class EventQueue {
   // --- queue driving -------------------------------------------------------
 
   /// True if no event remains.
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return front_ == nullptr && heap_.empty(); }
 
   /// Number of pending events.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return heap_.size() + (front_ != nullptr ? 1 : 0); }
 
   /// Time of the earliest event. Requires !empty().
   Time next_time() const;
@@ -139,7 +143,9 @@ class EventQueue {
   /// peek for the profiled dispatch loop: the profiler captures the
   /// event's dynamic type here, before run_next() hands the event to a
   /// fire() that may destroy or reschedule it.
-  const Event& peek_next() const HB_EFFECTS() { return *heap_[0].event; }
+  const Event& peek_next() const HB_EFFECTS() {
+    return front_ != nullptr ? *front_ : *heap_[0].event;
+  }
 
   /// Pop and run the earliest event; returns its time. Requires !empty().
   Time run_next() HB_EFFECTS(alloc, throw, rng);
@@ -147,10 +153,11 @@ class EventQueue {
   /// Drop all pending events.
   void clear();
 
-  /// Visit every pending event in heap (unspecified) order. Read-only
-  /// diagnostics walk — the budget machinery uses it for the post-trip
-  /// pending-event census; callers must not schedule or cancel from `fn`.
+  /// Visit every pending event in unspecified order. Read-only diagnostics
+  /// walk — the budget machinery uses it for the post-trip pending-event
+  /// census; callers must not schedule or cancel from `fn`.
   void for_each_pending(FunctionRef<void(const Event&)> fn) const {
+    if (front_ != nullptr) fn(*front_);
     for (const HeapSlot& slot : heap_) fn(*slot.event);
   }
 
@@ -194,14 +201,33 @@ class EventQueue {
     s.event->heap_index_ = i;
   }
 
-  /// Detach the heap root (marking it unqueued) and restore heap order.
-  Event* pop_root();
+  /// Insert `event`, whose key is already set, into the heap.
+  void heap_insert(Event& event);
+
+  /// True if an event due at `at` with a fresh sequence number would run
+  /// before every pending event. A fresh seq is larger than every pending
+  /// one, so it wins exactly when its time is strictly earlier.
+  bool runs_first(Time at) const {
+    if (front_ != nullptr) return at < front_->at_;
+    return heap_.empty() || at < heap_.front().at;
+  }
+
+  /// Move the front-slot event, if any, into the heap (keeping its seq).
+  void demote_front();
+
+  /// Detach the earliest event (the front slot, else the heap root), marking
+  /// it unqueued.
+  Event* pop_earliest();
 
   FunctionEvent* acquire_shim();
   void release_shim(FunctionEvent* node);
 
   std::vector<HeapSlot> heap_;
   std::uint64_t next_seq_ = 0;
+
+  /// The front slot. Invariant: when set, it holds the earliest pending
+  /// event in (time, seq) order, and that event is not in heap_.
+  Event* front_ = nullptr;
 
   // Shim slab: every FunctionEvent ever created lives here; free nodes are
   // chained through their next_free_ pointers.

@@ -93,6 +93,50 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+/// An intrusive event that appends its label to `order` when it fires.
+class Recorder final : public Event {
+ public:
+  Recorder(std::vector<int>& order, int label) : order_{order}, label_{label} {}
+
+ private:
+  void fire() override { order_.push_back(label_); }
+
+  std::vector<int>& order_;
+  int label_;
+};
+
+TEST(EventQueueTest, TiesWithTheEarliestEventRunAfterIt) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder a{order, 1};
+  Recorder b{order, 2};
+  Recorder c{order, 3};
+  Recorder d{order, 4};
+  q.schedule_event(a, 1_ms);  // earliest
+  q.schedule_event(b, 1_ms);  // same time, scheduled later: runs after a
+  q.schedule_event(c, 2_ms);
+  q.run_next();
+  q.run_next();               // nothing earlier than c is pending now
+  q.schedule_event(d, 2_ms);  // same time as c, scheduled later
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, RescheduleAheadOfTheEarliestEventRunsFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder timer{order, 1};
+  Recorder hop{order, 2};
+  q.schedule_event(timer, 5_ms);
+  q.schedule_event(hop, 1_ms);         // now the earliest
+  q.reschedule_event(timer, 500_us);   // moves ahead of hop
+  EXPECT_EQ(q.next_time(), 500_us);
+  EXPECT_EQ(&q.peek_next(), &timer);
+  EXPECT_EQ(q.size(), 2U);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(EventQueueTest, ClearDropsEverything) {
   EventQueue q;
   bool ran = false;
