@@ -25,6 +25,7 @@
 #include "transport/receiver.h"
 #include "schemes/factory.h"
 #include "sim/dispatch_profiler.h"
+#include "sim/function_ref.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
 #include "telemetry/hub.h"
@@ -73,9 +74,10 @@ void BM_TimerRearmFire(benchmark::State& state) {
     sim::Simulator simulator{1};
     std::uint64_t fired = 0;
     sim::Timer timer;
-    timer.bind(simulator, [&] {
+    auto rearm = [&] {
       if (++fired < n) timer.schedule_after(sim::Time::microseconds(5));
-    });
+    };
+    timer.bind(simulator, rearm);
     timer.schedule_after(sim::Time::microseconds(5));
     simulator.run();
     benchmark::DoNotOptimize(fired);
@@ -218,6 +220,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// One of measure_events_per_sec's recurring timers: re-arms itself one
+/// period ahead until the shared fire budget is spent.
+struct RecurringTimer {
+  sim::Timer timer;
+  sim::Time period;
+  std::uint64_t* fired = nullptr;
+  std::uint64_t budget = 0;
+
+  void fire() {
+    if (++*fired < budget) timer.schedule_after(period);
+  }
+};
+
 /// Event-engine throughput through the heap: a population of 512 recurring
 /// timers, each re-arming itself 1-97 us ahead from its own callback — the
 /// access pattern of retransmission timers, pacers and delayed ACKs. Every
@@ -236,27 +251,24 @@ double measure_events_per_sec(int reps, telemetry::Hub* hub = nullptr,
                               sim::DispatchProfiler* profiler = nullptr,
                               std::uint64_t fires = 1'000'000) {
   constexpr int kTimers = 512;
-  const std::uint64_t kFires = fires;
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     sim::Simulator simulator{1};
     if (hub != nullptr) simulator.set_telemetry(hub);
     if (profiler != nullptr) simulator.set_profiler(profiler);
     std::uint64_t fired = 0;
-    std::vector<std::unique_ptr<sim::Timer>> timers;
+    std::vector<std::unique_ptr<RecurringTimer>> timers;
     timers.reserve(kTimers);
     for (int i = 0; i < kTimers; ++i) {
-      timers.push_back(std::make_unique<sim::Timer>());
-      sim::Timer* timer = timers.back().get();
-      const auto period = sim::Time::microseconds(1 + i % 97);
-      timer->bind(simulator, [&fired, timer, period, kFires] {
-        if (++fired < kFires) timer->schedule_after(period);
-      });
+      RecurringTimer& t = *timers.emplace_back(std::make_unique<RecurringTimer>());
+      t.period = sim::Time::microseconds(1 + i % 97);
+      t.fired = &fired;
+      t.budget = fires;
+      t.timer.bind(simulator,
+                   sim::FunctionRef<void()>::from<&RecurringTimer::fire>(t));
     }
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kTimers; ++i) {
-      timers[i]->schedule_after(sim::Time::microseconds(1 + i % 97));
-    }
+    for (const auto& t : timers) t->timer.schedule_after(t->period);
     simulator.run();
     const double elapsed = seconds_since(t0);
     benchmark::DoNotOptimize(simulator.events_executed());

@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "net/topology.h"
+#include "netfault/fault_injector.h"
 #include "schemes/factory.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
@@ -114,11 +116,15 @@ int main(int argc, char** argv) {
   if (args.trace) {
     hub.instrument_network(network);
   }
+  // loss=p: i.i.d. loss on the bottleneck through the fault layer, a
+  // Gilbert-Elliott channel that never leaves its Good state.
+  std::optional<netfault::FaultInjector> loss;
   if (args.loss > 0) {
-    // Random loss on the bottleneck via a Bernoulli packet filter.
-    auto rng = std::make_shared<sim::Random>(args.seed * 13);
-    dumbbell.bottleneck_forward->set_packet_filter(
-        [rng, p = args.loss](const net::Packet&) { return !rng->bernoulli(p); });
+    netfault::FaultConfig faults;
+    faults.gilbert_elliott.loss_good = args.loss;
+    faults.gilbert_elliott.p_good_to_bad = 0.0;
+    loss.emplace(faults, sim::Random{args.seed * 13});
+    dumbbell.bottleneck_forward->set_fault_hook(&*loss);
   }
 
   schemes::SchemeContext context;

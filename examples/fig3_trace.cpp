@@ -4,10 +4,11 @@
 // would even have detected it.
 //
 // Demonstrates the flow flight recorder (the timeline is the sender's tape,
-// printed with telemetry::render_tape) and the Link packet-filter
-// fault-injection hook.
+// printed with telemetry::render_tape) and loss injection through the
+// link's fault hook (net::FaultHook), the same seam netfault uses.
 #include <cstdio>
 
+#include "net/fault_hook.h"
 #include "net/topology.h"
 #include "schemes/factory.h"
 #include "sim/simulator.h"
@@ -15,6 +16,31 @@
 #include "transport/agent.h"
 
 using namespace halfback;
+
+namespace {
+
+/// Drops the first copy of one segment at the bottleneck, after it
+/// serializes, and says so.
+class DropFirstCopy final : public net::FaultHook {
+ public:
+  explicit DropFirstCopy(std::uint32_t seq) : seq_{seq} {}
+
+  net::FaultDecision on_transmit(const net::Packet& p, sim::Time /*now*/) override {
+    net::FaultDecision decision;
+    if (!dropped_ && p.type == net::PacketType::data && p.seq == seq_ && !p.is_retx) {
+      dropped_ = true;
+      decision.drop = true;
+      std::printf("    (fault injection: dropping first copy of segment %u)\n", seq_);
+    }
+    return decision;
+  }
+
+ private:
+  std::uint32_t seq_;
+  bool dropped_ = false;
+};
+
+}  // namespace
 
 int main() {
   sim::Simulator simulator{7};
@@ -35,15 +61,8 @@ int main() {
 
   // Force the loss the paper's example narrates: the first copy of
   // segment index 8 (the paper's "packet 9") vanishes at the bottleneck.
-  bool dropped = false;
-  dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
-    if (!dropped && p.type == net::PacketType::data && p.seq == 8 && !p.is_retx) {
-      dropped = true;
-      std::printf("    (fault injection: dropping first copy of segment 8)\n");
-      return false;
-    }
-    return true;
-  });
+  DropFirstCopy drop{8};
+  dumbbell.bottleneck_forward->set_fault_hook(&drop);
 
   schemes::SchemeContext context;
   auto sender = schemes::make_sender(schemes::Scheme::halfback, context, simulator,

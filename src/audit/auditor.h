@@ -68,7 +68,9 @@ class Auditor {
   virtual void on_link_offered(const net::Link& /*link*/,
                                const net::Packet& /*packet*/) {}
 
-  /// The link's fault-injection filter discarded the packet.
+  /// Has no call site: a link drops injected losses only through its
+  /// net::FaultHook (see on_link_fault_dropped). Kept declared only because
+  /// perfbench's ForwardingAuditor (perfbench/src/replay.cpp) overrides it.
   virtual void on_link_filtered(const net::Link& /*link*/,
                                 const net::Packet& /*packet*/) {}
 

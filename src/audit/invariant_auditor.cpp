@@ -158,15 +158,6 @@ void InvariantAuditor::on_link_offered(const net::Link& link,
   mix(packet.uid);
 }
 
-void InvariantAuditor::on_link_filtered(const net::Link& link,
-                                        const net::Packet& /*packet*/) {
-  LinkShadow& shadow = link_shadow(link);
-  ++shadow.filtered;
-  if (shadow.accounted() > shadow.expected()) {
-    violation("link accounted for more packets than were offered (filter)");
-  }
-}
-
 void InvariantAuditor::on_link_corrupted(const net::Link& link,
                                          const net::Packet& /*packet*/) {
   LinkShadow& shadow = link_shadow(link);
@@ -390,7 +381,7 @@ void InvariantAuditor::finalize(bool drained) {
       out << "link conservation violated: offered=" << shadow.offered
           << " (+" << shadow.fault_duplicated << " duplicated)"
           << " delivered=" << shadow.delivered << " corrupted=" << shadow.corrupted
-          << " filtered=" << shadow.filtered << " dropped=" << shadow.queue_dropped
+          << " dropped=" << shadow.queue_dropped
           << " fault_dropped=" << shadow.fault_dropped << " queued=" << queued;
       violation(out.str());
     }

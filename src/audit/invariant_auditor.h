@@ -8,8 +8,8 @@
 //    capacity bound (drop-tail may never hold more than its configured
 //    bytes);
 //  - per-link packet conservation: every packet offered to a link is
-//    eventually delivered, corrupted, filtered, or dropped by its queue —
-//    never duplicated, never lost without account;
+//    eventually delivered, corrupted, or dropped by its queue or its fault
+//    hook — never duplicated, never lost without account;
 //  - per-flow delivery uniqueness: no wire transmission (uid) reaches the
 //    destination twice;
 //  - scoreboard consistency: the cumulative ACK is monotone, SACKed
@@ -113,7 +113,6 @@ class InvariantAuditor final : public Auditor {
   void on_event_run(sim::Time at, std::uint64_t seq) override;
   void on_link_registered(const net::Link& link) override;
   void on_link_offered(const net::Link& link, const net::Packet& packet) override;
-  void on_link_filtered(const net::Link& link, const net::Packet& packet) override;
   void on_link_corrupted(const net::Link& link, const net::Packet& packet) override;
   void on_link_delivered(const net::Link& link, const net::Packet& packet) override;
   void on_link_fault_dropped(const net::Link& link, const net::Packet& packet) override;
@@ -157,12 +156,11 @@ class InvariantAuditor final : public Auditor {
     std::uint64_t offered = 0;
     std::uint64_t delivered = 0;
     std::uint64_t corrupted = 0;
-    std::uint64_t filtered = 0;
     std::uint64_t queue_dropped = 0;
     std::uint64_t fault_dropped = 0;     ///< discarded by a FaultHook
     std::uint64_t fault_duplicated = 0;  ///< extra copies a FaultHook launched
     std::uint64_t accounted() const {
-      return delivered + corrupted + filtered + queue_dropped + fault_dropped;
+      return delivered + corrupted + queue_dropped + fault_dropped;
     }
     std::uint64_t expected() const { return offered + fault_duplicated; }
   };

@@ -111,16 +111,6 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   const std::size_t sender_count = dumbbell.senders.size();
   rig.install(config_.telemetry, config_.profiler, config_.budget);
 
-  // Per-flow bottleneck loss accounting (data direction), indexed by flow
-  // id: flows are numbered 1..N in schedule order.
-  std::size_t flow_count = 0;
-  for (const WorkloadPart& part : parts) flow_count += part.schedule.size();
-  std::vector<std::uint32_t> drops(flow_count + 1, 0);
-  dumbbell.bottleneck_forward->queue().set_drop_callback(
-      [&drops](const net::Packet& p) {
-        if (p.type == net::PacketType::data) ++drops[p.flow];
-      });
-
   // One context per part: TCP-Cache flows share their path cache through
   // it, within a part only.
   std::vector<schemes::SchemeContext> contexts;
@@ -132,6 +122,8 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   }
 
   // Start i (in schedule order) is flow i + 1, on pair i mod sender_count.
+  std::size_t flow_count = 0;
+  for (const WorkloadPart& part : parts) flow_count += part.schedule.size();
   std::vector<FlowRole> roles;
   roles.reserve(flow_count);
   sim::Time last_arrival;
@@ -161,7 +153,6 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     fr.role = roles[i];
     fr.finished = sender->complete();
     if (!fr.finished) fr.censored_fct = result.sim_end - fr.record.start_time;
-    fr.bottleneck_drops = drops[i + 1];
     result.flows.push_back(std::move(fr));
   }
   std::sort(result.flows.begin(), result.flows.end(),

@@ -20,11 +20,10 @@ namespace halfback::exp {
 /// Role a flow plays in a mixed workload.
 enum class FlowRole : std::uint8_t { primary, competing, background };
 
-/// One flow's outcome, with network-side loss accounting.
+/// One flow's outcome.
 struct FlowResult {
   transport::FlowRecord record;
   FlowRole role = FlowRole::primary;
-  std::uint32_t bottleneck_drops = 0;  ///< this flow's data packets dropped
   bool finished = false;
   sim::Time censored_fct;  ///< elapsed time at sim end for unfinished flows
 };

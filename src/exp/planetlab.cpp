@@ -2,33 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "exp/censor.h"
 #include "exp/parallel.h"
 #include "sim/random.h"
-#include "telemetry/hub.h"
 
 namespace halfback::exp {
-namespace {
-
-/// Canonical text form of the reproducibility-relevant knobs, hashed into
-/// the trial manifest's config digest. Paths are derived deterministically
-/// from `seed` in the constructor, so the ensemble config plus the trial
-/// seed pins down the whole trial; individual path parameters need not be
-/// fingerprinted.
-std::string config_fingerprint(const PlanetLabConfig& c,
-                               std::uint64_t trial_seed) {
-  std::ostringstream out;
-  out << "seed=" << c.seed << ";trial_seed=" << trial_seed
-      << ";pairs=" << c.pair_count << ";bytes=" << c.flow_bytes.count()
-      << ";iw=" << c.sender_config.initial_window
-      << ";rwnd=" << c.sender_config.receive_window_segments
-      << ";timeout_ns=" << c.per_trial_timeout.ns();
-  return out.str();
-}
-
-}  // namespace
 
 PlanetLabEnv::PlanetLabEnv(PlanetLabConfig config) : config_{config} {
   sim::Random rng{config_.seed};
@@ -121,27 +100,6 @@ TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path
   trial.sender_config = config_.sender_config;
   trial.timeout = config_.per_trial_timeout;
   return run_access_trial(trial, scheme, trial_seed, telemetry);
-}
-
-telemetry::RunManifest PlanetLabEnv::manifest(
-    const TrialResult& result, schemes::Scheme scheme, std::uint64_t trial_seed,
-    const telemetry::Hub* telemetry) const {
-  telemetry::RunManifest m;
-  m.experiment = "planetlab";
-  m.scheme = schemes::name(scheme);
-  m.seed = trial_seed;
-  m.config_digest = telemetry::fnv1a64(config_fingerprint(config_, trial_seed));
-  m.trace_hash = result.trace_hash;
-  // A trial's manifest ends at the flow's finish (or its censoring point
-  // for unfinished trials), not at the last polled slice (sim_end).
-  m.sim_end = result.record.completion_time;
-  if (telemetry != nullptr) {
-    const telemetry::MetricRegistry& registry = telemetry->registry();
-    if (const auto* e = registry.find("sim.events_dispatched")) {
-      m.events_dispatched = registry.counter_at(*e).value();
-    }
-  }
-  return m;
 }
 
 std::vector<TrialResult> PlanetLabEnv::run(schemes::Scheme scheme) const {

@@ -18,7 +18,6 @@
 #include "net/topology.h"
 #include "schemes/scheme.h"
 #include "sim/bytes.h"
-#include "telemetry/manifest.h"
 #include "transport/sender.h"
 
 namespace halfback::exp {
@@ -88,14 +87,6 @@ class PlanetLabEnv {
   TrialResult run_one(schemes::Scheme scheme, const PathSample& path,
                       std::uint64_t trial_seed,
                       telemetry::Hub* telemetry = nullptr) const;
-
-  /// Provenance manifest for one finished trial. `telemetry` (if given)
-  /// supplies the end-of-run event count; wall time is left zero for the
-  /// caller to stamp.
-  telemetry::RunManifest manifest(const TrialResult& result,
-                                  schemes::Scheme scheme,
-                                  std::uint64_t trial_seed,
-                                  const telemetry::Hub* telemetry = nullptr) const;
 
  private:
   PlanetLabConfig config_;

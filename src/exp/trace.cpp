@@ -88,7 +88,7 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
   // Sample receiver progress every bucket, on one reusable timer.
   sim::Simulator& simulator = rig.simulator();
   sim::Timer sampler;
-  sampler.bind(simulator, [&] {
+  auto sample = [&] {
     for (Tracked& t : tracked) {
       transport::Receiver* r = rig.agent(pairs + t.pair).receiver(t.flow);
       if (r == nullptr) continue;
@@ -105,7 +105,8 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
     if (simulator.now() < config.duration) {
       sampler.schedule_after(config.bucket);
     }
-  });
+  };
+  sampler.bind(simulator, sample);
   sampler.schedule_after(config.bucket);
 
   simulator.run_until(config.duration);

@@ -10,30 +10,22 @@
 namespace halfback::net {
 
 Link::Link(sim::Simulator& simulator, sim::DataRate rate, sim::Time delay,
-           std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate,
-           PacketPool* pool)
+           std::unique_ptr<PacketQueue> queue, PacketPool& pool, Node& dst_node,
+           LossRate random_loss_rate)
     : simulator_{simulator},
       rate_{rate},
       delay_{delay},
       queue_{std::move(queue)},
       random_loss_rate_{random_loss_rate},
       loss_rng_{simulator.random().fork(0x11bbULL)},
-      pool_{pool} {
+      pool_{pool},
+      dst_node_{dst_node} {
   if (rate_.is_zero()) throw std::invalid_argument{"Link rate must be positive"};
   if (!queue_) throw std::invalid_argument{"Link requires a queue"};
-  if (pool_ == nullptr) {
-    fallback_pool_ = std::make_unique<PacketPool>();
-    pool_ = fallback_pool_.get();
-  }
 }
 
 void Link::send(Packet p) {
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_offered(*this, p));
-  if (packet_filter_ && !packet_filter_(p)) {
-    ++stats_.corrupted_packets;
-    HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_filtered(*this, p));
-    return;
-  }
   if (transmitting_) {
     // The queue records its own admission on the track (it knows its
     // resident count without a virtual packet_count() call).
@@ -70,7 +62,7 @@ void Link::on_serialization_done() {
 }
 
 void Link::launch(Packet p, sim::Time pipe_delay) {
-  PacketEvent& node = pool_->acquire(&Link::deliver_trampoline, this);
+  PacketEvent& node = pool_.acquire(&Link::deliver_trampoline, this);
   node.packet = std::move(p);
   simulator_.schedule_event(pipe_delay, node);
 }
@@ -136,17 +128,13 @@ void Link::deliver_trampoline(void* context, PacketEvent& node) {
 
 void Link::deliver(PacketEvent& node) {
   Packet p = std::move(node.packet);
-  pool_->release(node);
+  pool_.release(node);
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
   if (track_ != nullptr) track_->delivered(p);
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_delivered(*this, p));
-  if (receiver_) {
-    receiver_(std::move(p));
-  } else if (dst_node_ != nullptr) {
-    HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_node_received(dst_node_->id(), p));
-    dst_node_->handle(std::move(p));
-  }
+  HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_node_received(dst_node_.id(), p));
+  dst_node_.handle(std::move(p));
 }
 
 void Link::on_transmission_complete() {

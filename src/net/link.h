@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -76,37 +75,19 @@ struct LinkStats {
 /// delivery. Steady-state forwarding therefore allocates nothing per hop.
 class Link {
  public:
-  /// `pool` is the recycling pool for in-flight packets, normally the
-  /// owning Network's. Links built bare (tests, micro-benchmarks) may pass
-  /// nullptr to get a private fallback pool.
+  /// `pool` is the recycling pool for in-flight packets (normally the
+  /// owning Network's) and `dst_node` the far-end node every delivered
+  /// packet is handed to; both must outlive the link.
   Link(sim::Simulator& simulator, sim::DataRate rate, sim::Time delay,
-       std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate = {},
-       PacketPool* pool = nullptr);
-
-  /// Where delivered packets go (the far-end node). The node fast path: a
-  /// direct call into Node::handle with no type erasure on the per-packet
-  /// hop. An installed set_receiver() callback takes precedence, so tests
-  /// can still intercept delivery.
-  void set_receiver_node(Node& node) { dst_node_ = &node; }
-
-  /// Custom delivery callback; overrides the node fast path while set.
-  // lint: function-ok(bound once at wiring time; invoked, never rebound, per packet)
-  void set_receiver(std::function<void(Packet)> receiver) {
-    receiver_ = std::move(receiver);
-  }
-
-  /// Fault-injection hook: packets for which the filter returns false are
-  /// dropped before entering the queue (counted as corrupted). Used by
-  /// tests and the Fig. 3 walkthrough to force specific losses.
-  // lint: function-ok(test-only fault-injection hook, unset in experiments)
-  void set_packet_filter(std::function<bool(const Packet&)> filter) {
-    packet_filter_ = std::move(filter);
-  }
+       std::unique_ptr<PacketQueue> queue, PacketPool& pool, Node& dst_node,
+       LossRate random_loss_rate = {});
 
   /// Install (or clear, with nullptr) a fault-injection hook, consulted
-  /// after serialization for every packet. Not owned; the caller must keep
-  /// it alive as long as the link transmits. With no hook installed the
-  /// per-packet cost is a single null test (see on_serialization_done).
+  /// after serialization for every packet: the one way to inject loss,
+  /// corruption, duplication or delay, for experiments (netfault) and
+  /// tests alike. Not owned; the caller must keep it alive as long as the
+  /// link transmits. With no hook installed the per-packet cost is a
+  /// single null test (see on_serialization_done).
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
@@ -129,9 +110,6 @@ class Link {
   PacketQueue& queue() { return *queue_; }
   const PacketQueue& queue() const { return *queue_; }
   const LinkStats& stats() const { return stats_; }
-
-  /// The pool this link draws in-flight packet nodes from.
-  PacketPool& packet_pool() { return *pool_; }
 
   /// Fraction of [0, now] this link spent serializing packets.
   double utilization(sim::Time now) const {
@@ -170,16 +148,12 @@ class Link {
   std::unique_ptr<PacketQueue> queue_;
   LossRate random_loss_rate_;
   sim::Random loss_rng_;
-  Node* dst_node_ = nullptr;                        ///< direct-delivery fast path
-  std::function<void(Packet)> receiver_;            // lint: function-ok(bound once at wiring time)
-  std::function<bool(const Packet&)> packet_filter_;  // lint: function-ok(test-only hook)
+  PacketPool& pool_;
+  Node& dst_node_;
   FaultHook* fault_hook_ = nullptr;  ///< not owned; nullptr = fault-free fast path
   telemetry::LinkTrack* track_ = nullptr;  ///< not owned; nullptr = no telemetry
   bool transmitting_ = false;
   LinkStats stats_;
-
-  std::unique_ptr<PacketPool> fallback_pool_;  ///< only for bare links
-  PacketPool* pool_;
   TxDoneEvent tx_done_{*this};
   Packet tx_packet_;  ///< the packet currently serializing; valid while transmitting_
 };

@@ -36,10 +36,9 @@ Link* Network::make_link(NodeId from, NodeId to, const LinkConfig& config) {
       break;
   }
   auto link = std::make_unique<Link>(simulator_, config.rate, config.delay,
-                                     std::move(queue), config.random_loss_rate,
-                                     &pool_);
+                                     std::move(queue), pool_, *nodes_.at(to),
+                                     config.random_loss_rate);
   Link* raw = link.get();
-  raw->set_receiver_node(*nodes_.at(to));
   nodes_.at(from)->add_egress(to, raw);
   links_.push_back(std::move(link));
   edges_.push_back(Edge{from, to});

@@ -13,8 +13,8 @@
 //
 // Ownership rules (see docs/architecture.md, "Event & memory model"):
 //  * One pool per Simulator. Network owns it (a Network is 1:1 with its
-//    Simulator); bare links built without a Network fall back to a private
-//    pool so tests keep working.
+//    Simulator) and hands it to every link it builds; a link built bare
+//    (tests) is handed a pool its builder owns.
 //  * acquire() transfers ownership to the in-flight path: the caller must
 //    either schedule the node and release() it exactly once from its
 //    handler, or release() it immediately. Never release a queued node.

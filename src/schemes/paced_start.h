@@ -178,7 +178,7 @@ class PacedStartImpl : public transport::TcpSenderImpl<Derived> {
   std::uint32_t batch_end_ = 0;
   sim::Time pace_interval_;
   bool pacing_done_ = false;
-  sim::StaticTimer pace_timer_;  ///< one-shot pacing tick, re-armed per clump
+  sim::Timer pace_timer_;  ///< one-shot pacing tick, re-armed per clump
 };
 
 }  // namespace halfback::schemes

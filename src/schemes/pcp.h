@@ -65,8 +65,8 @@ class PcpSender final : public transport::Sender<PcpSender> {
 
   bool tick_pending_ = false;
   bool idle_ = false;
-  sim::StaticTimer tick_timer_;   ///< paced data clock, one outstanding tick
-  sim::StaticTimer round_timer_;  ///< per-RTT probe-round boundary
+  sim::Timer tick_timer_;   ///< paced data clock, one outstanding tick
+  sim::Timer round_timer_;  ///< per-RTT probe-round boundary
   // Probe trains deliberately stay on the std::function shim: a new round
   // can start while the previous round's train is still stepping, and those
   // chains must coexist (a reusable Timer would cancel the older chain).

@@ -70,7 +70,7 @@ class ReactiveSender final : public transport::TcpSenderImpl<ReactiveSender> {
     }
   }
 
-  sim::StaticTimer pto_timer_;
+  sim::Timer pto_timer_;
   bool probe_sent_ = false;
 };
 

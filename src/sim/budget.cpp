@@ -7,31 +7,10 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-
-#if __has_include(<cxxabi.h>)
-#include <cstdlib>
-#include <cxxabi.h>
-#define HALFBACK_HAS_CXA_DEMANGLE 1
-#endif
+#include "sim/demangle.h"
 
 namespace halfback::sim {
 namespace {
-
-/// Demangle an RTTI type name; falls back to the raw mangled form on
-/// toolchains without <cxxabi.h> (the census is still deterministic within
-/// one binary, which is all byte-identical manifests require).
-std::string demangled(const char* raw) {
-#ifdef HALFBACK_HAS_CXA_DEMANGLE
-  int status = 0;
-  char* text = abi::__cxa_demangle(raw, nullptr, nullptr, &status);
-  if (text != nullptr) {
-    std::string out{text};
-    std::free(text);
-    return out;
-  }
-#endif
-  return std::string{raw};
-}
 
 /// How many pending-event classes the report keeps. Storms are dominated
 /// by one or two timer classes; eight leaves room for the long tail
@@ -104,7 +83,7 @@ void BudgetEnforcer::record_trip(BudgetTrip trip, const Simulator& simulator) {
   // same top_pending bytes.
   std::map<std::string, std::uint64_t> census;
   auto tally = [&census](const Event& event) {
-    census[demangled(typeid(event).name())] += 1;
+    census[demangled_name(typeid(event))] += 1;
   };
   simulator.queue().for_each_pending(tally);
 

@@ -2,38 +2,16 @@
 
 #include <algorithm>
 
-#if __has_include(<cxxabi.h>)
-#include <cstdlib>
-#include <cxxabi.h>
-#define HALFBACK_HAS_CXA_DEMANGLE 1
-#endif
+#include "sim/demangle.h"
 
 namespace halfback::sim {
-namespace {
-
-// Same fallback discipline as the budget census (budget.cpp): the raw
-// mangled name is still deterministic within one binary.
-std::string demangled_type(const char* raw) {
-#ifdef HALFBACK_HAS_CXA_DEMANGLE
-  int status = 0;
-  char* text = abi::__cxa_demangle(raw, nullptr, nullptr, &status);
-  if (text != nullptr) {
-    std::string out{text};
-    std::free(text);
-    return out;
-  }
-#endif
-  return std::string{raw};
-}
-
-}  // namespace
 
 std::vector<DispatchProfiler::Row> DispatchProfiler::rows() const {
   std::vector<Row> out;
   out.reserve(kSlots + 1);
   for (const Slot& s : slots_) {
     if (s.key == nullptr) continue;
-    out.push_back(Row{demangled_type(s.key->name()), s.count, s.cycles});
+    out.push_back(Row{demangled_name(*s.key), s.count, s.cycles});
   }
   std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
     if (a.count != b.count) return a.count > b.count;

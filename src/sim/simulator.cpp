@@ -10,40 +10,39 @@
 
 namespace halfback::sim {
 
-// One dispatch loop, instantiated per combination of loop features. Each
-// feature's per-event work sits behind `if constexpr`, so an instantiation
-// pays only for what is installed: with no observer, run() is the bare
-// pop-and-fire loop and run_until() adds only the deadline compare.
+// One dispatch loop, instantiated per combination of installed observers.
+// Each observer's per-event work sits behind `if constexpr`, so an
+// instantiation pays only for what is installed: with no observer the loop
+// is pop, deadline compare, fire.
 
 namespace {
 
 /// Per-event work the dispatch loop does beyond pop-and-fire: one bit per
-/// installed observer, plus the deadline compare of run_until().
+/// installed observer.
 enum LoopFeature : unsigned {
   kHub = 1U << 0U,
   kBudget = 1U << 1U,
   kProfiler = 1U << 2U,
-  kDeadline = 1U << 3U,
 };
-constexpr unsigned kLoopCount = 1U << 4U;
+constexpr unsigned kLoopCount = 1U << 3U;
 
 }  // namespace
 
-void Simulator::run() { dispatch(0, Time::infinity()); }
+void Simulator::run_until(Time deadline) {
+  dispatch((telemetry_ != nullptr ? kHub : 0U) |
+               (budget_ != nullptr ? kBudget : 0U) |
+               (profiler_ != nullptr ? kProfiler : 0U),
+           deadline);
+}
 
-void Simulator::run_until(Time deadline) { dispatch(kDeadline, deadline); }
-
-void Simulator::dispatch(unsigned features, Time deadline) {
+void Simulator::dispatch(unsigned observers, Time deadline) {
   using Loop = void (Simulator::*)(Time);
   static constexpr auto kLoops =
       []<unsigned... kMasks>(std::integer_sequence<unsigned, kMasks...>) {
         return std::array<Loop, sizeof...(kMasks)>{
             &Simulator::dispatch<kMasks>...};
       }(std::make_integer_sequence<unsigned, kLoopCount>{});
-  const unsigned mask = features | (telemetry_ != nullptr ? kHub : 0U) |
-                        (budget_ != nullptr ? kBudget : 0U) |
-                        (profiler_ != nullptr ? kProfiler : 0U);
-  (this->*kLoops[mask])(deadline);
+  (this->*kLoops[observers])(deadline);
 }
 
 template <unsigned kMask>
@@ -65,9 +64,7 @@ void Simulator::dispatch(Time deadline) {
     // next_time() is out-of-line (it carries an empty-queue check); read it
     // once per iteration.
     const Time next = queue_.next_time();
-    if constexpr ((kMask & kDeadline) != 0) {
-      if (next > deadline) break;
-    }
+    if (next > deadline) break;
     if constexpr ((kMask & kBudget) != 0) {
       const BudgetTrip trip = budget_->before_dispatch(next, events_executed_);
       if (trip != BudgetTrip::none) {
@@ -104,11 +101,9 @@ void Simulator::dispatch(Time deadline) {
     telemetry_->on_run_slice_done(events_executed_ - executed_before,
                                   heap_peak);
   }
-  if constexpr ((kMask & kDeadline) != 0) {
-    // An infinite deadline must not drag the clock to the sentinel.
-    if (!stopped_ && !deadline.is_infinite() && now_ < deadline) {
-      now_ = deadline;
-    }
+  // An infinite deadline (run()) must not drag the clock to the sentinel.
+  if (!stopped_ && !deadline.is_infinite() && now_ < deadline) {
+    now_ = deadline;
   }
 }
 

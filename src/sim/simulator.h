@@ -85,10 +85,11 @@ class Simulator {
   void cancel_event(Event& event) HB_EFFECTS() { queue_.cancel_event(event); }
 
   /// Run until the event queue drains or stop() is called.
-  void run() HB_EFFECTS(alloc, throw, rng);
+  void run() HB_EFFECTS(alloc, throw, rng) { run_until(Time::infinity()); }
 
   /// Run events up to and including time `deadline`; afterwards
-  /// now() == deadline unless the queue drained earlier or stop() fired.
+  /// now() == deadline unless the queue drained earlier, stop() fired, or
+  /// the deadline is infinite.
   void run_until(Time deadline) HB_EFFECTS(alloc, throw, rng);
 
   /// Make run()/run_until() return after the current event completes.
@@ -138,14 +139,13 @@ class Simulator {
   DispatchProfiler* profiler() const { return profiler_; }
 
  private:
-  /// Run the loop instantiation for the feature mask `features` (see
-  /// simulator.cpp) plus the bits of the installed observers: run() and
-  /// run_until() only pick the mask.
-  void dispatch(unsigned features, Time deadline)
+  /// Run the loop instantiation for the mask `observers` of installed
+  /// observers (see simulator.cpp); run_until() only computes the mask.
+  void dispatch(unsigned observers, Time deadline)
       HB_EFFECTS(alloc, throw, rng);
 
-  /// The dispatch loop. Each feature's per-event work compiles in only for
-  /// the instantiations whose `kMask` carries its bit.
+  /// The dispatch loop. Each observer's per-event work compiles in only
+  /// for the instantiations whose `kMask` carries its bit.
   template <unsigned kMask>
   void dispatch(Time deadline) HB_EFFECTS(alloc, throw, rng);
 

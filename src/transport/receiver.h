@@ -87,7 +87,7 @@ class Receiver {
   net::FlowId flow_;
   Config config_;
   CompletionRef on_complete_;
-  sim::StaticTimer delack_timer_;
+  sim::Timer delack_timer_;
   int unacked_arrivals_ = 0;
   net::Packet pending_trigger_;  ///< newest data packet awaiting an ACK
 

@@ -14,7 +14,7 @@
 //
 // Per-flow callbacks are sim::FunctionRef (two words, non-owning, never
 // allocates) rather than std::function; per-flow timers are
-// sim::StaticTimer for the same reason.
+// sim::Timer for the same reason.
 #pragma once
 
 #include <cstdint>
@@ -189,7 +189,7 @@ class SenderBase {
   FlowRecord record_;
   /// Retransmission timer; bound by Sender<Policy>'s constructor (the
   /// callback targets the template's statically-dispatched on_rto).
-  sim::StaticTimer rto_timer_;
+  sim::Timer rto_timer_;
 
  private:
   void send_syn();
@@ -199,7 +199,7 @@ class SenderBase {
 
   CompletionRef on_complete_;
   telemetry::FlowTrack* track_ = nullptr;  ///< owned by the hub; may be null
-  sim::StaticTimer syn_timer_;
+  sim::Timer syn_timer_;
   sim::Time syn_last_sent_;
   int syn_tries_ = 0;
   bool established_ = false;

@@ -60,8 +60,10 @@ net::Packet make_data_packet(std::uint64_t uid, std::uint32_t seq = 0) {
 /// calls it.
 struct BareLink {
   sim::Simulator sim{1};
+  net::PacketPool pool;
+  net::Node sink{0};
   net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
-                 std::make_unique<net::DropTailQueue>(1 << 20), 0.0};
+                 std::make_unique<net::DropTailQueue>(1 << 20), pool, sink};
 };
 
 // --- clean runs -------------------------------------------------------------
@@ -246,7 +248,7 @@ TEST(InvariantAuditorTest, FinalizeFlagsLinkConservation) {
   ASSERT_FALSE(auditor.violations().empty());
   EXPECT_EQ(auditor.violations().front(),
             "link conservation violated: offered=0 (+0 duplicated) delivered=0 "
-            "corrupted=0 filtered=0 dropped=0 fault_dropped=0 queued=1");
+            "corrupted=0 dropped=0 fault_dropped=0 queued=1");
 }
 
 TEST(InvariantAuditorTest, FinalizeFlagsPacketsLostAfterDrain) {

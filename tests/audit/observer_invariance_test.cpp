@@ -1,11 +1,12 @@
 // Observer invariance over every dispatch-loop instantiation.
 //
-// Simulator::run()/run_until() pick one instantiation of the dispatch loop
-// per combination of installed observers (telemetry hub, budget enforcer,
-// dispatch profiler). Observers only watch, and slicing a run into
-// run_until() steps only changes where the loop pauses, so one seeded,
-// audited dumbbell run must give the same trace hash and the same event
-// count under every observer set and every way of driving it.
+// Simulator::run_until() (and run(), which is run_until() with an infinite
+// deadline) picks one instantiation of the dispatch loop per combination of
+// installed observers (telemetry hub, budget enforcer, dispatch profiler).
+// Observers only watch, and slicing a run into run_until() steps only
+// changes where the loop pauses, so one seeded, audited dumbbell run must
+// give the same trace hash and the same event count under every observer
+// set and every way of driving it.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -66,9 +66,6 @@ TEST(EmulabRunnerTest, OverloadRecordsDropsAndCensored) {
                     FlowRole::primary, {}};
   RunResult result = runner.run({part});
   EXPECT_GT(result.bottleneck_drops_total, 0u);
-  std::uint32_t per_flow_drops = 0;
-  for (const FlowResult& f : result.flows) per_flow_drops += f.bottleneck_drops;
-  EXPECT_GT(per_flow_drops, 0u);
   EXPECT_GT(result.unfinished_count(FlowRole::primary), 0u);
   // Censored flows contribute to the mean.
   EXPECT_GT(result.mean_fct_ms(FlowRole::primary), 1000.0);

@@ -179,7 +179,8 @@ TEST(DeadlineCensoringTest, ATrippedBudgetEndsTheDrive) {
   // regression fails fast instead of hanging the suite.
   sim::Simulator simulator{1};
   sim::Timer tick;
-  tick.bind(simulator, [&] { tick.schedule_after(sim::Time::milliseconds(1)); });
+  auto rearm = [&] { tick.schedule_after(sim::Time::milliseconds(1)); };
+  tick.bind(simulator, rearm);
   tick.schedule_after(sim::Time::milliseconds(1));
   sim::BudgetEnforcer budget{sim::RunBudget{.max_events = 50}};
   simulator.set_budget(&budget);

@@ -3,8 +3,12 @@
 // topologies) that no single-module test exercises together.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "audit/auditor.h"
 #include "net/topology.h"
 #include "schemes/factory.h"
+#include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 #include "transport/agent.h"
 
@@ -12,6 +16,7 @@ namespace halfback {
 namespace {
 
 using schemes::Scheme;
+using testing::DropHook;
 using testing::DumbbellFixture;
 using namespace halfback::sim::literals;
 
@@ -95,9 +100,9 @@ TEST(Rc3LossTest, PrimaryLoopCoversRlpLosses) {
   config.bottleneck_queue = net::QueueKind::priority;
   net::Dumbbell d = net::build_dumbbell(network, config);
   // 5% random loss on the bottleneck.
-  auto rng = std::make_shared<sim::Random>(11);
-  d.bottleneck_forward->set_packet_filter(
-      [rng](const net::Packet&) { return !rng->bernoulli(0.05); });
+  sim::Random rng{11};
+  DropHook random_loss{[&rng](const net::Packet&) { return rng.bernoulli(0.05); }};
+  d.bottleneck_forward->set_fault_hook(&random_loss);
 
   transport::TransportAgent sender{simulator, network, d.senders[0]};
   transport::TransportAgent receiver{simulator, network, d.receivers[0]};
@@ -138,6 +143,26 @@ TEST(ParkingLotIntegrationTest, HalfbackPacesOverSummedRtt) {
 
 // -------------------------------------------- pacing quantization visible
 
+/// Records when first copies of data packets are offered to one link:
+/// on_link_offered fires at link entry, before the queue smooths clumps out.
+class IngressTap final : public audit::Auditor {
+ public:
+  IngressTap(const sim::Simulator& simulator, const net::Link& link)
+      : simulator_{simulator}, link_{link} {}
+
+  void on_link_offered(const net::Link& link, const net::Packet& p) override {
+    if (&link == &link_ && p.type == net::PacketType::data && !p.is_retx) {
+      arrivals.push_back(simulator_.now());
+    }
+  }
+
+  std::vector<sim::Time> arrivals;
+
+ private:
+  const sim::Simulator& simulator_;
+  const net::Link& link_;
+};
+
 TEST(PacingQuantizationTest, SegmentsLeaveInTimerClumps) {
   // With the 10 ms default quantum and a 60 ms RTT, the 70-segment batch
   // leaves in ~6-7 clumps; the bottleneck sees long runs of
@@ -149,18 +174,11 @@ TEST(PacingQuantizationTest, SegmentsLeaveInTimerClumps) {
   config.sender_count = 1;
   config.receiver_count = 1;
   net::Dumbbell d = net::build_dumbbell(network, config);
+  // Observe *arrival* instants at the bottleneck.
+  IngressTap tap{simulator, *d.bottleneck_forward};
+  simulator.set_auditor(&tap);
   transport::TransportAgent sender{simulator, network, d.senders[0]};
   transport::TransportAgent receiver{simulator, network, d.receivers[0]};
-
-  // Observe *arrival* instants at the bottleneck (the packet filter runs
-  // at link entry, before the queue smooths the clumps out).
-  std::vector<sim::Time> arrivals;
-  d.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
-    if (p.type == net::PacketType::data && !p.is_retx) {
-      arrivals.push_back(simulator.now());
-    }
-    return true;
-  });
 
   schemes::SchemeContext context;
   auto halfback = schemes::make_sender(Scheme::halfback, context, simulator,
@@ -171,6 +189,7 @@ TEST(PacingQuantizationTest, SegmentsLeaveInTimerClumps) {
 
   // Count distinct "bursts": gaps > 2 ms between consecutive first-copy
   // arrivals delimit pacing ticks.
+  const std::vector<sim::Time>& arrivals = tap.arrivals;
   ASSERT_GE(arrivals.size(), 70u);
   int bursts = 1;
   for (std::size_t i = 1; i < 70; ++i) {

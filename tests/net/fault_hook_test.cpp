@@ -50,17 +50,19 @@ Packet make_packet(std::uint32_t seq = 0) {
 struct HookFixture {
   Simulator sim{1};
   ScriptedHook hook;
+  PacketPool pool;
+  Node sink{0};  ///< the far end; test packets are addressed to it
   std::vector<std::pair<Time, Packet>> arrivals;
   std::unique_ptr<Link> link;
 
   HookFixture() {
+    sink.set_local_handler(
+        [this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
     // 15 Mbps, 10 ms: one 1500 B packet = 0.8 ms serialization, arrivals
     // land at 10.8 ms + queueing.
     link = std::make_unique<Link>(
         sim, DataRate::megabits_per_second(15), 10_ms,
-        std::make_unique<DropTailQueue>(1 << 20), 0.0);
-    link->set_receiver(
-        [this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
+        std::make_unique<DropTailQueue>(1 << 20), pool, sink);
     link->set_fault_hook(&hook);
   }
 };

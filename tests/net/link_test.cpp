@@ -25,15 +25,20 @@ Packet make_packet(std::uint32_t bytes, std::uint32_t seq = 0) {
 
 struct LinkFixture {
   Simulator sim{1};
+  PacketPool pool;
+  Node sink{0};  ///< the far end; test packets are addressed to it
   std::vector<std::pair<Time, Packet>> arrivals;
+
+  LinkFixture() {
+    sink.set_local_handler([this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
+  }
 
   std::unique_ptr<Link> make_link(DataRate rate, Time delay,
                                   std::uint64_t queue_bytes = 1 << 20,
                                   double loss = 0.0) {
-    auto link = std::make_unique<Link>(
-        sim, rate, delay, std::make_unique<DropTailQueue>(queue_bytes), loss);
-    link->set_receiver([this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
-    return link;
+    return std::make_unique<Link>(sim, rate, delay,
+                                  std::make_unique<DropTailQueue>(queue_bytes),
+                                  pool, sink, loss);
   }
 };
 
@@ -112,8 +117,9 @@ TEST(LinkTest, UtilizationReflectsBusyTime) {
 }
 
 TEST(LinkTest, RejectsZeroRate) {
-  Simulator sim{1};
-  EXPECT_THROW(Link(sim, sim::DataRate{}, 1_ms, std::make_unique<DropTailQueue>(1000)),
+  LinkFixture f;
+  EXPECT_THROW(Link(f.sim, sim::DataRate{}, 1_ms, std::make_unique<DropTailQueue>(1000),
+                    f.pool, f.sink),
                std::invalid_argument);
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/invariant_auditor.h"
+#include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 
 namespace halfback::schemes {
 namespace {
 
+using halfback::testing::DropHook;
 using halfback::testing::DumbbellFixture;
 using transport::SenderBase;
 using namespace halfback::sim::literals;
@@ -61,14 +64,17 @@ TEST(HalfbackTest, Fig3TailLossRecoveredByRoprWithoutTimeout) {
   // on its first transmission; the ROPR copy delivers it before any
   // timeout and without waiting for normal loss detection.
   DumbbellFixture f;
+  audit::InvariantAuditor auditor;
+  f.net.install_auditor(auditor);
   bool dropped = false;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_first_copy{[&](const net::Packet& p) {
     if (!dropped && p.type == net::PacketType::data && p.seq == 8 && !p.is_retx) {
       dropped = true;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_first_copy);
   SenderBase& s = f.start(Scheme::halfback, 10 * net::kSegmentPayloadBytes);
   f.sim.run();
   ASSERT_TRUE(dropped);
@@ -76,19 +82,25 @@ TEST(HalfbackTest, Fig3TailLossRecoveredByRoprWithoutTimeout) {
   EXPECT_EQ(s.record().timeouts, 0u);
   // FCT stays within ~2 data RTTs + handshake despite the loss.
   EXPECT_LT(s.record().fct(), 250_ms);
+  // The injected drop is booked like any fault-hook drop: link
+  // conservation and exactly-once delivery still hold.
+  EXPECT_EQ(f.dumbbell.bottleneck_forward->stats().fault_dropped_packets, 1u);
+  auditor.finalize(/*drained=*/f.sim.queue().empty());
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
 TEST(HalfbackTest, TailLossFasterThanVanillaTcp) {
   auto run_with_tail_loss = [](Scheme scheme) {
     DumbbellFixture f;
     bool dropped = false;
-    f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+    DropHook lose_last{[&](const net::Packet& p) {
       if (!dropped && p.type == net::PacketType::data && p.seq == 9 && !p.is_retx) {
         dropped = true;
-        return false;
+        return true;
       }
-      return true;
-    });
+      return false;
+    }};
+    f.dumbbell.bottleneck_forward->set_fault_hook(&lose_last);
     SenderBase& s = f.start(scheme, 10 * net::kSegmentPayloadBytes);
     f.sim.run();
     EXPECT_TRUE(s.complete());

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 
 namespace halfback::schemes {
 namespace {
 
+using halfback::testing::DropHook;
 using halfback::testing::DumbbellFixture;
 using transport::SenderBase;
 using namespace halfback::sim::literals;
@@ -48,14 +50,15 @@ TEST(JumpStartTest, BurstyRecoveryRetransmitsAllDetectedLosses) {
   // whole clump must go out (bursty retransmission).
   DumbbellFixture f;
   int to_drop = 5;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_clump{[&](const net::Packet& p) {
     if (p.type == net::PacketType::data && !p.is_retx && p.seq >= 30 && p.seq < 35 &&
         to_drop > 0) {
       --to_drop;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_clump);
   SenderBase& s = f.start(Scheme::jumpstart, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -85,13 +88,14 @@ TEST(JumpStartTest, RtoRecoveryIsGoBackN) {
   // then count the storm.
   DumbbellFixture f;
   int drops_left = 5;  // original + every pre-RTO retransmission
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_leading{[&](const net::Packet& p) {
     if (p.type == net::PacketType::data && p.seq == 0 && drops_left > 0) {
       --drops_left;
-      return false;  // the leading segment is gone; cum ack cannot move
+      return true;  // the leading segment is gone; cum ack cannot move
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_leading);
   SenderBase& s = f.start(Scheme::jumpstart, 30 * net::kSegmentPayloadBytes);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -106,13 +110,14 @@ TEST(JumpStartTest, NakRoundsRetransmitSamePacketRepeatedly) {
   // rounds re-send it.
   DumbbellFixture f;
   int drops_left = 3;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_segment_20{[&](const net::Packet& p) {
     if (p.type == net::PacketType::data && p.seq == 20 && drops_left > 0) {
       --drops_left;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_segment_20);
   SenderBase& s = f.start(Scheme::jumpstart, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());

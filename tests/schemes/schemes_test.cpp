@@ -3,11 +3,13 @@
 
 #include "schemes/factory.h"
 #include "schemes/scheme.h"
+#include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 
 namespace halfback::schemes {
 namespace {
 
+using halfback::testing::DropHook;
 using halfback::testing::DumbbellFixture;
 using transport::SenderBase;
 using namespace halfback::sim::literals;
@@ -94,14 +96,15 @@ TEST(ReactiveTest, TailLossAvoidedWithoutTimeout) {
   auto run = [](Scheme scheme) {
     DumbbellFixture f;
     bool dropped = false;
-    f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+    DropHook lose_last{[&](const net::Packet& p) {
       // Drop the last segment's first transmission.
       if (!dropped && p.type == net::PacketType::data && p.seq == 9 && !p.is_retx) {
         dropped = true;
-        return false;
+        return true;
       }
-      return true;
-    });
+      return false;
+    }};
+    f.dumbbell.bottleneck_forward->set_fault_hook(&lose_last);
     SenderBase& s = f.start(scheme, 10 * net::kSegmentPayloadBytes);
     f.sim.run();
     EXPECT_TRUE(s.complete());
@@ -138,13 +141,14 @@ TEST(ProactiveTest, EveryPacketSentTwice) {
 TEST(ProactiveTest, DuplicateMasksSingleLoss) {
   DumbbellFixture f;
   bool dropped = false;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_original{[&](const net::Packet& p) {
     if (!dropped && p.type == net::PacketType::data && p.seq == 9 && !p.is_proactive) {
       dropped = true;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_original);
   SenderBase& s = f.start(Scheme::proactive, 10 * net::kSegmentPayloadBytes);
   f.sim.run();
   ASSERT_TRUE(s.complete());

@@ -57,9 +57,12 @@ TEST(DispatchProfiler, CountsDispatchesOnTheInstrumentedLoop) {
   DispatchProfiler profiler;
   simulator.set_profiler(&profiler);
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_at(Time::milliseconds(1));
-  Timer again{simulator, [&] { ++fired; }};
+  Timer again;
+  again.bind(simulator, on_fire);
   again.schedule_at(Time::milliseconds(2));
   simulator.run_until(Time::milliseconds(10));
   EXPECT_EQ(fired, 2);

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -67,7 +68,10 @@ class Harness {
     for (int id = 0; id < kProbes; ++id) {
       probes_[id] = std::make_unique<Probe>(*this, id);
     }
-    for (int id = kProbes; id < kProbes + kTimers; ++id) make_timer(id);
+    for (int id = kProbes; id < kProbes + kTimers; ++id) {
+      on_timer_[id - kProbes] = [this, id] { on_fire(id); };
+      make_timer(id);
+    }
   }
 
   Harness(const Harness&) = delete;
@@ -112,8 +116,8 @@ class Harness {
   EventQueue& queue() { return simulator_.queue(); }
 
   void make_timer(int id) {
-    timers_[id - kProbes] =
-        std::make_unique<Timer>(simulator_, [this, id] { on_fire(id); });
+    timers_[id - kProbes] = std::make_unique<Timer>();
+    timers_[id - kProbes]->bind(simulator_, on_timer_[id - kProbes]);
   }
 
   /// The event object behind `id` while it is pending.
@@ -325,6 +329,7 @@ class Harness {
   Simulator simulator_;
   Random rng_;
   std::array<std::unique_ptr<Probe>, kProbes> probes_;
+  std::array<std::function<void()>, kTimers> on_timer_;  ///< what each timer binds
   std::array<std::unique_ptr<Timer>, kTimers> timers_;
   std::array<EventHandle, kShims> handles_;
   std::array<const Event*, kShims> shim_address_{};

@@ -16,7 +16,9 @@ namespace {
 TEST(Timer, FiresOnceAtDeadline) {
   Simulator simulator;
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(50));
   EXPECT_TRUE(timer.pending());
   simulator.run();
@@ -28,7 +30,9 @@ TEST(Timer, FiresOnceAtDeadline) {
 TEST(Timer, CancelPreventsFiring) {
   Simulator simulator;
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(50));
   timer.cancel();
   EXPECT_FALSE(timer.pending());
@@ -39,7 +43,9 @@ TEST(Timer, CancelPreventsFiring) {
 TEST(Timer, CancelAfterFireIsInert) {
   Simulator simulator;
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(10));
   simulator.run();
   ASSERT_EQ(fired, 1);
@@ -54,7 +60,9 @@ TEST(Timer, CancelAfterFireIsInert) {
 TEST(Timer, RescheduleEarlierMovesTheDeadline) {
   Simulator simulator;
   std::vector<Time> fire_times;
-  Timer timer{simulator, [&] { fire_times.push_back(simulator.now()); }};
+  auto on_fire = [&] { fire_times.push_back(simulator.now()); };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::milliseconds(100));
   timer.schedule_after(Time::milliseconds(1));  // re-arm earlier, in place
   simulator.run();
@@ -65,7 +73,9 @@ TEST(Timer, RescheduleEarlierMovesTheDeadline) {
 TEST(Timer, RescheduleLaterMovesTheDeadline) {
   Simulator simulator;
   std::vector<Time> fire_times;
-  Timer timer{simulator, [&] { fire_times.push_back(simulator.now()); }};
+  auto on_fire = [&] { fire_times.push_back(simulator.now()); };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::milliseconds(1));
   timer.schedule_after(Time::milliseconds(100));  // re-arm later, in place
   simulator.run();
@@ -78,8 +88,12 @@ TEST(Timer, RescheduleMovesToBackOfFifoTie) {
   // re-armed timer fires after timers scheduled before the re-arm.
   Simulator simulator;
   std::vector<int> order;
-  Timer a{simulator, [&] { order.push_back(1); }};
-  Timer b{simulator, [&] { order.push_back(2); }};
+  auto on_a = [&] { order.push_back(1); };
+  Timer a;
+  a.bind(simulator, on_a);
+  auto on_b = [&] { order.push_back(2); };
+  Timer b;
+  b.bind(simulator, on_b);
   a.schedule_after(Time::microseconds(10));
   b.schedule_after(Time::microseconds(10));
   a.schedule_after(Time::microseconds(10));  // re-arm: moves behind b
@@ -93,10 +107,11 @@ TEST(Timer, CancelFromInsideOwnCallbackIsSafe) {
   Simulator simulator;
   int fired = 0;
   Timer timer;
-  timer.bind(simulator, [&] {
+  auto on_fire = [&] {
     ++fired;
     timer.cancel();  // already dequeued at fire time; must be a no-op
-  });
+  };
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(10));
   simulator.run();
   EXPECT_EQ(fired, 1);
@@ -107,9 +122,10 @@ TEST(Timer, ReschedulesItselfFromItsOwnCallback) {
   Simulator simulator;
   int fired = 0;
   Timer timer;
-  timer.bind(simulator, [&] {
+  auto on_fire = [&] {
     if (++fired < 5) timer.schedule_after(Time::microseconds(10));
-  });
+  };
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(10));
   simulator.run();
   EXPECT_EQ(fired, 5);
@@ -120,7 +136,9 @@ TEST(Timer, DestroyingPendingTimerRemovesItFromTheQueue) {
   Simulator simulator;
   int fired = 0;
   {
-    Timer timer{simulator, [&] { ++fired; }};
+    auto on_fire = [&] { ++fired; };
+    Timer timer;
+    timer.bind(simulator, on_fire);
     timer.schedule_after(Time::microseconds(10));
   }
   EXPECT_TRUE(simulator.queue().empty());
@@ -131,7 +149,9 @@ TEST(Timer, DestroyingPendingTimerRemovesItFromTheQueue) {
 TEST(Timer, RunUntilLandingExactlyOnDeadlineFiresTheTimer) {
   Simulator simulator;
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::milliseconds(5));
   // run_until is inclusive: an event at exactly the deadline runs, and the
   // clock finishes at the deadline, not beyond it.
@@ -143,7 +163,9 @@ TEST(Timer, RunUntilLandingExactlyOnDeadlineFiresTheTimer) {
 TEST(Timer, RunUntilBeforeDeadlineLeavesTimerPending) {
   Simulator simulator;
   int fired = 0;
-  Timer timer{simulator, [&] { ++fired; }};
+  auto on_fire = [&] { ++fired; };
+  Timer timer;
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::milliseconds(5));
   simulator.run_until(Time::milliseconds(4));
   EXPECT_EQ(fired, 0);
@@ -158,9 +180,10 @@ TEST(Timer, SchedulingIsAllocationFreeInSteadyState) {
   Simulator simulator;
   int fired = 0;
   Timer timer;
-  timer.bind(simulator, [&] {
+  auto on_fire = [&] {
     if (++fired < 1000) timer.schedule_after(Time::microseconds(1));
-  });
+  };
+  timer.bind(simulator, on_fire);
   timer.schedule_after(Time::microseconds(1));
   simulator.run();
   EXPECT_EQ(fired, 1000);

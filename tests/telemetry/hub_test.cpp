@@ -139,25 +139,6 @@ TEST(Manifest, DigestIsStableAcrossRunsAndSensitiveToSeed) {
   EXPECT_EQ(a.wall_time_seconds, 0.0);
 }
 
-TEST(Manifest, PlanetLabManifestUsesTrialSeedAndEventCount) {
-  PlanetLabConfig config;
-  config.pair_count = 4;
-  config.seed = 7;
-  config.per_trial_timeout = sim::Time::seconds(60);
-  const PlanetLabEnv env{config};
-  Hub hub;
-  const TrialResult trial =
-      env.run_one(schemes::Scheme::halfback, env.paths().front(), 1234, &hub);
-  const RunManifest m =
-      env.manifest(trial, schemes::Scheme::halfback, 1234, &hub);
-  EXPECT_EQ(m.experiment, "planetlab");
-  EXPECT_EQ(m.scheme, "halfback");
-  EXPECT_EQ(m.seed, 1234u);
-  EXPECT_EQ(m.events_dispatched, hub.sim().events_dispatched->value());
-  EXPECT_GT(m.events_dispatched, 0u);
-  EXPECT_EQ(m.sim_end, trial.record.completion_time);
-}
-
 TEST(HubSpans, HalfbackRunRecordsFlowSpanTrees) {
   Hub hub;
   EmulabRunner::Config config = golden_emulab_config();

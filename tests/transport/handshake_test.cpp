@@ -2,25 +2,28 @@
 // backoff, and its interaction with each scheme's startup.
 #include <gtest/gtest.h>
 
+#include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 
 namespace halfback::transport {
 namespace {
 
 using schemes::Scheme;
+using halfback::testing::DropHook;
 using halfback::testing::DumbbellFixture;
 using namespace halfback::sim::literals;
 
 TEST(HandshakeTest, SynLossRetriesWithBackoff) {
   DumbbellFixture f;
   int drops = 2;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_syns{[&](const net::Packet& p) {
     if (p.type == net::PacketType::syn && drops > 0) {
       --drops;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_syns);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -33,13 +36,14 @@ TEST(HandshakeTest, SynLossRetriesWithBackoff) {
 TEST(HandshakeTest, SynAckLossAlsoRecovered) {
   DumbbellFixture f;
   bool dropped = false;
-  f.dumbbell.bottleneck_reverse->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_syn_ack{[&](const net::Packet& p) {
     if (p.type == net::PacketType::syn_ack && !dropped) {
       dropped = true;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_reverse->set_fault_hook(&lose_syn_ack);
   SenderBase& s = f.start(Scheme::halfback, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -53,8 +57,8 @@ TEST(HandshakeTest, GivesUpAfterMaxRetries) {
   // A black-holed path: the sender must stop retrying and never complete,
   // without leaving the simulation spinning.
   DumbbellFixture f;
-  f.dumbbell.bottleneck_forward->set_packet_filter(
-      [](const net::Packet&) { return false; });
+  DropHook black_hole{[](const net::Packet&) { return true; }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&black_hole);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();  // drains: finitely many SYN retries, then silence
   EXPECT_FALSE(s.complete());
@@ -66,13 +70,14 @@ TEST(HandshakeTest, HandshakeRttSurvivesSynRetryKarn) {
   // must not be poisoned (Karn) — but the record still reports a value.
   DumbbellFixture f;
   int drops = 1;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_syn{[&](const net::Packet& p) {
     if (p.type == net::PacketType::syn && drops > 0) {
       --drops;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_syn);
   SenderBase& s = f.start(Scheme::halfback, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -85,13 +90,14 @@ TEST(HandshakeTest, HandshakeRttSurvivesSynRetryKarn) {
 TEST(HandshakeTest, PacedSchemesStillPaceAfterSynRetry) {
   DumbbellFixture f;
   int drops = 1;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
+  DropHook lose_syn{[&](const net::Packet& p) {
     if (p.type == net::PacketType::syn && drops > 0) {
       --drops;
-      return false;
+      return true;
     }
-    return true;
-  });
+    return false;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_syn);
   SenderBase& s = f.start(Scheme::jumpstart, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -108,9 +114,10 @@ TEST(HandshakeTest, SynBackoffIsCappedDuringLongBlackouts) {
   // handshake completes shortly after the blackout lifts.
   DumbbellFixture f;
   f.context.sender_config.max_syn_timeout = 2_s;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
-    return !(p.type == net::PacketType::syn && f.sim.now() < 8.5_s);
-  });
+  DropHook blackout{[&](const net::Packet& p) {
+    return p.type == net::PacketType::syn && f.sim.now() < 8.5_s;
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&blackout);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
@@ -127,11 +134,12 @@ TEST(HandshakeTest, CappedBackoffStillBacksOffBeforeTheCeiling) {
   DumbbellFixture f;
   f.context.sender_config.max_syn_timeout = 2_s;
   std::vector<sim::Time> syn_times;
-  f.dumbbell.bottleneck_forward->set_packet_filter([&](const net::Packet& p) {
-    if (p.type != net::PacketType::syn) return true;
+  DropHook lose_four_syns{[&](const net::Packet& p) {
+    if (p.type != net::PacketType::syn) return false;
     syn_times.push_back(f.sim.now());
-    return syn_times.size() > 4;  // let the fifth SYN through
-  });
+    return syn_times.size() <= 4;  // let the fifth SYN through
+  }};
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_four_syns);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
