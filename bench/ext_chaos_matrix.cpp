@@ -138,28 +138,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    const std::string stem = opt.telemetry_dir + "/showcase-halfback";
-    {
-      // Full-hub overload: tape events plus nested B/E span events (pid 3).
-      std::ofstream out{stem + ".trace.json"};
-      telemetry::write_chrome_trace(out, hub, run.sim_end);
-    }
-    {
-      std::ofstream out{stem + ".metrics.jsonl"};
-      telemetry::write_metrics_jsonl(out, hub.registry());
-    }
-    {
-      std::ofstream out{stem + ".spans.jsonl"};
-      telemetry::write_spans_jsonl(out, hub.spans(), run.sim_end);
-    }
-    {
-      std::ofstream out{stem + ".series.jsonl"};
-      telemetry::write_timeseries_jsonl(out, hub);
-    }
-    {
-      std::ofstream out{stem + ".manifest.json"};
-      telemetry::write_manifest_json(out, manifest, &hub.registry());
-    }
+    exp::write_run_artifacts(opt.telemetry_dir + "/showcase-halfback", hub,
+                             manifest, run.sim_end);
     stats::HistogramOptions histogram_options;
     histogram_options.width = 48;
     histogram_options.max_rows = 16;

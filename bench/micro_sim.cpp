@@ -436,9 +436,10 @@ int run_telemetry_json_mode(const char* path) {
   // "full": hub plus the in-sim cost profiler, i.e. the hub+profiler
   // dispatch loop instantiation with a per-event type probe and sampled
   // cycle attribution — the everything-on observability configuration.
-  // Spans and windowed series are owned by the same hub; this loop has no flows
-  // or links, so their cost shows up in the chaos/emulab gates instead,
-  // where it is a null test plus indexed stores per packet.
+  // Tracks, tapes and spans are owned by the same hub; this loop has no
+  // flows or links, so their cost shows up in the chaos/emulab gates
+  // instead, where it is a null test per transition plus the track's
+  // counter, tape-slot and span stores (a tape indexes its ring by mask).
   //
   // The three configurations are measured interleaved, one short rep each
   // per round, and the gate compares the per-config *maximum* rate across

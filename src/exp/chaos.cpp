@@ -121,37 +121,6 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
   return result;
 }
 
-/// Write one cell's telemetry triple next to each other in `dir`. The hub
-/// is per-cell (cells run on sweep threads), so no synchronization needed.
-void export_cell(const std::string& dir, const ChaosScenario& scenario,
-                 schemes::Scheme scheme, const telemetry::Hub& hub,
-                 const telemetry::RunManifest& manifest, sim::Time end) {
-  const std::string stem =
-      dir + "/" + scenario.name + "-" + schemes::name(scheme);
-  {
-    std::ofstream out{stem + ".metrics.jsonl"};
-    telemetry::write_metrics_jsonl(out, hub.registry());
-  }
-  {
-    // The full-hub overload: the tape events plus the causal span log as
-    // nested B/E duration events on pid 3.
-    std::ofstream out{stem + ".trace.json"};
-    telemetry::write_chrome_trace(out, hub, end);
-  }
-  {
-    std::ofstream out{stem + ".spans.jsonl"};
-    telemetry::write_spans_jsonl(out, hub.spans(), end);
-  }
-  {
-    std::ofstream out{stem + ".series.jsonl"};
-    telemetry::write_timeseries_jsonl(out, hub);
-  }
-  {
-    std::ofstream out{stem + ".manifest.json"};
-    telemetry::write_manifest_json(out, manifest, &hub.registry());
-  }
-}
-
 ChaosCell summarize(const ChaosScenario& scenario, schemes::Scheme scheme,
                     const RunResult& run) {
   ChaosCell cell;
@@ -185,6 +154,28 @@ ChaosCell summarize(const ChaosScenario& scenario, schemes::Scheme scheme,
 }
 
 }  // namespace
+
+void write_run_artifacts(const std::string& stem, const telemetry::Hub& hub,
+                         const telemetry::RunManifest& manifest, sim::Time end) {
+  {
+    std::ofstream out{stem + ".metrics.jsonl"};
+    telemetry::write_metrics_jsonl(out, hub.registry());
+  }
+  {
+    // The full-hub overload: the tape events plus the causal span log as
+    // nested B/E duration events on pid 3.
+    std::ofstream out{stem + ".trace.json"};
+    telemetry::write_chrome_trace(out, hub, end);
+  }
+  {
+    std::ofstream out{stem + ".spans.jsonl"};
+    telemetry::write_spans_jsonl(out, hub.spans(), end);
+  }
+  {
+    std::ofstream out{stem + ".manifest.json"};
+    telemetry::write_manifest_json(out, manifest, &hub.registry());
+  }
+}
 
 ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
                              std::span<const schemes::Scheme> schemes) {
@@ -230,8 +221,10 @@ ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
           return AttemptOutcome::from_budget(run.budget_report);
         }
         if (exporting) {
-          export_cell(config.telemetry_dir, scenario, scheme, *hub, manifest,
-                      run.sim_end);
+          // The hub is per-cell, so cells on sweep threads write unshared.
+          write_run_artifacts(config.telemetry_dir + "/" + scenario.name + "-" +
+                                  schemes::name(scheme),
+                              *hub, manifest, run.sim_end);
         }
         if (config.verify_determinism) {
           RunResult rerun = run_cell(config, scenario, scheme);

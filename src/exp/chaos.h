@@ -95,9 +95,10 @@ struct ChaosSweepConfig {
   /// trace hash (the determinism acceptance gate; doubles the work).
   bool verify_determinism = false;
   /// When non-empty, each cell runs with its own telemetry hub and writes
-  /// `<dir>/<scenario>-<scheme>.{metrics.jsonl,trace.json,manifest.json}`
-  /// there (the directory must already exist). Purely observational: cell
-  /// results and trace hashes are identical with or without it.
+  /// its run artifacts (write_run_artifacts) under the stem
+  /// `<dir>/<scenario>-<scheme>` (the directory must already exist). Purely
+  /// observational: cell results and trace hashes are identical with or
+  /// without it.
   std::string telemetry_dir;
   /// Fill each cell's p50/p99/p99.9 FCT columns from a per-cell telemetry
   /// hub's FCT histogram. Purely observational (the hub never perturbs the
@@ -120,6 +121,13 @@ struct ChaosSweepResult {
 
   bool complete() const { return supervision.complete(); }
 };
+
+/// Write one run's telemetry artifacts next to each other:
+/// `<stem>.metrics.jsonl`, `<stem>.trace.json` (tape events and the span
+/// log, spans still open closing at `end`), `<stem>.spans.jsonl` and
+/// `<stem>.manifest.json`.
+void write_run_artifacts(const std::string& stem, const telemetry::Hub& hub,
+                         const telemetry::RunManifest& manifest, sim::Time end);
 
 /// Run the full matrix: one cell per (catalog scenario, scheme), under the
 /// supervised executor (budgets, quarantine — exp/supervisor.h).

@@ -25,8 +25,6 @@ std::string config_fingerprint(const EmulabRunner::Config& c) {
       << ";iw=" << c.sender_config.initial_window
       << ";rwnd=" << c.sender_config.receive_window_segments
       << ";threshold=" << c.halfback_config.pacing_threshold_segments
-      << ";order=" << static_cast<int>(c.halfback_config.order)
-      << ";rate=" << static_cast<int>(c.halfback_config.rate)
       << ";copies=" << c.halfback_config.copies_per_ack
       << ";burst=" << c.halfback_config.initial_burst_segments
       << ";drain_ns=" << c.drain.ns()

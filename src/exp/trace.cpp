@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/timer.h"
-#include "telemetry/timeseries.h"
 
 namespace halfback::exp {
 
@@ -36,15 +35,12 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
     std::string label;
     net::FlowId flow;
     std::size_t pair = 0;
-    telemetry::WindowSeries series;
+    /// Unique bytes delivered per bucket, up to the last bucket with any.
+    std::vector<std::uint64_t> bucket_bytes;
     std::uint32_t seen_segments = 0;
     std::size_t start = 0;  ///< Rig::start_at index
   };
   std::vector<Tracked> tracked;
-  // Samples land in the bucket that just ended, so the last one recorded
-  // before the horizon falls inside [0, duration).
-  const auto buckets =
-      static_cast<std::size_t>(config.duration.ns() / config.bucket.ns()) + 1;
 
   auto start_flow = [&](const std::string& label, schemes::Scheme scheme,
                         std::uint64_t bytes, std::size_t pair, sim::Time at,
@@ -53,9 +49,7 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
     const std::size_t start = rig.start_at(
         at, rig.agent(pair), context,
         FlowSpec{scheme, dumbbell.receivers[pair], flow, bytes, burst_window});
-    tracked.push_back(Tracked{label, flow, pair,
-                              telemetry::WindowSeries{label, config.bucket, buckets},
-                              0, start});
+    tracked.push_back(Tracked{label, flow, pair, {}, 0, start});
   };
 
   // Background TCP flow on pair 0 from t=0.
@@ -89,16 +83,18 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
   sim::Simulator& simulator = rig.simulator();
   sim::Timer sampler;
   auto sample = [&] {
+    // Attribute to the bucket that just ended.
+    const auto ended = static_cast<std::size_t>(
+        (simulator.now() - config.bucket).ns() / config.bucket.ns());
     for (Tracked& t : tracked) {
       transport::Receiver* r = rig.agent(pairs + t.pair).receiver(t.flow);
       if (r == nullptr) continue;
       const std::uint32_t now_segments = r->stats().unique_segments;
       if (now_segments > t.seen_segments) {
-        const std::uint64_t bytes =
+        if (t.bucket_bytes.size() <= ended) t.bucket_bytes.resize(ended + 1);
+        t.bucket_bytes[ended] +=
             static_cast<std::uint64_t>(now_segments - t.seen_segments) *
             net::kSegmentPayloadBytes;
-        // Attribute to the bucket that just ended.
-        t.series.tally_bytes(simulator.now() - config.bucket, bytes);
         t.seen_segments = now_segments;
       }
     }
@@ -117,8 +113,8 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
   for (const Tracked& t : tracked) {
     FlowTrace ft;
     ft.label = t.label;
-    for (std::size_t i = 0; i < t.series.window_count(); ++i) {
-      const double bytes = static_cast<double>(t.series.window(i).bytes);
+    for (std::size_t i = 0; i < t.bucket_bytes.size(); ++i) {
+      const double bytes = static_cast<double>(t.bucket_bytes[i]);
       ft.throughput.push_back({config.bucket * static_cast<double>(i),
                                bytes * 8.0 / bucket_seconds / 1e6});
     }

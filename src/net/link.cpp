@@ -27,8 +27,6 @@ Link::Link(sim::Simulator& simulator, sim::DataRate rate, sim::Time delay,
 void Link::send(Packet p) {
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_offered(*this, p));
   if (transmitting_) {
-    // The queue records its own admission on the track (it knows its
-    // resident count without a virtual packet_count() call).
     queue_->enqueue(std::move(p), simulator_.now());
     return;
   }
@@ -131,7 +129,6 @@ void Link::deliver(PacketEvent& node) {
   pool_.release(node);
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
-  if (track_ != nullptr) track_->delivered(p);
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_delivered(*this, p));
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_node_received(dst_node_.id(), p));
   dst_node_.handle(std::move(p));

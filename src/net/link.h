@@ -93,9 +93,8 @@ class Link {
 
   /// Attach this link's telemetry track, and its queue's (nullptr
   /// detaches; owned by the telemetry Hub, see Hub::instrument_network).
-  /// Deliveries and fault hits are recorded on it, queue admissions and
-  /// drops through the queue; with no track the per-packet cost is one
-  /// null test.
+  /// Fault hits are recorded on it, queue drops through the queue; with no
+  /// track the per-packet cost is one null test.
   void set_track(telemetry::LinkTrack* track) {
     track_ = track;
     queue_->set_track(track);

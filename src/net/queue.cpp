@@ -6,14 +6,12 @@
 
 namespace halfback::net {
 
-void PacketQueue::record_enqueue(const Packet& p,
-                                 std::size_t resident_packets) {
+void PacketQueue::record_enqueue(const Packet& p) {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p.size_bytes;
   stats_.max_backlog_bytes =
       std::max(stats_.max_backlog_bytes, sim::Bytes{byte_length()});
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_enqueued(*this, p));
-  if (track_ != nullptr) track_->enqueued(resident_packets);
 }
 
 void PacketQueue::record_drop(const Packet& p, audit::DropContext context) {
@@ -38,7 +36,7 @@ bool DropTailQueue::enqueue(Packet p, sim::Time /*now*/) {
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(std::move(p));
-  record_enqueue(packets_.back(), packets_.size());
+  record_enqueue(packets_.back());
   return true;
 }
 
@@ -60,7 +58,7 @@ bool PriorityQueue::enqueue(Packet p, sim::Time /*now*/) {
   bytes_[band] += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   bands_[band].push_back(std::move(p));
-  record_enqueue(bands_[band].back(), bands_[0].size() + bands_[1].size());
+  record_enqueue(bands_[band].back());
   return true;
 }
 
@@ -84,7 +82,7 @@ bool CoDelQueue::enqueue(Packet p, sim::Time now) {
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(Entry{now, std::move(p)});
-  record_enqueue(packets_.back().packet, packets_.size());
+  record_enqueue(packets_.back().packet);
   return true;
 }
 
@@ -163,7 +161,7 @@ bool RedQueue::enqueue(Packet p, sim::Time /*now*/) {
   bytes_ += p.size_bytes;
   // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
   packets_.push_back(std::move(p));
-  record_enqueue(packets_.back(), packets_.size());
+  record_enqueue(packets_.back());
   return true;
 }
 

@@ -71,7 +71,7 @@ class PacketQueue {
   audit::Auditor* auditor() const { return auditor_; }
 
   /// The owning link's telemetry track (nullptr detaches). Link::set_track
-  /// installs it; admissions and drops are recorded on it.
+  /// installs it; drops are recorded on it.
   void set_track(telemetry::LinkTrack* track) { track_ = track; }
 
   /// Invoked for every dropped packet (for per-flow loss accounting).
@@ -84,10 +84,8 @@ class PacketQueue {
   /// the stats, the audit hooks and the track see one consistent stream.
   /// `record_drop` distinguishes admission drops (packet never entered the
   /// backlog) from in-queue drops (CoDel discarding a resident packet at
-  /// dequeue). `resident_packets` is the post-admission depth, which the
-  /// caller knows statically — keeping the track's queue-peak tap off the
-  /// virtual packet_count() so the hot path stays devirtualized.
-  void record_enqueue(const Packet& p, std::size_t resident_packets);
+  /// dequeue).
+  void record_enqueue(const Packet& p);
   void record_drop(const Packet& p,
                    audit::DropContext context = audit::DropContext::admission);
   void record_dequeue(const Packet& p);

@@ -43,35 +43,29 @@ std::unique_ptr<transport::SenderBase> make_sender(
     case Scheme::pcp:
       return std::make_unique<PcpSender>(simulator, local_node, peer, flow,
                                          flow_bytes, config);
-    case Scheme::halfback: {
-      HalfbackConfig h = context.halfback_config;
-      h.order = HalfbackConfig::Order::reverse;
-      h.rate = HalfbackConfig::RetxRate::ack_clocked;
-      if (h.history_threshold && !context.throughput_history) {
+    case Scheme::halfback:
+      if (context.halfback_config.history_threshold &&
+          !context.throughput_history) {
         context.throughput_history = std::make_shared<ThroughputHistory>();
       }
-      return std::make_unique<HalfbackSender>(simulator, local_node, peer, flow,
-                                              flow_bytes, config, h, "halfback",
-                                              context.throughput_history);
-    }
-    case Scheme::halfback_forward: {
-      HalfbackConfig h = context.halfback_config;
-      h.order = HalfbackConfig::Order::forward;
-      h.rate = HalfbackConfig::RetxRate::ack_clocked;
-      return std::make_unique<HalfbackSender>(simulator, local_node, peer, flow,
-                                              flow_bytes, config, h,
-                                              "halfback-forward");
-    }
+      return std::make_unique<HalfbackSender>(
+          simulator, local_node, peer, flow, flow_bytes, config,
+          context.halfback_config, HalfbackSender::Order::reverse,
+          HalfbackSender::RetxRate::ack_clocked, "halfback",
+          context.throughput_history);
+    case Scheme::halfback_forward:
+      return std::make_unique<HalfbackSender>(
+          simulator, local_node, peer, flow, flow_bytes, config,
+          context.halfback_config, HalfbackSender::Order::forward,
+          HalfbackSender::RetxRate::ack_clocked, "halfback-forward");
     case Scheme::rc3:
       return std::make_unique<Rc3Sender>(simulator, local_node, peer, flow,
                                          flow_bytes, config);
-    case Scheme::halfback_burst: {
-      HalfbackConfig h = context.halfback_config;
-      h.order = HalfbackConfig::Order::reverse;
-      h.rate = HalfbackConfig::RetxRate::line_rate;
-      return std::make_unique<HalfbackSender>(simulator, local_node, peer, flow,
-                                              flow_bytes, config, h, "halfback-burst");
-    }
+    case Scheme::halfback_burst:
+      return std::make_unique<HalfbackSender>(
+          simulator, local_node, peer, flow, flow_bytes, config,
+          context.halfback_config, HalfbackSender::Order::reverse,
+          HalfbackSender::RetxRate::line_rate, "halfback-burst");
   }
   throw std::invalid_argument{"unknown scheme"};
 }

@@ -11,20 +11,12 @@
 
 namespace halfback::schemes {
 
-/// Knobs distinguishing Halfback from its §5 ablations.
+/// Halfback's tuning knobs. Its §5 ablations (retransmission order and
+/// rate) are schemes of their own, fixed by the factory.
 struct HalfbackConfig {
   /// Pacing Threshold (§3.1) in segments. The paper's experiments set it
   /// to the flow-control window (141 KB = 97 segments).
   std::uint32_t pacing_threshold_segments = 97;
-
-  /// ROPR retransmission order (§5 "Retransmission direction").
-  enum class Order { reverse, forward };
-  Order order = Order::reverse;
-
-  /// ROPR retransmission rate (§5 "Retransmission rate"): one proactive
-  /// retransmission per received ACK, or everything at line rate.
-  enum class RetxRate { ack_clocked, line_rate };
-  RetxRate rate = RetxRate::ack_clocked;
 
   /// §5 extension ("it is also possible to dynamically tune the additional
   /// bandwidth used for proactive retransmission ... instead of sending one
@@ -68,10 +60,19 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   using Tcp = transport::TcpSenderImpl<HalfbackSender>;
 
  public:
+  /// ROPR retransmission order (§5 "Retransmission direction").
+  enum class Order { reverse, forward };
+
+  /// ROPR retransmission rate (§5 "Retransmission rate"): one proactive
+  /// retransmission per received ACK, or everything at line rate.
+  enum class RetxRate { ack_clocked, line_rate };
+
+  /// `order` and `rate` tell Halfback (reverse, ACK-clocked) from its
+  /// ablations; schemes::make_sender picks them from the Scheme.
   HalfbackSender(sim::Simulator& simulator, net::Node& local_node, net::NodeId peer,
                  net::FlowId flow, sim::Bytes flow_bytes,
                  transport::SenderConfig config, HalfbackConfig halfback_config,
-                 std::string scheme_name = "halfback",
+                 Order order, RetxRate rate, std::string scheme_name,
                  std::shared_ptr<ThroughputHistory> history = nullptr)
       : Base{simulator,
              local_node,
@@ -84,6 +85,8 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
              Base::kDefaultPacingQuantum,
              halfback_config.initial_burst_segments},
         halfback_{halfback_config},
+        order_{order},
+        rate_{rate},
         history_{std::move(history)} {
     // Normal retransmissions are ACK-clocked too — at most one per ACK,
     // like the ROPR copies ("limits aggressiveness at retransmission").
@@ -130,7 +133,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
     if (ropr_armed_ && !ropr_done_) {
       if (!ropr_active_) begin_ropr();
       ++ropr_acks_;
-      if (halfback_.rate == HalfbackConfig::RetxRate::ack_clocked) {
+      if (rate_ == RetxRate::ack_clocked) {
         // `copies_per_ack` proactive retransmissions per received ACK
         // (1.0 = the paper's Halfback; fractional ratios are the §5
         // bandwidth-tuning extension). Credit is capped so a burst cannot
@@ -192,7 +195,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
     ropr_started_at_ = simulator_.now();
     ropr_back_ = batch_end();          // reverse pointer (one past)
     ropr_front_ = scoreboard_.cum_ack();  // forward pointer (ablation)
-    if (halfback_.rate == HalfbackConfig::RetxRate::line_rate) {
+    if (rate_ == RetxRate::line_rate) {
       // Halfback-Burst ablation: all proactive retransmissions at once.
       while (retransmit_one_proactive()) {
       }
@@ -203,7 +206,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   /// Send the next proactive retransmission in the configured order.
   /// Returns false when no eligible segment remains.
   bool retransmit_one_proactive() {
-    if (halfback_.order == HalfbackConfig::Order::reverse) {
+    if (order_ == Order::reverse) {
       while (ropr_back_ > scoreboard_.cum_ack()) {
         std::uint32_t seq = ropr_back_ - 1;
         --ropr_back_;
@@ -235,7 +238,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   }
 
   void check_ropr_finished() {
-    const bool exhausted = halfback_.order == HalfbackConfig::Order::reverse
+    const bool exhausted = order_ == Order::reverse
                                ? ropr_back_ <= scoreboard_.cum_ack()
                                : ropr_front_ >= batch_end();
     if (!exhausted) return;
@@ -258,6 +261,8 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   }
 
   HalfbackConfig halfback_;
+  Order order_;
+  RetxRate rate_;
   std::shared_ptr<ThroughputHistory> history_;
   bool ropr_armed_ = false;
   bool ropr_active_ = false;

@@ -248,24 +248,4 @@ void write_spans_jsonl(std::ostream& out, const SpanRecorder& spans,
       << ",\"dropped\":" << spans.dropped() << "}\n";
 }
 
-void write_timeseries_jsonl(std::ostream& out, const Hub& hub) {
-  for (std::size_t i = 0; i < hub.series_count(); ++i) {
-    const WindowSeries& s = hub.series_at(i);
-    out << "{\"series\":\"" << json_escape(s.name())
-        << "\",\"window_ns\":" << s.width().ns()
-        << ",\"dropped\":" << s.dropped() << ",\"windows\":[";
-    bool first = true;
-    for (std::size_t w = 0; w < s.window_count(); ++w) {
-      const WindowSample& sample = s.window(w);
-      if (!sample.touched()) continue;
-      if (!first) out << ',';
-      first = false;
-      out << '[' << w << ',' << sample.bytes << ',' << sample.packets << ','
-          << sample.drops << ',' << sample.retx << ',' << sample.dups << ','
-          << sample.queue_peak << ',' << sample.inflight_peak << ']';
-    }
-    out << "]}\n";
-  }
-}
-
 }  // namespace halfback::telemetry

@@ -1,6 +1,6 @@
 // Exporters: deterministic text serializations of a run's telemetry.
 //
-// Every format iterates the registry / recorder / span log / series in
+// Every format iterates the registry / recorder / span log in
 // registration / creation order and formats numbers with pure integer
 // math wherever the value is integral, so two same-seed runs emit
 // byte-identical output (tests/telemetry/export_test.cpp holds that
@@ -11,7 +11,7 @@
 //    carries one thread per flow tape, pid 2 one per link tape (tape
 //    points as instants); pid 3 draws the span log, so phases are drawn
 //    once, as spans.
-//  - spans JSONL and series JSONL: the span log and the windowed series.
+//  - spans JSONL: the span log.
 #pragma once
 
 #include <iosfwd>
@@ -57,12 +57,6 @@ void write_chrome_trace(std::ostream& out, const Hub& hub, sim::Time end);
 /// spans report `"open":true` with their end clamped to `end`.
 void write_spans_jsonl(std::ostream& out, const SpanRecorder& spans,
                        sim::Time end) HB_EFFECTS(alloc, throw);
-
-/// Windowed time-series as JSONL: one object per series in creation order;
-/// each touched window renders as [index, bytes, packets, drops, retx,
-/// dups, queue_peak, inflight_peak].
-void write_timeseries_jsonl(std::ostream& out, const Hub& hub)
-    HB_EFFECTS(alloc, throw);
 
 /// Bridge to stats::ascii_histogram: the histogram's occupied buckets as
 /// bins, edges divided by `scale` (1e6 turns nanoseconds into ms). Inline

@@ -72,6 +72,10 @@ enum class FaultKind : std::uint8_t { drop, corrupt, delay, duplicate };
 /// What a tape describes.
 enum class TrackKind : std::uint8_t { flow, link };
 
+/// Events one tape's ring holds. Every tape has this capacity; a power of
+/// two keeps the ring index a mask.
+inline constexpr std::size_t kEventsPerTape = 256;
+
 /// One compact recorded event (24 bytes).
 struct TapeEvent {
   sim::Time at;
@@ -85,7 +89,7 @@ class Tape {
  public:
   void record(sim::Time at, TapeEventKind kind, std::uint32_t a = 0,
               std::uint64_t b = 0) HB_EFFECTS() {
-    TapeEvent& slot = ring_[head_ % capacity_];
+    TapeEvent& slot = ring_[head_ % kEventsPerTape];
     slot.at = at;
     slot.kind = kind;
     slot.a = a;
@@ -103,29 +107,27 @@ class Tape {
   const std::string& label() const { return label_; }
 
   /// Events currently held, oldest first.
-  std::size_t size() const { return head_ < capacity_ ? head_ : capacity_; }
+  std::size_t size() const {
+    return head_ < kEventsPerTape ? head_ : kEventsPerTape;
+  }
   /// Point events overwritten by ring wrap-around.
-  std::uint64_t dropped() const { return head_ < capacity_ ? 0 : head_ - capacity_; }
+  std::uint64_t dropped() const {
+    return head_ < kEventsPerTape ? 0 : head_ - kEventsPerTape;
+  }
   const TapeEvent& event(std::size_t i) const {
-    return ring_[(head_ - size() + i) % capacity_];
+    return ring_[(head_ - size() + i) % kEventsPerTape];
   }
 
  private:
   friend class FlightRecorder;
 
-  Tape(TrackKind track, std::uint64_t id, std::string label, TapeEvent* ring,
-       std::size_t capacity)
-      : track_{track},
-        id_{id},
-        label_{std::move(label)},
-        ring_{ring},
-        capacity_{capacity} {}
+  Tape(TrackKind track, std::uint64_t id, std::string label, TapeEvent* ring)
+      : track_{track}, id_{id}, label_{std::move(label)}, ring_{ring} {}
 
   TrackKind track_;
   std::uint64_t id_;
   std::string label_;
-  TapeEvent* ring_;  ///< capacity_ slots inside a FlightRecorder slab
-  std::size_t capacity_;
+  TapeEvent* ring_;  ///< kEventsPerTape slots inside a FlightRecorder slab
   std::uint64_t head_ = 0;
 };
 
@@ -138,8 +140,7 @@ std::string render_tape(const Tape& tape);
 /// the export order (deterministic for a seeded run).
 class FlightRecorder {
  public:
-  static constexpr std::size_t kEventsPerTape = 256;  ///< ring capacity
-  static constexpr std::size_t kTapesPerSlab = 64;    ///< rings per allocation
+  static constexpr std::size_t kTapesPerSlab = 64;  ///< rings per allocation
 
   FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
@@ -153,7 +154,7 @@ class FlightRecorder {
     auto it = index_.find(key);
     if (it != index_.end()) return tapes_[it->second];
     TapeEvent* ring = allocate_ring();
-    tapes_.push_back(Tape{track, id, std::move(label), ring, kEventsPerTape});
+    tapes_.push_back(Tape{track, id, std::move(label), ring});
     index_.emplace(key, tapes_.size() - 1);
     return tapes_.back();
   }

@@ -99,8 +99,7 @@ void Hub::instrument_network(net::Network& network) {
   for (std::size_t i = 0; i < links.size(); ++i) {
     Tape& tape = recorder_.tape(TrackKind::link, i,
                                 "link " + std::to_string(i));
-    links[i]->set_track(&link_tracks_.emplace_back(
-        simulator, tape, series("link." + std::to_string(i))));
+    links[i]->set_track(&link_tracks_.emplace_back(simulator, tape));
   }
 }
 

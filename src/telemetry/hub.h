@@ -1,5 +1,4 @@
-// Telemetry Hub: one run's registry, flight recorder, span log, series and
-// tracks.
+// Telemetry Hub: one run's registry, flight recorder, span log and tracks.
 //
 // The Hub is owned by the experiment layer (EmulabRunner, PlanetLabEnv,
 // chaos_sweep, benches) and serves one run. instrument_network() is the one
@@ -18,9 +17,7 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/annotations.h"
 #include "sim/simulator.h"
@@ -28,7 +25,6 @@
 #include "telemetry/metric.h"
 #include "telemetry/registry.h"
 #include "telemetry/span.h"
-#include "telemetry/timeseries.h"
 #include "telemetry/track.h"
 
 namespace halfback::net {
@@ -60,9 +56,6 @@ class Hub {
     Counter* delay_spikes = nullptr;
   };
 
-  /// Tumbling-window width of the link and flow-class series.
-  static constexpr sim::Time kSeriesWindow = sim::Time::milliseconds(10);
-
   /// Registers the whole metric catalog (see docs/telemetry.md) so probe
   /// bundles are valid immediately and export order is fixed regardless of
   /// which components end up recording.
@@ -83,20 +76,6 @@ class Hub {
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
 
-  /// Create-or-get the named windowed time-series (setup path: tracks are
-  /// bound to theirs at creation). Creation order = export order, the same
-  /// discipline MetricRegistry uses for instruments.
-  WindowSeries& series(const std::string& name) {
-    for (const auto& s : series_) {
-      if (s->name() == name) return *s;
-    }
-    series_.push_back(std::make_unique<WindowSeries>(
-        name, kSeriesWindow, WindowSeries::kDefaultMaxWindows));
-    return *series_.back();
-  }
-  std::size_t series_count() const { return series_.size(); }
-  const WindowSeries& series_at(std::size_t i) const { return *series_[i]; }
-
   /// Batched event-dispatch hook: the simulator's dispatch loops track
   /// the count and the integer heap peak locally and flush once when a
   /// run slice exits, keeping the per-event telemetry cost to an integer
@@ -109,21 +88,19 @@ class Hub {
   }
 
   /// Install this hub on `network`: set the simulator's telemetry pointer
-  /// and give every existing link and its queue a LinkTrack (tape "link i",
-  /// series "link.i"). Call after the topology is final and before traffic
-  /// starts (links created later are simply not tracked).
+  /// and give every existing link and its queue a LinkTrack (tape "link i").
+  /// Call after the topology is final and before traffic starts (links
+  /// created later are simply not tracked).
   void instrument_network(net::Network& network);
 
   /// A new track for flow `flow` of `scheme`, recording on `clock`. Called
   /// by SenderBase::start() on a simulator carrying this hub: creates the
-  /// flow's tape ("<scheme> flow <id>") and binds the per-scheme series
-  /// "class.<scheme>".
+  /// flow's tape ("<scheme> flow <id>").
   FlowTrack& flow_track(const sim::Simulator& clock, std::uint64_t flow,
                         const std::string& scheme) {
     Tape& tape = recorder_.tape(TrackKind::flow, flow,
                                 scheme + " flow " + std::to_string(flow));
-    return flow_tracks_.emplace_back(clock, tape, transport_, scheme_, spans_,
-                                     series("class." + scheme));
+    return flow_tracks_.emplace_back(clock, tape, transport_, scheme_, spans_);
   }
 
   /// Snapshot per-link queue/drop/utilization gauges from `network` at
@@ -140,7 +117,6 @@ class Hub {
   MetricRegistry registry_;
   FlightRecorder recorder_;
   SpanRecorder spans_;
-  std::vector<std::unique_ptr<WindowSeries>> series_;
   std::deque<FlowTrack> flow_tracks_;  ///< stable addresses, one per flow
   std::deque<LinkTrack> link_tracks_;  ///< one per instrumented link
   SimProbes sim_;

@@ -4,8 +4,8 @@
 // link) decide what each transition feeds. A sender, link or queue holds
 // one nullable pointer to its track, tests it once per transition and
 // passes the transition's payload; the track updates the hub's counters
-// and histograms, the per-scheme or per-link series, the span log and its
-// own tape (payloads catalogued in flight_recorder.h).
+// and histograms, the span log and its own tape (payloads catalogued in
+// flight_recorder.h).
 //
 // Every recording call is inline and allocation-free — stores into storage
 // the Hub preallocated — so the recording layers need no link edge to the
@@ -23,7 +23,6 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metric.h"
 #include "telemetry/span.h"
-#include "telemetry/timeseries.h"
 
 namespace halfback::telemetry {
 
@@ -56,18 +55,17 @@ struct SchemeProbes {
   Gauge* ropr_low_water = nullptr;      ///< deepest backward ROPR position
 };
 
-/// One flow's telemetry: its tape, its span tree (a root flow span, one
-/// child per phase, one per RTO-recovery episode) and its scheme's series.
+/// One flow's telemetry: its tape and its span tree (a root flow span, one
+/// child per phase, one per RTO-recovery episode).
 class FlowTrack {
  public:
   FlowTrack(const sim::Simulator& clock, Tape& tape, TransportProbes& transport,
-            SchemeProbes& scheme, SpanRecorder& spans, WindowSeries& series)
+            SchemeProbes& scheme, SpanRecorder& spans)
       : clock_{clock},
         tape_{tape},
         transport_{transport},
         scheme_{scheme},
-        spans_{spans},
-        series_{series} {}
+        spans_{spans} {}
   FlowTrack(const FlowTrack&) = delete;
   FlowTrack& operator=(const FlowTrack&) = delete;
 
@@ -103,10 +101,9 @@ class FlowTrack {
   /// The scheme moved the flow to `phase` (complete() reaches `done`).
   void phase(FlowPhase phase) HB_EFFECTS() { enter(clock_.now(), phase); }
 
-  /// Data segment `seq` left with `pipe` segments in flight. A proactive
-  /// copy counts as proactive even when it is a retransmission.
-  void segment_sent(std::uint32_t seq, bool retx, bool proactive,
-                    std::uint32_t pipe) HB_EFFECTS() {
+  /// Data segment `seq` left. A proactive copy counts as proactive even
+  /// when it is a retransmission.
+  void segment_sent(std::uint32_t seq, bool retx, bool proactive) HB_EFFECTS() {
     const sim::Time now = clock_.now();
     if (proactive) {
       transport_.proactive_sent->increment();
@@ -118,10 +115,6 @@ class FlowTrack {
       transport_.segments_sent->increment();
       tape_.record(now, TapeEventKind::segment_sent, seq);
     }
-    series_.tally_packets(now, 1);
-    if (retx) series_.tally_retx(now);
-    series_.raise_inflight_peak(
-        now, static_cast<std::uint64_t>(pipe) * net::kSegmentPayloadBytes);
   }
 
   /// A Karn-valid RTT sample was taken.
@@ -138,9 +131,8 @@ class FlowTrack {
   }
 
   /// An ACK for `cum_ack` newly covered `newly_cum_acked` segments by the
-  /// cumulative ack and `newly_sacked` by SACK blocks. Each is goodput
-  /// credit in payload bytes; an ACK with neither is a duplicate. Cumulative
-  /// progress (`advanced`) ends an RTO-recovery episode.
+  /// cumulative ack and `newly_sacked` by SACK blocks. Cumulative progress
+  /// (`advanced`) ends an RTO-recovery episode.
   void ack_received(std::uint32_t cum_ack, std::uint32_t newly_cum_acked,
                     std::uint32_t newly_sacked, bool advanced) HB_EFFECTS() {
     const sim::Time now = clock_.now();
@@ -150,12 +142,6 @@ class FlowTrack {
     transport_.scoreboard_acked->Counter::add(newly_cum_acked);
     transport_.scoreboard_sacked->Counter::add(newly_sacked);
     tape_.record(now, TapeEventKind::ack_received, cum_ack);
-    const std::uint64_t credited = std::uint64_t{newly_cum_acked} + newly_sacked;
-    if (credited > 0) {
-      series_.tally_bytes(now, credited * net::kSegmentPayloadBytes);
-    } else {
-      series_.tally_dup(now);
-    }
     if (advanced && span_rto_ != 0) {
       spans_.close_span(span_rto_, now);
       span_rto_ = 0;
@@ -254,55 +240,35 @@ class FlowTrack {
   TransportProbes& transport_;
   SchemeProbes& scheme_;
   SpanRecorder& spans_;
-  WindowSeries& series_;  ///< the per-scheme class series
   FlowPhase phase_ = FlowPhase::done;  ///< `done` = no phase yet (pre-start)
   std::uint32_t span_flow_ = 0;   ///< root flow span id (0 = none)
   std::uint32_t span_phase_ = 0;  ///< current phase span id (0 = none)
   std::uint32_t span_rto_ = 0;    ///< open RTO-recovery span id (0 = none)
 };
 
-/// One link's telemetry: its tape (fault hits, queue drops) and its series
-/// (deliveries, drops, queue-depth peaks). The link's egress queue records
-/// through the same track.
+/// One link's telemetry: its tape of fault hits and queue drops. The
+/// link's egress queue records through the same track.
 class LinkTrack {
  public:
-  LinkTrack(const sim::Simulator& clock, Tape& tape, WindowSeries& series)
-      : clock_{clock}, tape_{tape}, series_{series} {}
+  LinkTrack(const sim::Simulator& clock, Tape& tape)
+      : clock_{clock}, tape_{tape} {}
   LinkTrack(const LinkTrack&) = delete;
   LinkTrack& operator=(const LinkTrack&) = delete;
 
-  /// The fault hook hit `p` with `kind`; a fault drop is a drop in the
-  /// link's window too.
+  /// The fault hook hit `p` with `kind`.
   void fault_hit(FaultKind kind, const net::Packet& p) HB_EFFECTS() {
-    const sim::Time now = clock_.now();
-    tape_.record(now, TapeEventKind::fault_hit, static_cast<std::uint32_t>(kind),
-                 p.uid);
-    if (kind == FaultKind::drop) series_.tally_drop(now);
-  }
-
-  /// `p` reached the far end of the link.
-  void delivered(const net::Packet& p) HB_EFFECTS() {
-    const sim::Time now = clock_.now();
-    series_.tally_packets(now, 1);
-    series_.tally_bytes(now, p.size_bytes);
-  }
-
-  /// The queue admitted a packet and now holds `resident_packets`.
-  void enqueued(std::uint64_t resident_packets) HB_EFFECTS() {
-    series_.raise_queue_peak(clock_.now(), resident_packets);
+    tape_.record(clock_.now(), TapeEventKind::fault_hit,
+                 static_cast<std::uint32_t>(kind), p.uid);
   }
 
   /// The queue discarded `p`.
   void queue_drop(const net::Packet& p) HB_EFFECTS() {
-    const sim::Time now = clock_.now();
-    tape_.record(now, TapeEventKind::queue_drop, p.seq, p.flow);
-    series_.tally_drop(now);
+    tape_.record(clock_.now(), TapeEventKind::queue_drop, p.seq, p.flow);
   }
 
  private:
   const sim::Simulator& clock_;
   Tape& tape_;
-  WindowSeries& series_;
 };
 
 }  // namespace halfback::telemetry

@@ -174,9 +174,7 @@ void SenderBase::transmit_segment(std::uint32_t seq, bool proactive) {
     // first in some orderings); count it as proactive overhead.
     ++record_.proactive_retx;
   }
-  if (track_ != nullptr) {
-    track_->segment_sent(seq, retx, proactive, scoreboard_.pipe());
-  }
+  if (track_ != nullptr) track_->segment_sent(seq, retx, proactive);
   node_.send(std::move(p));
 }
 

@@ -185,7 +185,7 @@ class OverfullQueue final : public net::PacketQueue {
   bool enqueue(net::Packet p, sim::Time /*now*/) override {
     bytes_ += p.size_bytes;
     packets_.push_back(std::move(p));
-    record_enqueue(packets_.back(), packets_.size());
+    record_enqueue(packets_.back());
     return true;
   }
   std::optional<net::Packet> dequeue(sim::Time /*now*/) override {

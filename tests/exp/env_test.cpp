@@ -263,6 +263,29 @@ TEST(TraceTest, BackgroundFlowDipsAndRecovers) {
   EXPECT_GT(traces[1].completion, 1_s);
 }
 
+TEST(TraceTest, HalfbackShortFlowBucketsPinned) {
+  // Each sample is the bucket that just ended: bytes delivered during
+  // [i x 60 ms, (i + 1) x 60 ms), up to the last bucket with deliveries.
+  TraceConfig config;
+  const auto traces = run_trace(config, TraceScenario::halfback).flows;
+  ASSERT_EQ(traces.size(), 2u);
+  const std::vector<FlowTrace::Sample>& samples = traces[1].throughput;
+  EXPECT_EQ(samples.size(), 22u);  // 0 to 1260 ms
+  constexpr double kBytesPerMbps = 7'500.0;  // 1e6 bit/s x 60 ms / 8
+  double total_bytes = 0.0;
+  std::size_t first_nonzero = samples.size();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].bucket_start,
+              sim::Time::milliseconds(60.0 * static_cast<double>(i)));
+    const double bytes = samples[i].mbps * kBytesPerMbps;
+    if (bytes > 0.5 && first_nonzero == samples.size()) first_nonzero = i;
+    total_bytes += bytes;
+  }
+  ASSERT_LT(first_nonzero, samples.size());
+  EXPECT_EQ(samples[first_nonzero].bucket_start, 1080_ms);
+  EXPECT_NEAR(total_bytes, 70.0 * 1448.0, 1e-6);  // 101,360 bytes
+}
+
 TEST(TraceTest, AllScenariosProduceShortFlows) {
   for (TraceScenario scenario :
        {TraceScenario::optimal, TraceScenario::halfback, TraceScenario::single_tcp,

@@ -1,6 +1,6 @@
 // Fixture: a telemetry tap that claims the record-path contract (pure
 // stores, HB_EFFECTS()) but grows a vector per sample. This is exactly the
-// bug the span/series record-path discipline forbids — the effects rule
+// bug the span/tape record-path discipline forbids — the effects rule
 // must report the undeclared alloc so a hot-path tap can never silently
 // start allocating.
 #pragma once

@@ -613,7 +613,7 @@ TEST(EffectsRule, UndeclaredDirectEffectFixtureTrips) {
 }
 
 TEST(EffectsRule, AllocatingTelemetryTapFixtureTrips) {
-  // The span/series record-path discipline: a telemetry tap reached from
+  // The span/tape record-path discipline: a telemetry tap reached from
   // the dispatch path must be pure stores on preallocated storage. This
   // fixture's tap claims HB_EFFECTS() but grows a vector on overflow —
   // the analyzer must catch the false claim.

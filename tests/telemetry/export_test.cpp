@@ -35,7 +35,6 @@ struct ExportedRun {
   std::string metrics;
   std::string trace;
   std::string spans;
-  std::string series;
   std::string manifest;
   std::string tapes;  ///< every tape's render_tape, in recorder order
   std::size_t tape_count = 0;
@@ -65,7 +64,6 @@ ExportedRun run_and_export() {
   out.metrics = text_of(write_metrics_jsonl, hub.registry());
   out.trace = text_of(write_chrome_trace, hub, run.sim_end);
   out.spans = text_of(write_spans_jsonl, hub.spans(), run.sim_end);
-  out.series = text_of(write_timeseries_jsonl, hub);
   out.manifest = text_of(write_manifest_json, runner.manifest(run, "emulab"),
                          &hub.registry());
   for (std::size_t i = 0; i < hub.recorder().tape_count(); ++i) {
@@ -82,7 +80,6 @@ TEST(ExportDeterminism, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(first.metrics, second.metrics);
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.spans, second.spans);
-  EXPECT_EQ(first.series, second.series);
   EXPECT_EQ(first.manifest, second.manifest);
   EXPECT_EQ(first.tapes, second.tapes);
 }
@@ -90,15 +87,13 @@ TEST(ExportDeterminism, SameSeedRunsAreByteIdentical) {
 TEST(ExportDeterminism, ContentMatchesPinnedDigests) {
   // Pins what telemetry records, not only that it repeats: the FNV-1a
   // digest and size of each export of the seed-11 run above. A change to
-  // any counter, span, window or tape event moves one of these.
+  // any counter, span or tape event moves one of these.
   const ExportedRun run = run_and_export();
   EXPECT_EQ(run.trace_hash, 0x56ae43512ecd199aULL);
   EXPECT_EQ(fnv1a64(run.metrics), 0x46c9042d60dceeeaULL);
   EXPECT_EQ(run.metrics.size(), 11'370u);
   EXPECT_EQ(fnv1a64(run.spans), 0x8ec0030196342653ULL);
   EXPECT_EQ(run.spans.size(), 2'863u);
-  EXPECT_EQ(fnv1a64(run.series), 0x84a406dbf3a9ba51ULL);
-  EXPECT_EQ(run.series.size(), 5'178u);
   EXPECT_EQ(fnv1a64(run.tapes), 0x9482e8eb9b91c795ULL);
   EXPECT_EQ(run.tapes.size(), 17'418u);
   EXPECT_EQ(run.tape_count, 14u);
@@ -253,26 +248,6 @@ TEST(SpansJsonl, OneObjectPerSpanPlusFooter) {
       std::string::npos)
       << out;
   EXPECT_NE(out.find("{\"span_count\":2,\"dropped\":0}"), std::string::npos);
-}
-
-TEST(TimeseriesJsonl, EmitsTouchedWindowsOnlyInCreationOrder) {
-  Hub hub;
-  WindowSeries& link = hub.series("link.0");
-  WindowSeries& cls = hub.series("class.halfback");
-  link.tally_bytes(sim::Time::milliseconds(25), 3000);  // window 2 @10ms width
-  cls.tally_dup(sim::Time::milliseconds(5));            // window 0
-
-  const std::string out = text_of(write_timeseries_jsonl, hub);
-  const std::size_t link_pos = out.find("\"series\":\"link.0\"");
-  const std::size_t cls_pos = out.find("\"series\":\"class.halfback\"");
-  ASSERT_NE(link_pos, std::string::npos) << out;
-  ASSERT_NE(cls_pos, std::string::npos) << out;
-  EXPECT_LT(link_pos, cls_pos);  // creation order == export order
-  // Touched windows only: index 2 for the link, index 0 for the class.
-  EXPECT_NE(out.find("\"windows\":[[2,3000,0,0,0,0,0,0]]"), std::string::npos)
-      << out;
-  EXPECT_NE(out.find("\"windows\":[[0,0,0,0,0,1,0,0]]"), std::string::npos)
-      << out;
 }
 
 TEST(ManifestJson, CarriesProvenanceFields) {

@@ -51,7 +51,7 @@ TEST(FlightRecorder, EventsReadBackOldestFirst) {
 }
 
 TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
-  constexpr std::size_t kRing = FlightRecorder::kEventsPerTape;
+  constexpr std::size_t kRing = kEventsPerTape;
   FlightRecorder recorder;
   Tape& tape = recorder.tape(TrackKind::flow, 1);
   for (std::uint32_t i = 0; i < kRing + 6; ++i) {
@@ -122,7 +122,7 @@ TEST(FlightRecorder, RenderTapePrintsOneLinePerEventWithItsPayload) {
 }
 
 TEST(FlightRecorder, RenderTapeNotesOverwrittenEvents) {
-  constexpr std::uint32_t kRing = FlightRecorder::kEventsPerTape;
+  constexpr std::uint32_t kRing = kEventsPerTape;
   FlightRecorder recorder;
   Tape& tape = recorder.tape(TrackKind::link, 0, "link 0");
   for (std::uint32_t seq = 0; seq <= kRing; ++seq) {

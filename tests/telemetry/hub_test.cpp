@@ -179,37 +179,5 @@ TEST(HubSpans, HalfbackRunRecordsFlowSpanTrees) {
   EXPECT_GE(blast, 6u);
 }
 
-TEST(HubSeries, HalfbackRunRecordsLinkAndClassSeries) {
-  Hub hub;
-  EmulabRunner::Config config = golden_emulab_config();
-  config.telemetry = &hub;
-  EmulabRunner{config}.run(golden_emulab_parts());
-
-  ASSERT_GT(hub.series_count(), 0u);
-  std::uint64_t link_bytes = 0;
-  std::uint64_t class_bytes = 0;
-  std::uint64_t class_inflight_peak = 0;
-  for (std::size_t i = 0; i < hub.series_count(); ++i) {
-    const WindowSeries& s = hub.series_at(i);
-    const bool is_link = s.name().rfind("link.", 0) == 0;
-    const bool is_class = s.name().rfind("class.", 0) == 0;
-    EXPECT_TRUE(is_link || is_class) << s.name();
-    for (std::size_t w = 0; w < s.window_count(); ++w) {
-      if (is_link) link_bytes += s.window(w).bytes;
-      if (is_class) {
-        class_bytes += s.window(w).bytes;
-        if (s.window(w).inflight_peak > class_inflight_peak) {
-          class_inflight_peak = s.window(w).inflight_peak;
-        }
-      }
-    }
-  }
-  // Links saw every delivered packet; the halfback class series saw the
-  // goodput (6 flows x 100 kB) and a nonzero in-flight high-water mark.
-  EXPECT_GT(link_bytes, 6u * 100'000u);
-  EXPECT_GE(class_bytes, 6u * 100'000u);
-  EXPECT_GT(class_inflight_peak, 0u);
-}
-
 }  // namespace
 }  // namespace halfback::telemetry
