@@ -98,19 +98,11 @@ int main(int argc, char** argv) {
         exp::RunResult run = runner.run(
             {exp::WorkloadPart{schemes::Scheme::halfback, schedule,
                                exp::FlowRole::primary, {}}});
-        stats::Summary fct = run.fct_ms(exp::FlowRole::primary);
-        stats::Summary proactive =
-            run.metric(exp::FlowRole::primary, [](const exp::FlowResult& f) {
-              return static_cast<double>(f.record.proactive_retx);
-            });
-        stats::Summary timeouts =
-            run.metric(exp::FlowRole::primary, [](const exp::FlowResult& f) {
-              return static_cast<double>(f.record.timeouts);
-            });
-        rows[i] = {variants[i].name, stats::Table::num(fct.mean(), 0),
-                   stats::Table::num(fct.median(), 0),
-                   stats::Table::num(proactive.mean(), 1),
-                   stats::Table::num(timeouts.mean(), 2)};
+        const exp::RoleStats primary = run.role_stats(exp::FlowRole::primary);
+        rows[i] = {variants[i].name, stats::Table::num(primary.mean_fct_ms, 0),
+                   stats::Table::num(primary.median_fct_ms, 0),
+                   stats::Table::num(primary.mean_proactive_retx, 1),
+                   stats::Table::num(primary.mean_timeouts, 2)};
         load_runs[i] = std::move(run);
       },
       opt.threads);

@@ -65,14 +65,10 @@ int main(int argc, char** argv) {
         exp::EmulabRunner runner{config};
         exp::RunResult run = runner.run(
             {exp::WorkloadPart{cell.scheme, schedule, exp::FlowRole::primary, {}}});
-        stats::Summary fct = run.fct_ms(exp::FlowRole::primary);
-        cell.mean_fct_ms = fct.mean();
-        cell.median_fct_ms = fct.median();
-        stats::Summary proactive =
-            run.metric(exp::FlowRole::primary, [](const exp::FlowResult& f) {
-              return static_cast<double>(f.record.proactive_retx);
-            });
-        cell.proactive = proactive.mean();
+        const exp::RoleStats primary = run.role_stats(exp::FlowRole::primary);
+        cell.mean_fct_ms = primary.mean_fct_ms;
+        cell.median_fct_ms = primary.median_fct_ms;
+        cell.proactive = primary.mean_proactive_retx;
         cell.drops_per_flow = static_cast<double>(run.bottleneck_drops_total) /
                               static_cast<double>(run.flows.size());
         cell.audit_violations = run.audit_violations;

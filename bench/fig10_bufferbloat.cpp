@@ -59,13 +59,10 @@ int main(int argc, char** argv) {
                              exp::FlowRole::background, bulk_config};
         exp::RunResult run = runner.run(
             {exp::WorkloadPart{scheme, shorts, exp::FlowRole::primary, {}}, bg});
+        const exp::RoleStats primary = run.role_stats(exp::FlowRole::primary);
         Cell cell;
-        cell.mean_fct_ms = run.mean_fct_ms(exp::FlowRole::primary);
-        stats::Summary retx =
-            run.metric(exp::FlowRole::primary, [](const exp::FlowResult& f) {
-              return static_cast<double>(f.record.normal_retx);
-            });
-        cell.mean_retx = retx.empty() ? 0.0 : retx.mean();
+        cell.mean_fct_ms = primary.mean_fct_ms;
+        cell.mean_retx = primary.mean_normal_retx;
         cell.audit_violations = run.audit_violations;
         cells[i] = cell;
       },

@@ -235,7 +235,7 @@ struct RecurringTimer {
 
 /// Event-engine throughput through the heap: a population of 512 recurring
 /// timers, each re-arming itself 1-97 us ahead from its own callback — the
-/// access pattern of retransmission timers, pacers and delayed ACKs. Every
+/// access pattern of retransmission timers, pacers and probe ticks. Every
 /// deadline here is a whole microsecond and hundreds are pending, so a
 /// re-arm is almost never strictly earlier than everything pending: nearly
 /// every event takes the heap path and the queue's front slot stays empty.

@@ -123,26 +123,17 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
 
 ChaosCell summarize(const ChaosScenario& scenario, schemes::Scheme scheme,
                     const RunResult& run) {
+  const RoleStats primary = run.role_stats(FlowRole::primary);
   ChaosCell cell;
   cell.scenario = scenario.name;
   cell.scheme = scheme;
   cell.flows = run.flows.size();
-  cell.unfinished = run.unfinished_count(FlowRole::primary);
-  cell.mean_fct_ms = run.mean_fct_ms(FlowRole::primary);
-  stats::Summary fct = run.fct_ms(FlowRole::primary);
-  cell.median_fct_ms = fct.empty() ? 0.0 : fct.median();
-  stats::Summary timeouts = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.timeouts);
-  });
-  cell.mean_timeouts = timeouts.empty() ? 0.0 : timeouts.mean();
-  stats::Summary retx = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.normal_retx);
-  });
-  cell.mean_normal_retx = retx.empty() ? 0.0 : retx.mean();
-  stats::Summary proactive = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.proactive_retx);
-  });
-  cell.mean_proactive_retx = proactive.empty() ? 0.0 : proactive.mean();
+  cell.unfinished = primary.unfinished;
+  cell.mean_fct_ms = primary.mean_fct_ms;
+  cell.median_fct_ms = primary.median_fct_ms;
+  cell.mean_timeouts = primary.mean_timeouts;
+  cell.mean_normal_retx = primary.mean_normal_retx;
+  cell.mean_proactive_retx = primary.mean_proactive_retx;
   cell.fault_drops = run.faults.total_drops();
   cell.corrupted_rejected = run.delivery.corrupted_rejected;
   cell.duplicate_rejected = run.delivery.duplicate_rejected;

@@ -29,7 +29,6 @@ std::string config_fingerprint(const EmulabRunner::Config& c) {
       << ";burst=" << c.halfback_config.initial_burst_segments
       << ";drain_ns=" << c.drain.ns()
       << ";budget_events=" << c.budget.max_events
-      << ";budget_horizon_ns=" << c.budget.max_sim_time.ns()
       << ";storm_window=" << c.budget.storm_window
       << ";storm_rate=" << c.budget.storm_events_per_sim_second
       << ";faults=" << c.faults.any()
@@ -62,13 +61,27 @@ stats::Summary RunResult::fct_ms(FlowRole role, bool include_censored) const {
   return s;
 }
 
-stats::Summary RunResult::metric(FlowRole role,
-                                 double (*extract)(const FlowResult&)) const {
-  stats::Summary s;
+RoleStats RunResult::role_stats(FlowRole role) const {
+  RoleStats out;
+  const stats::Summary fct = fct_ms(role);
+  if (fct.empty()) return out;
+  double normal_retx = 0.0;
+  double proactive_retx = 0.0;
+  double timeouts = 0.0;
   for (const FlowResult& f : flows) {
-    if (f.role == role) s.add(extract(f));
+    if (f.role != role) continue;
+    out.unfinished += f.finished ? 0 : 1;
+    normal_retx += static_cast<double>(f.record.normal_retx);
+    proactive_retx += static_cast<double>(f.record.proactive_retx);
+    timeouts += static_cast<double>(f.record.timeouts);
   }
-  return s;
+  const auto count = static_cast<double>(fct.count());
+  out.mean_fct_ms = fct.mean();
+  out.median_fct_ms = fct.median();
+  out.mean_normal_retx = normal_retx / count;
+  out.mean_proactive_retx = proactive_retx / count;
+  out.mean_timeouts = timeouts / count;
+  return out;
 }
 
 std::size_t RunResult::finished_count(FlowRole role) const {

@@ -28,6 +28,18 @@ struct FlowResult {
   sim::Time censored_fct;  ///< elapsed time at sim end for unfinished flows
 };
 
+/// What a sweep cell or a per-run table reports about one role's flows.
+/// All zero for a role with no flows.
+struct RoleStats {
+  std::size_t unfinished = 0;
+  /// FCT over the role's flows, unfinished ones at their censored time.
+  double mean_fct_ms = 0.0;    // lint: unit-ok(statistics edge: report column in ms)
+  double median_fct_ms = 0.0;  // lint: unit-ok(statistics edge: report column in ms)
+  double mean_normal_retx = 0.0;
+  double mean_proactive_retx = 0.0;
+  double mean_timeouts = 0.0;
+};
+
 /// Aggregated outcome of one run. After a budget trip (RunRecord::
 /// budget_report) the flow results are the partial state at the trip.
 struct RunResult : RunRecord {
@@ -47,7 +59,7 @@ struct RunResult : RunRecord {
   /// instead of being silently excluded.
   double mean_fct_ms(FlowRole role) const;
   stats::Summary fct_ms(FlowRole role, bool include_censored = true) const;
-  stats::Summary metric(FlowRole role, double (*extract)(const FlowResult&)) const;
+  RoleStats role_stats(FlowRole role) const;
   std::size_t finished_count(FlowRole role) const;
   std::size_t unfinished_count(FlowRole role) const;
 };

@@ -1,11 +1,10 @@
 // Tiny parallel-for over independent simulations.
 //
 // Each task builds and runs its own Simulator, so tasks share nothing; the
-// only coordination is the work index and the failure log below. The log is
-// the mutation surface the sharded experiment engine contends on, so its
-// locking contract is declared with the thread-safety annotations from
-// sim/annotations.h and checked by clang's -Wthread-safety (an error in
-// this build; see the top-level CMakeLists).
+// only coordination is the work index and the failure slot below. The
+// slot's locking contract is declared with the thread-safety annotations
+// from sim/annotations.h and checked by clang's -Wthread-safety (an error
+// in this build; see the top-level CMakeLists).
 #pragma once
 
 #include <algorithm>
@@ -13,108 +12,53 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <stdexcept>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "sim/annotations.h"
 
 namespace halfback::exp {
 
-/// One failed shard of a parallel_for: which index threw, and what it said.
-struct ShardFailure {
-  std::size_t index = 0;
-  std::string message;
-};
-
-/// Thrown by parallel_for when two or more shards fail before the early
-/// stop drains the queue. Failures are ordered by shard index, so a
-/// supervised sweep can report every failing cell instead of only the
-/// first one the scheduler happened to finish.
-class AggregateError : public std::runtime_error {
- public:
-  explicit AggregateError(std::vector<ShardFailure> failures)
-      : std::runtime_error{format(failures)}, failures_{std::move(failures)} {}
-
-  const std::vector<ShardFailure>& failures() const { return failures_; }
-
- private:
-  static std::string format(const std::vector<ShardFailure>& failures) {
-    std::string out =
-        std::to_string(failures.size()) + " parallel_for shards failed:";
-    for (const ShardFailure& f : failures) {
-      out += " [" + std::to_string(f.index) + "] " + f.message + ";";
-    }
-    return out;
-  }
-
-  std::vector<ShardFailure> failures_;
-};
-
-/// Failure capture shared by parallel_for workers. capture() races from
-/// worker threads; rethrow_if_any() runs on the calling thread after every
-/// worker has joined (it still takes the lock — join already ordered the
-/// stores, but the annotated lock keeps the contract checkable rather than
-/// argued).
-class FailureLog {
+/// The lowest-index failure of a parallel_for. capture() races from worker
+/// threads; rethrow_if_any() runs on the calling thread after every worker
+/// has joined (it still takes the lock — join already ordered the stores,
+/// but the annotated lock keeps the contract checkable rather than argued).
+class FirstFailure {
  public:
   void capture(std::size_t index) HB_EXCLUDES(mu_) {
     MutexLock lock{mu_};
-    entries_.push_back({index, std::current_exception()});
+    if (error_ == nullptr || index < index_) {
+      index_ = index;
+      error_ = std::current_exception();
+    }
   }
 
-  /// No failure: returns. Exactly one: rethrows the original exception,
-  /// type intact. Two or more: throws an AggregateError carrying every
-  /// (index, message) pair, index order.
+  /// Rethrows the kept failure, type intact; returns if no task failed.
   void rethrow_if_any() HB_EXCLUDES(mu_) {
-    std::vector<Entry> entries;
+    std::exception_ptr error;
     {
       MutexLock lock{mu_};
-      entries = entries_;
+      error = error_;
     }
-    if (entries.empty()) return;
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.index < b.index; });
-    if (entries.size() == 1) std::rethrow_exception(entries.front().error);
-    std::vector<ShardFailure> failures;
-    failures.reserve(entries.size());
-    for (const Entry& entry : entries) {
-      failures.push_back({entry.index, describe(entry.error)});
-    }
-    throw AggregateError{std::move(failures)};
+    if (error != nullptr) std::rethrow_exception(error);
   }
 
  private:
-  struct Entry {
-    std::size_t index = 0;
-    std::exception_ptr error;
-  };
-
-  static std::string describe(const std::exception_ptr& error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      return e.what();
-    } catch (...) {
-      return "unknown exception";
-    }
-  }
-
   Mutex mu_;
-  std::vector<Entry> entries_ HB_GUARDED_BY(mu_);
+  std::size_t index_ HB_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ HB_GUARDED_BY(mu_);
 };
 
 /// Run `fn(i)` for i in [0, count) on up to `threads` workers (defaults to
 /// hardware concurrency). `fn` must only touch data owned by index i.
 ///
-/// If a task throws, the failure is logged, the remaining queue is drained
+/// If a task throws, the failure is kept, the remaining queue is drained
 /// without running further tasks, and the calling thread rethrows after
 /// all workers join — instead of std::terminate tearing the process down
 /// mid-campaign. Tasks already in flight when the stop flag goes up may
-/// fail too; every logged failure is reported (see FailureLog). The serial
-/// path (one worker) propagates the first exception directly.
+/// fail too; the lowest-index failure is rethrown, so the exception's type
+/// never depends on how many failed. The serial path (one worker)
+/// propagates the first exception directly.
 inline void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                          unsigned threads = 0) {
   if (count == 0) return;
@@ -127,7 +71,7 @@ inline void parallel_for(std::size_t count, const std::function<void(std::size_t
   }
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  FailureLog failures;
+  FirstFailure failure;
   std::vector<std::thread> workers;
   workers.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
@@ -138,7 +82,7 @@ inline void parallel_for(std::size_t count, const std::function<void(std::size_t
         try {
           fn(i);
         } catch (...) {
-          failures.capture(i);
+          failure.capture(i);
           failed.store(true, std::memory_order_relaxed);
           return;
         }
@@ -146,7 +90,7 @@ inline void parallel_for(std::size_t count, const std::function<void(std::size_t
     });
   }
   for (std::thread& t : workers) t.join();
-  failures.rethrow_if_any();
+  failure.rethrow_if_any();
 }
 
 }  // namespace halfback::exp

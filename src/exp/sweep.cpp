@@ -10,26 +10,17 @@ namespace halfback::exp {
 namespace {
 
 SweepCell summarize(schemes::Scheme scheme, double utilization, const RunResult& run) {
+  const RoleStats primary = run.role_stats(FlowRole::primary);
   SweepCell cell;
   cell.scheme = scheme;
   cell.utilization = utilization;
   cell.flows = run.flows.size();
-  cell.unfinished = run.unfinished_count(FlowRole::primary);
-  cell.mean_fct_ms = run.mean_fct_ms(FlowRole::primary);
-  stats::Summary fct = run.fct_ms(FlowRole::primary);
-  cell.median_fct_ms = fct.empty() ? 0.0 : fct.median();
-  stats::Summary retx = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.normal_retx);
-  });
-  cell.mean_normal_retx = retx.empty() ? 0.0 : retx.mean();
-  stats::Summary proactive = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.proactive_retx);
-  });
-  cell.mean_proactive_retx = proactive.empty() ? 0.0 : proactive.mean();
-  stats::Summary timeouts = run.metric(FlowRole::primary, [](const FlowResult& f) {
-    return static_cast<double>(f.record.timeouts);
-  });
-  cell.mean_timeouts = timeouts.empty() ? 0.0 : timeouts.mean();
+  cell.unfinished = primary.unfinished;
+  cell.mean_fct_ms = primary.mean_fct_ms;
+  cell.median_fct_ms = primary.median_fct_ms;
+  cell.mean_normal_retx = primary.mean_normal_retx;
+  cell.mean_proactive_retx = primary.mean_proactive_retx;
+  cell.mean_timeouts = primary.mean_timeouts;
   cell.audit_violations = run.audit_violations;
   return cell;
 }

@@ -49,7 +49,8 @@ struct SackBlock {
 /// inline in the packet rather than on the heap — packets stay trivially
 /// copyable and the per-ACK path never allocates. push_back beyond capacity
 /// drops the block, mirroring how a real option silently omits runs that
-/// do not fit (the receiver already bounds itself via max_sack_blocks).
+/// do not fit (the receiver already bounds itself to
+/// transport::Receiver::kMaxSackBlocks).
 class SackList {
  public:
   static constexpr std::size_t kMaxBlocks = 4;

@@ -26,7 +26,7 @@ std::unique_ptr<transport::SenderBase> make_sender(
           simulator, local_node, peer, flow, flow_bytes, config, "tcp10");
     case Scheme::tcp_cache: {
       if (!context.path_cache) {
-        context.path_cache = std::make_shared<PathCache>(context.path_cache_max_age);
+        context.path_cache = std::make_shared<PathCache>();
       }
       return std::make_unique<TcpCacheSender>(simulator, local_node, peer, flow,
                                               flow_bytes, config, context.path_cache);
@@ -44,15 +44,10 @@ std::unique_ptr<transport::SenderBase> make_sender(
       return std::make_unique<PcpSender>(simulator, local_node, peer, flow,
                                          flow_bytes, config);
     case Scheme::halfback:
-      if (context.halfback_config.history_threshold &&
-          !context.throughput_history) {
-        context.throughput_history = std::make_shared<ThroughputHistory>();
-      }
       return std::make_unique<HalfbackSender>(
           simulator, local_node, peer, flow, flow_bytes, config,
           context.halfback_config, HalfbackSender::Order::reverse,
-          HalfbackSender::RetxRate::ack_clocked, "halfback",
-          context.throughput_history);
+          HalfbackSender::RetxRate::ack_clocked, "halfback");
     case Scheme::halfback_forward:
       return std::make_unique<HalfbackSender>(
           simulator, local_node, peer, flow, flow_bytes, config,

@@ -17,11 +17,6 @@ struct SchemeContext {
   transport::SenderConfig sender_config;  ///< shared transport knobs
   HalfbackConfig halfback_config;         ///< Halfback / ablation knobs
   std::shared_ptr<PathCache> path_cache;  ///< created on demand for TCP-Cache
-  /// Aging horizon for on-demand-created path caches (§6: aged entries
-  /// draw back to slow start). Zero = never ages.
-  sim::Time path_cache_max_age;
-  /// Created on demand when halfback_config.history_threshold is set.
-  std::shared_ptr<ThroughputHistory> throughput_history;
 };
 
 /// Build a sender of the given scheme for one flow. `local_node` must be a

@@ -3,11 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "schemes/paced_start.h"
-#include "schemes/throughput_history.h"
 
 namespace halfback::schemes {
 
@@ -30,12 +28,6 @@ struct HalfbackConfig {
   /// the small-flow region where TCP-Cache/TCP-10 beat Halfback because
   /// pacing delays tiny flows by a full RTT. 0 disables the refinement.
   std::uint32_t initial_burst_segments = 0;
-
-  /// §3.1's second threshold option: derive the Pacing Threshold from "the
-  /// largest throughput observed on recent connections, times the RTT"
-  /// instead of the constant. Requires a ThroughputHistory in the
-  /// SchemeContext; falls back to the constant until history exists.
-  bool history_threshold = false;
 };
 
 /// The Halfback sender.
@@ -72,8 +64,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   HalfbackSender(sim::Simulator& simulator, net::Node& local_node, net::NodeId peer,
                  net::FlowId flow, sim::Bytes flow_bytes,
                  transport::SenderConfig config, HalfbackConfig halfback_config,
-                 Order order, RetxRate rate, std::string scheme_name,
-                 std::shared_ptr<ThroughputHistory> history = nullptr)
+                 Order order, RetxRate rate, std::string scheme_name)
       : Base{simulator,
              local_node,
              peer,
@@ -86,8 +77,7 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
              halfback_config.initial_burst_segments},
         halfback_{halfback_config},
         order_{order},
-        rate_{rate},
-        history_{std::move(history)} {
+        rate_{rate} {
     // Normal retransmissions are ACK-clocked too — at most one per ACK,
     // like the ROPR copies ("limits aggressiveness at retransmission").
     retx_per_call_limit_ = 1;
@@ -97,27 +87,6 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   bool ropr_done() const { return ropr_done_; }
 
   // --- policy hooks (statically dispatched by Sender<HalfbackSender>) ------
-
-  void on_established() {
-    if (halfback_.history_threshold && history_ != nullptr) {
-      // §3.1: threshold = best recent throughput x handshake RTT.
-      if (auto bps = history_->best_bytes_per_second(node_.id(), peer_)) {
-        const double bytes = *bps * record_.handshake_rtt.to_seconds();
-        set_pacing_threshold_segments(
-            static_cast<std::uint32_t>(bytes / net::kSegmentPayloadBytes));
-      }
-    }
-    Base::on_established();
-  }
-
-  void on_flow_complete() {
-    if (history_ != nullptr && record_.completion_time > record_.established_time) {
-      const double elapsed =
-          (record_.completion_time - record_.established_time).to_seconds();
-      history_->store(node_.id(), peer_,
-                      static_cast<double>(record_.flow_bytes) / elapsed);
-    }
-  }
 
   void on_pacing_complete() {
     // ROPR is armed; it begins with the next ACK (§3.2: "we choose to start
@@ -263,7 +232,6 @@ class HalfbackSender final : public PacedStartImpl<HalfbackSender> {
   HalfbackConfig halfback_;
   Order order_;
   RetxRate rate_;
-  std::shared_ptr<ThroughputHistory> history_;
   bool ropr_armed_ = false;
   bool ropr_active_ = false;
   bool ropr_done_ = false;

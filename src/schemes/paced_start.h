@@ -126,12 +126,6 @@ class PacedStartImpl : public transport::TcpSenderImpl<Derived> {
     }
   }
 
-  /// Derived schemes may adjust the threshold before on_established() runs
-  /// (Halfback's history-based threshold option).
-  void set_pacing_threshold_segments(std::uint32_t segments) {
-    pacing_threshold_segments_ = std::max(1u, segments);
-  }
-
   void finish_pacing() {
     if (pacing_done_) return;
     pacing_done_ = true;

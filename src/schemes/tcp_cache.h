@@ -16,38 +16,27 @@ namespace halfback::schemes {
 /// TCP-Cache sender in an experiment (the paper notes this gives TCP-Cache
 /// an "unrealistic advantage" on a static topology — which we faithfully
 /// reproduce, including the Fig. 11 region where it beats Halfback for
-/// tens-of-KB flows).
+/// tens-of-KB flows). Entries never age, as in the paper's §4.2.4 setup.
 class PathCache {
  public:
   struct Entry {
     double cwnd = 0;
     double ssthresh = 0;
-    sim::Time stored_at;
   };
-
-  /// `max_age` implements the paper's §6 critique of caching schemes:
-  /// "Caching schemes will draw back to Slow-Start when the variables are
-  /// aged." Zero (the default) disables aging — the paper's §4.2.4 setup,
-  /// which it itself calls "an unrealistic advantage".
-  explicit PathCache(sim::Time max_age = sim::Time::zero()) : max_age_{max_age} {}
 
   void store(net::NodeId src, net::NodeId dst, Entry entry) {
     cache_[{src, dst}] = entry;
   }
 
-  /// Entry for this path, or nullptr if absent or aged out at time `now`.
-  const Entry* lookup(net::NodeId src, net::NodeId dst, sim::Time now) const {
+  /// Entry for this path, or nullptr if absent.
+  const Entry* lookup(net::NodeId src, net::NodeId dst) const {
     auto it = cache_.find({src, dst});
-    if (it == cache_.end()) return nullptr;
-    if (!max_age_.is_zero() && now - it->second.stored_at > max_age_) return nullptr;
-    return &it->second;
+    return it == cache_.end() ? nullptr : &it->second;
   }
 
   std::size_t size() const { return cache_.size(); }
-  sim::Time max_age() const { return max_age_; }
 
  private:
-  sim::Time max_age_;
   std::map<std::pair<net::NodeId, net::NodeId>, Entry> cache_;
 };
 
@@ -68,7 +57,7 @@ class TcpCacheSender final : public transport::TcpSenderImpl<TcpCacheSender> {
   void on_established() {
     Tcp::on_established();
     const PathCache::Entry* entry =
-        cache_ ? cache_->lookup(node_.id(), peer_, simulator_.now()) : nullptr;
+        cache_ ? cache_->lookup(node_.id(), peer_) : nullptr;
     if (entry != nullptr) {
       // Resume from the cached state, bounded by the receive window.
       cwnd_ = std::min(std::max(entry->cwnd, cwnd_),
@@ -80,11 +69,7 @@ class TcpCacheSender final : public transport::TcpSenderImpl<TcpCacheSender> {
 
   void on_flow_complete() {
     if (!cache_) return;
-    PathCache::Entry entry;
-    entry.cwnd = cwnd_;
-    entry.ssthresh = ssthresh_;
-    entry.stored_at = simulator_.now();
-    cache_->store(node_.id(), peer_, entry);
+    cache_->store(node_.id(), peer_, PathCache::Entry{cwnd_, ssthresh_});
   }
 
  private:

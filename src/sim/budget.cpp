@@ -23,7 +23,6 @@ std::string_view to_string(BudgetTrip trip) {
   switch (trip) {
     case BudgetTrip::none: return "none";
     case BudgetTrip::event_count: return "event_count";
-    case BudgetTrip::sim_horizon: return "sim_horizon";
     case BudgetTrip::storm: return "storm";
   }
   return "?";

@@ -9,8 +9,8 @@
 // tripped, how far the run got, and what event classes dominate the pending
 // queue — enough to triage the storm from the report alone.
 //
-// Determinism contract: the event-count, sim-horizon, and storm checks are
-// pure functions of the event stream, so a budgeted run either completes
+// Determinism contract: the event-count and storm checks are pure
+// functions of the event stream, so a budgeted run either completes
 // bit-identically to the unbudgeted run or aborts at the same event on
 // every replay.
 #pragma once
@@ -27,15 +27,11 @@ namespace halfback::sim {
 class Simulator;
 
 /// Limits for one run. A zero field disables that check; a
-/// default-constructed RunBudget enforces nothing.
+/// default-constructed RunBudget enforces nothing. A run's sim-time end is
+/// run_until()'s deadline, not a budget.
 struct RunBudget {
   /// Abort after this many executed events (0 = unlimited).
   std::uint64_t max_events = 0;
-
-  /// Abort once the next event's deadline passes this horizon
-  /// (zero = unlimited). Distinct from run_until(): the horizon is a
-  /// tripwire with a report, not a normal end of run.
-  Time max_sim_time = Time::zero();
 
   /// Storm detector window, in events (0 = detector off). Each time the
   /// window fills, the detector compares events dispatched against sim
@@ -50,7 +46,7 @@ struct RunBudget {
 
   /// True if any check is enabled.
   bool any() const {
-    return max_events > 0 || max_sim_time > Time::zero() || storm_window > 0;
+    return max_events > 0 || storm_window > 0;
   }
 };
 
@@ -58,7 +54,6 @@ struct RunBudget {
 enum class BudgetTrip : std::uint8_t {
   none = 0,
   event_count,  ///< RunBudget::max_events exhausted
-  sim_horizon,  ///< next event past RunBudget::max_sim_time
   storm,        ///< dispatch rate over RunBudget::storm_events_per_sim_second
 };
 
@@ -95,7 +90,7 @@ struct BudgetReport {
 /// Simulator::set_budget(); the simulator consults before_dispatch() ahead
 /// of every event and calls record_trip() when a check fires.
 ///
-/// The per-event path is the two inline compares in before_dispatch();
+/// The per-event path is the inline checks in before_dispatch();
 /// everything that allocates (the census, the report) runs only at the
 /// abort point.
 class BudgetEnforcer {
@@ -110,9 +105,6 @@ class BudgetEnforcer {
   BudgetTrip before_dispatch(Time next, std::uint64_t executed) {
     if (budget_.max_events > 0 && executed >= budget_.max_events) {
       return BudgetTrip::event_count;
-    }
-    if (budget_.max_sim_time > Time::zero() && next > budget_.max_sim_time) {
-      return BudgetTrip::sim_horizon;
     }
     if (budget_.storm_window > 0) {
       if (window_events_ == 0) window_start_ = next;
@@ -140,14 +132,6 @@ class BudgetEnforcer {
 
   bool tripped() const { return report_.tripped != BudgetTrip::none; }
   const BudgetReport& report() const { return report_; }
-
-  /// Reset for a fresh run (clears the report and the detector window).
-  void reset() {
-    report_ = BudgetReport{};
-    window_events_ = 0;
-    window_start_ = Time::zero();
-    last_window_span_ = Time::zero();
-  }
 
  private:
   RunBudget budget_;

@@ -133,16 +133,6 @@ class DispatchProfiler {
   /// "(other)" row. Export path only.
   std::vector<Row> rows() const HB_EFFECTS(alloc, throw);
 
-  /// Reset for a fresh run.
-  void reset() HB_EFFECTS() {
-    for (Slot& s : slots_) s = Slot{};
-    total_ = 0;
-    overflow_count_ = 0;
-    overflow_cycles_ = 0;
-    last_key_ = nullptr;
-    last_slot_ = nullptr;
-  }
-
  private:
   struct Slot {
     const std::type_info* key = nullptr;

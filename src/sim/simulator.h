@@ -61,12 +61,6 @@ class Simulator {
     queue_.schedule_event(event, now_ + delay);
   }
 
-  /// Schedule an intrusive event at absolute time `at` (>= now).
-  void schedule_event_at(Time at, Event& event) HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, at));
-    queue_.schedule_event(event, at);
-  }
-
   /// Move an intrusive event to `delay` from now, scheduling it if idle.
   /// Equivalent to cancel + schedule (fresh FIFO tie-break) without
   /// touching the heap twice.

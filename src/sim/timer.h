@@ -11,11 +11,11 @@
 namespace halfback::sim {
 
 /// A timer a component embeds once and re-arms for its whole lifetime:
-/// retransmission timers, pacers, delayed-ACK timers, probe ticks and
-/// samplers all use it instead of the `Simulator::schedule` std::function
-/// shim. The callback is a FunctionRef (two words, bound once, never
-/// allocating), and arming, re-arming and cancelling are heap operations
-/// on the embedded event, so nothing on the per-event path allocates.
+/// retransmission timers, pacers, probe ticks and samplers all use it
+/// instead of the `Simulator::schedule` std::function shim. The callback
+/// is a FunctionRef (two words, bound once, never allocating), and arming,
+/// re-arming and cancelling are heap operations on the embedded event, so
+/// nothing on the per-event path allocates.
 ///
 /// A Timer is one-shot: it fires once per arming and must be re-armed from
 /// the callback for periodic behaviour. Arming while pending replaces the

@@ -34,10 +34,6 @@ void TransportAgent::on_sender_complete(const FlowRecord& record) {
   }
 }
 
-void TransportAgent::on_receiver_complete(const Receiver& receiver) {
-  if (on_receive_complete_) on_receive_complete_(receiver);
-}
-
 SenderBase* TransportAgent::sender(net::FlowId flow) {
   auto it = senders_.find(flow);
   return it == senders_.end() ? nullptr : it->second.sender.get();
@@ -87,10 +83,7 @@ void TransportAgent::on_packet(net::Packet packet) {
         // data packets about to arrive (see start_flow).
         seen_uids_.reserve(seen_uids_.size() + 2 * packet.total_segments);
         auto receiver = std::make_unique<Receiver>(simulator_, node_, packet.src,
-                                                   packet.flow, receiver_config_);
-        receiver->set_completion_callback(
-            Receiver::CompletionRef::from<
-                &TransportAgent::on_receiver_complete>(*this));
+                                                   packet.flow);
         it = receivers_.emplace(packet.flow, std::move(receiver)).first;
       }
       it->second->on_packet(packet);

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -45,16 +44,6 @@ class TransportAgent {
                          SenderBase::CompletionRef on_complete = {})
       HB_EFFECTS(alloc, throw);
 
-  /// Configuration applied to receivers this agent spawns (delayed ACKs,
-  /// SACK block budget). Affects only receivers created afterwards.
-  void set_receiver_config(Receiver::Config config) { receiver_config_ = config; }
-
-  /// Invoked whenever a receiver on this host completes a flow
-  /// (application-level delivery of all bytes).
-  void set_receiver_completion_callback(std::function<void(const Receiver&)> cb) {
-    on_receive_complete_ = std::move(cb);
-  }
-
   net::NodeId node_id() const { return node_.id(); }
   net::Node& node() { return node_; }
 
@@ -82,15 +71,12 @@ class TransportAgent {
 
   void on_packet(net::Packet packet) HB_EFFECTS(alloc);
   void on_sender_complete(const FlowRecord& record);
-  void on_receiver_complete(const Receiver& receiver);
 
   sim::Simulator& simulator_;
   net::Node& node_;
   std::unordered_map<net::FlowId, FlowSlot> senders_;
   std::unordered_map<net::FlowId, std::unique_ptr<Receiver>> receivers_;
   std::vector<FlowRecord> completed_;
-  std::function<void(const Receiver&)> on_receive_complete_;
-  Receiver::Config receiver_config_;
   DeliveryStats delivery_stats_;
   /// Wire uids already dispatched on this host (keyed with the packet type
   /// so a sender-assigned data uid and a receiver-assigned ACK uid of the

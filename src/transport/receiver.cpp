@@ -4,21 +4,6 @@
 
 namespace halfback::transport {
 
-Receiver::Receiver(sim::Simulator& simulator, net::Node& local_node, net::NodeId peer,
-                   net::FlowId flow, Config config)
-    : simulator_{simulator},
-      node_{local_node},
-      peer_{peer},
-      flow_{flow},
-      config_{config} {
-  delack_timer_.bind(
-      simulator_,
-      sim::FunctionRef<void()>::from<&Receiver::fire_delayed_ack>(*this));
-}
-
-// delack_timer_ cancels itself on destruction.
-Receiver::~Receiver() = default;
-
 void Receiver::on_packet(const net::Packet& packet) {
   switch (packet.type) {
     case net::PacketType::syn:
@@ -68,39 +53,11 @@ void Receiver::handle_data(const net::Packet& data) {
     if (!stats_.complete && stats_.unique_segments == stats_.total_segments) {
       stats_.complete = true;
       stats_.complete_at = simulator_.now();
-      if (on_complete_) on_complete_(*this);
     }
   } else {
     ++stats_.duplicate_segments;
   }
-  const bool in_order = data.seq < cum_ack_ || stats_.complete ||
-                        (data.seq + 1 == cum_ack_);
-  maybe_ack(data, in_order);
-}
-
-void Receiver::maybe_ack(const net::Packet& trigger, bool in_order) {
-  if (!config_.delayed_ack) {
-    send_ack(trigger);
-    return;
-  }
-  ++unacked_arrivals_;
-  pending_trigger_ = trigger;
-  // RFC 1122-style: ACK at least every second segment and never delay an
-  // ACK that carries loss information (out-of-order arrival).
-  if (!in_order || unacked_arrivals_ >= 2 || stats_.complete) {
-    fire_delayed_ack();
-    return;
-  }
-  if (!delack_timer_.pending()) {
-    delack_timer_.schedule_after(config_.delayed_ack_timeout);
-  }
-}
-
-void Receiver::fire_delayed_ack() {
-  if (unacked_arrivals_ == 0) return;
-  delack_timer_.cancel();
-  unacked_arrivals_ = 0;
-  send_ack(pending_trigger_);
+  send_ack(data);
 }
 
 void Receiver::note_received(std::uint32_t seq) {
@@ -148,15 +105,13 @@ net::SackList Receiver::build_sack_blocks(std::uint32_t trigger_seq) {
   if (trigger_seq >= cum_ack_) {
     std::erase(recent_seqs_, trigger_seq);
     recent_seqs_.insert(recent_seqs_.begin(), trigger_seq);
-    if (recent_seqs_.size() > 2 * config_.max_sack_blocks) {
-      recent_seqs_.resize(2 * config_.max_sack_blocks);
+    if (recent_seqs_.size() > 2 * kMaxSackBlocks) {
+      recent_seqs_.resize(2 * kMaxSackBlocks);
     }
   }
-  const std::size_t limit =
-      std::min(config_.max_sack_blocks, net::SackList::kMaxBlocks);
   net::SackList blocks;
   for (std::uint32_t anchor : recent_seqs_) {
-    if (blocks.size() >= limit) break;
+    if (blocks.size() >= kMaxSackBlocks) break;
     if (anchor < cum_ack_) continue;  // merged into the cumulative ACK
     net::SackBlock block = run_containing(anchor);
     if (block.begin >= block.end) continue;

@@ -7,25 +7,22 @@
 
 #include "net/node.h"
 #include "net/packet.h"
-#include "sim/function_ref.h"
 #include "sim/simulator.h"
-#include "sim/timer.h"
 
 namespace halfback::transport {
 
 /// Receiver half of a flow. Created by the TransportAgent when a SYN
-/// arrives. By default sends one ACK per arriving data packet (the paper's
-/// UDT substrate used per-packet selective acknowledgements); classic TCP
-/// delayed ACKs (ack every 2nd in-order segment, or after a timer) are
-/// available as a realism knob — they halve the ACK clock that paces both
-/// TCP's window growth and Halfback's ROPR.
+/// arrives. Sends one ACK per arriving data packet: the paper's UDT
+/// substrate used per-packet selective acknowledgements.
 class Receiver {
  public:
-  struct Config {
-    std::size_t max_sack_blocks = 3;
-    bool delayed_ack = false;
-    sim::Time delayed_ack_timeout = sim::Time::milliseconds(40);
-  };
+  /// SACK blocks per ACK, matching the TCP SACK option's practical limit.
+  /// Scattered losses across more than three runs are therefore only
+  /// partially visible to the sender per ACK — the fragility of purely
+  /// reactive loss detection that §2.2 highlights.
+  static constexpr std::size_t kMaxSackBlocks = 3;
+  static_assert(kMaxSackBlocks <= net::SackList::kMaxBlocks);
+
   struct Stats {
     std::uint32_t total_segments = 0;
     std::uint32_t unique_segments = 0;
@@ -37,23 +34,9 @@ class Receiver {
     sim::Time complete_at;
   };
 
-  /// Non-owning completion notification (see SenderBase::CompletionRef):
-  /// the callee — in practice the spawning TransportAgent — must outlive
-  /// the receiver.
-  using CompletionRef = sim::FunctionRef<void(const Receiver&)>;
-
-  /// `config.max_sack_blocks` defaults to 3, matching the TCP SACK
-  /// option's practical limit. Scattered losses across more than three
-  /// runs are therefore only partially visible to the sender per ACK — the
-  /// fragility of purely reactive loss detection that §2.2 highlights.
   Receiver(sim::Simulator& simulator, net::Node& local_node, net::NodeId peer,
            net::FlowId flow)
-      : Receiver{simulator, local_node, peer, flow, Config{}} {}
-  Receiver(sim::Simulator& simulator, net::Node& local_node, net::NodeId peer,
-           net::FlowId flow, Config config);
-  ~Receiver();
-
-  void set_completion_callback(CompletionRef cb) { on_complete_ = cb; }
+      : simulator_{simulator}, node_{local_node}, peer_{peer}, flow_{flow} {}
 
   /// Entry point for SYN and DATA packets of this flow.
   void on_packet(const net::Packet& packet) HB_EFFECTS(alloc, throw);
@@ -68,14 +51,9 @@ class Receiver {
   void handle_syn(const net::Packet& syn);
   void handle_data(const net::Packet& data);
   void send_ack(const net::Packet& trigger);
-  /// Delayed-ACK policy: ACK immediately on the 2nd in-order arrival, any
-  /// out-of-order arrival (dupACK duty), or the delack timer; otherwise
-  /// hold and arm the timer.
-  void maybe_ack(const net::Packet& trigger, bool in_order);
-  void fire_delayed_ack();
-  /// Up to max_sack_blocks blocks (clamped to net::SackList::kMaxBlocks):
-  /// the run containing the triggering segment first, then the most
-  /// recently reported other runs (TCP SACK option semantics).
+  /// Up to kMaxSackBlocks blocks: the run containing the triggering
+  /// segment first, then the most recently reported other runs (TCP SACK
+  /// option semantics).
   net::SackList build_sack_blocks(std::uint32_t trigger_seq);
   net::SackBlock run_containing(std::uint32_t seq) const;
   /// Merge a newly-received segment into runs_.
@@ -85,11 +63,6 @@ class Receiver {
   net::Node& node_;
   net::NodeId peer_;
   net::FlowId flow_;
-  Config config_;
-  CompletionRef on_complete_;
-  sim::Timer delack_timer_;
-  int unacked_arrivals_ = 0;
-  net::Packet pending_trigger_;  ///< newest data packet awaiting an ACK
 
   std::vector<bool> received_;
   /// Maximal runs of received segments, keyed by run start (half-open

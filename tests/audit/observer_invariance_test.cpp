@@ -64,7 +64,6 @@ Outcome run_case(const Case& c) {
   }
   sim::BudgetEnforcer budget{sim::RunBudget{
       .max_events = 10'000'000,
-      .max_sim_time = Time::seconds(3600),
       .storm_window = 100,
       .storm_events_per_sim_second = 1e9,
   }};

@@ -16,6 +16,56 @@ std::vector<workload::FlowArrival> fixed_schedule(int count, sim::Time gap,
   return schedule;
 }
 
+FlowResult hand_built_flow(FlowRole role, bool finished, sim::Time fct,
+                           std::uint32_t normal_retx, std::uint32_t proactive_retx,
+                           std::uint32_t timeouts) {
+  FlowResult f;
+  f.role = role;
+  f.finished = finished;
+  f.record.start_time = 50_ms;
+  if (finished) {
+    f.record.completion_time = f.record.start_time + fct;
+  } else {
+    f.censored_fct = fct;  // record.fct() stays meaningless (negative)
+  }
+  f.record.normal_retx = normal_retx;
+  f.record.proactive_retx = proactive_retx;
+  f.record.timeouts = timeouts;
+  return f;
+}
+
+TEST(RunResultTest, RoleStatsCountsCensoredFlowsAndOnlyItsRole) {
+  RunResult run;
+  run.flows.push_back(hand_built_flow(FlowRole::primary, true, 100_ms, 1, 4, 0));
+  run.flows.push_back(hand_built_flow(FlowRole::background, true, 5_s, 50, 50, 9));
+  run.flows.push_back(hand_built_flow(FlowRole::primary, false, 800_ms, 2, 0, 2));
+  run.flows.push_back(hand_built_flow(FlowRole::primary, true, 300_ms, 3, 8, 1));
+  const RoleStats primary = run.role_stats(FlowRole::primary);
+  EXPECT_EQ(primary.unfinished, 1u);
+  // FCTs {100, 300, 800 censored}: without the censored flow the mean and
+  // median would both be 200 ms; with the background flow, far higher.
+  EXPECT_DOUBLE_EQ(primary.mean_fct_ms, 400.0);
+  EXPECT_DOUBLE_EQ(primary.median_fct_ms, 300.0);
+  EXPECT_DOUBLE_EQ(primary.mean_normal_retx, 2.0);
+  EXPECT_DOUBLE_EQ(primary.mean_proactive_retx, 4.0);
+  EXPECT_DOUBLE_EQ(primary.mean_timeouts, 1.0);
+
+  const RoleStats background = run.role_stats(FlowRole::background);
+  EXPECT_EQ(background.unfinished, 0u);
+  EXPECT_DOUBLE_EQ(background.mean_fct_ms, 5000.0);
+  EXPECT_DOUBLE_EQ(background.median_fct_ms, 5000.0);
+  EXPECT_DOUBLE_EQ(background.mean_normal_retx, 50.0);
+  EXPECT_DOUBLE_EQ(background.mean_timeouts, 9.0);
+
+  const RoleStats none = run.role_stats(FlowRole::competing);
+  EXPECT_EQ(none.unfinished, 0u);
+  EXPECT_EQ(none.mean_fct_ms, 0.0);
+  EXPECT_EQ(none.median_fct_ms, 0.0);
+  EXPECT_EQ(none.mean_normal_retx, 0.0);
+  EXPECT_EQ(none.mean_proactive_retx, 0.0);
+  EXPECT_EQ(none.mean_timeouts, 0.0);
+}
+
 TEST(EmulabRunnerTest, LightLoadAllFlowsFinish) {
   EmulabRunner::Config config;
   EmulabRunner runner{config};

@@ -1,6 +1,6 @@
 // Cross-feature integration: combinations of schemes with the optional
-// substrate features (delayed ACKs, AQM queues, priority bands, complex
-// topologies) that no single-module test exercises together.
+// substrate features (AQM queues, priority bands, complex topologies) that
+// no single-module test exercises together.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,37 +19,6 @@ using schemes::Scheme;
 using testing::DropHook;
 using testing::DumbbellFixture;
 using namespace halfback::sim::literals;
-
-// ----------------------------------------------------- delayed ACKs x scheme
-
-class DelayedAckSchemeTest : public ::testing::TestWithParam<Scheme> {};
-
-TEST_P(DelayedAckSchemeTest, CompletesWithDelayedAckReceiver) {
-  DumbbellFixture f;
-  transport::Receiver::Config rc;
-  rc.delayed_ack = true;
-  for (auto& agent : f.receiver_agents) agent->set_receiver_config(rc);
-  transport::SenderBase& s = f.start(GetParam(), 100'000);
-  f.sim.run_until(60_s);
-  ASSERT_TRUE(s.complete()) << schemes::name(GetParam());
-  transport::Receiver* r = f.receiver_for(s.record().flow);
-  EXPECT_EQ(r->stats().unique_segments, s.record().total_segments);
-  // Delayed ACKs halve the ACK count but never stall the flow for long:
-  // the flow still finishes within ~1.5x its per-packet-ACK time + delack.
-  EXPECT_LT(s.record().fct(), 2_s);
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemes, DelayedAckSchemeTest,
-                         ::testing::Values(Scheme::tcp, Scheme::tcp10,
-                                           Scheme::reactive, Scheme::jumpstart,
-                                           Scheme::halfback, Scheme::pcp),
-                         [](const ::testing::TestParamInfo<Scheme>& param_info) {
-                           std::string n = schemes::name(param_info.param);
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
 
 // --------------------------------------------------------- CoDel x transport
 

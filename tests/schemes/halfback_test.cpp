@@ -231,42 +231,6 @@ TEST(HalfbackTest, CopiesPerAckRatioTunesOverhead) {
   EXPECT_LT(frac, 0.47);
 }
 
-TEST(HalfbackTest, HistoryThresholdAdaptsToSlowPaths) {
-  // §3.1's second option: threshold = best recent throughput x RTT. On a
-  // 5 Mbps bottleneck (pacing 100 KB over 60 ms would be ~2.8x too fast),
-  // the second flow should pace only what the path proved it can carry.
-  net::DumbbellConfig config;
-  config.bottleneck_rate = sim::DataRate::megabits_per_second(5);
-  config.bottleneck_buffer_bytes = 20'000;
-  DumbbellFixture f{config};
-  f.context.halfback_config.history_threshold = true;
-
-  SenderBase& first = f.start(Scheme::halfback, 100'000);
-  f.sim.run();
-  ASSERT_TRUE(first.complete());
-  ASSERT_NE(f.context.throughput_history, nullptr);
-  EXPECT_EQ(f.context.throughput_history->paths(), 1u);
-
-  SenderBase& second = f.start(Scheme::halfback, 100'000);
-  f.sim.run();
-  ASSERT_TRUE(second.complete());
-  // The learned threshold (~5 Mbps x 60 ms ~ 37 KB ~ 26 segments) bounds
-  // both the paced batch and the ROPR sweep.
-  EXPECT_LT(second.record().proactive_retx, 20u);
-  // Gentler start -> fewer drops than the blind first flow.
-  EXPECT_LE(second.record().normal_retx, first.record().normal_retx);
-}
-
-TEST(HalfbackTest, HistoryThresholdFallsBackWithoutHistory) {
-  DumbbellFixture f;
-  f.context.halfback_config.history_threshold = true;
-  SenderBase& s = f.start(Scheme::halfback, 100'000);
-  f.sim.run();
-  ASSERT_TRUE(s.complete());
-  // No history yet: behaves like the constant-threshold Halfback.
-  EXPECT_NEAR(static_cast<double>(s.record().proactive_retx), 35.0, 5.0);
-}
-
 TEST(HalfbackTest, SingleSegmentFlow) {
   DumbbellFixture f;
   SenderBase& s = f.start(Scheme::halfback, 100);

@@ -200,28 +200,6 @@ TEST(TcpCacheTest, CacheIsPerPath) {
   EXPECT_EQ(f.context.path_cache->size(), 2u);
 }
 
-TEST(TcpCacheTest, AgedEntriesDrawBackToSlowStart) {
-  // §6: "Caching schemes will draw back to Slow-Start when the variables
-  // are aged."
-  DumbbellFixture f;
-  f.context.path_cache_max_age = sim::Time::seconds(5);
-  SenderBase& first = f.start(Scheme::tcp_cache, 100'000);
-  f.sim.run();
-  ASSERT_TRUE(first.complete());
-
-  // Well within the horizon: the cache accelerates the second flow.
-  SenderBase& warm = f.start(Scheme::tcp_cache, 100'000);
-  f.sim.run();
-  EXPECT_LT(warm.record().fct(), first.record().fct());
-
-  // Let the entry age out, then start another flow: back to slow start.
-  f.sim.run_until(f.sim.now() + 10_s);
-  SenderBase& cold = f.start(Scheme::tcp_cache, 100'000);
-  f.sim.run();
-  ASSERT_TRUE(cold.complete());
-  EXPECT_NEAR(cold.record().fct().to_ms(), first.record().fct().to_ms(), 5.0);
-}
-
 // --------------------------------------------------------------------- PCP
 
 TEST(PcpTest, RateRampsUpOnIdlePath) {

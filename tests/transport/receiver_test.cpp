@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "net/network.h"
-#include "net/topology.h"
-#include "schemes/factory.h"
-#include "transport/agent.h"
 #include "sim/simulator.h"
 
 namespace halfback::transport {
@@ -174,125 +172,25 @@ TEST(ReceiverTest, AckEchoesTriggerUid) {
 
 TEST(ReceiverTest, CompletionCallbackOnAllSegments) {
   ReceiverFixture f;
-  bool complete = false;
-  // CompletionRef is non-owning: hoist the callable to a local lvalue.
-  auto on_done = [&](const Receiver& r) {
-    complete = true;
-    EXPECT_TRUE(r.stats().complete);
-  };
-  f.receiver->set_completion_callback(Receiver::CompletionRef{on_done});
   f.deliver_syn(3);
   f.deliver_data(0, 3);
   f.deliver_data(2, 3);
-  EXPECT_FALSE(complete);
+  EXPECT_FALSE(f.receiver->stats().complete);
   f.deliver_data(1, 3);
-  EXPECT_TRUE(complete);
+  EXPECT_TRUE(f.receiver->stats().complete);
   EXPECT_EQ(f.receiver->cum_ack(), 3u);
 }
 
 TEST(ReceiverTest, CompletionFiresOnce) {
   ReceiverFixture f;
-  int completions = 0;
-  auto on_done = [&](const Receiver&) { ++completions; };
-  f.receiver->set_completion_callback(Receiver::CompletionRef{on_done});
   f.deliver_syn(2);
   f.deliver_data(0, 2);
   f.deliver_data(1, 2);
+  ASSERT_TRUE(f.receiver->stats().complete);
+  const sim::Time complete_at = f.receiver->stats().complete_at;
   f.deliver_data(1, 2);  // duplicate after completion
-  EXPECT_EQ(completions, 1);
-}
-
-struct DelackFixture : ReceiverFixture {
-  DelackFixture() {
-    transport::Receiver::Config config;
-    config.delayed_ack = true;
-    receiver = std::make_unique<Receiver>(sim, net.node(receiver_node), sender_node,
-                                          /*flow=*/42, config);
-    net.node(receiver_node).set_local_handler(
-        [this](net::Packet p) { receiver->on_packet(p); });
-  }
-
-  /// Like deliver_data, but does not run long enough for the 40 ms delack
-  /// timer to fire.
-  void deliver_data_briefly(std::uint32_t seq, std::uint32_t total) {
-    net::Packet d;
-    d.flow = 42;
-    d.type = net::PacketType::data;
-    d.src = sender_node;
-    d.dst = receiver_node;
-    d.size_bytes = net::kSegmentWireBytes;
-    d.seq = seq;
-    d.total_segments = total;
-    d.uid = 1000 + seq;
-    net.node(sender_node).send(d);
-    sim.run_until(sim.now() + 5_ms);
-  }
-};
-
-TEST(ReceiverDelayedAckTest, AcksEverySecondInOrderSegment) {
-  DelackFixture f;
-  f.deliver_syn(10);
-  f.deliver_data_briefly(0, 10);  // held
-  EXPECT_EQ(f.acks.size(), 1u);   // only the SYN-ACK
-  f.deliver_data_briefly(1, 10);  // second in-order arrival -> ACK now
-  ASSERT_EQ(f.acks.size(), 2u);
-  EXPECT_EQ(f.acks.back().cum_ack, 2u);
-}
-
-TEST(ReceiverDelayedAckTest, TimerFlushesLoneSegment) {
-  DelackFixture f;
-  f.deliver_syn(10);
-  f.deliver_data_briefly(0, 10);
-  EXPECT_EQ(f.acks.size(), 1u);
-  f.sim.run_until(f.sim.now() + 100_ms);  // delack timeout is 40 ms
-  ASSERT_EQ(f.acks.size(), 2u);
-  EXPECT_EQ(f.acks.back().cum_ack, 1u);
-}
-
-TEST(ReceiverDelayedAckTest, OutOfOrderArrivalAcksImmediately) {
-  DelackFixture f;
-  f.deliver_syn(10);
-  f.deliver_data(2, 10);  // hole at 0,1: dupACK duty, no delay
-  ASSERT_EQ(f.acks.size(), 2u);
-  EXPECT_EQ(f.acks.back().cum_ack, 0u);
-  ASSERT_EQ(f.acks.back().sacks.size(), 1u);
-}
-
-TEST(ReceiverDelayedAckTest, HalvesAckCountOnBulkTransfer) {
-  DelackFixture f;
-  f.deliver_syn(20);
-  for (std::uint32_t i = 0; i < 20; ++i) f.deliver_data_briefly(i, 20);
-  // ~one ACK per two segments (plus the SYN-ACK).
-  EXPECT_LE(f.acks.size(), 12u);
-  EXPECT_GE(f.acks.size(), 10u);
-  EXPECT_EQ(f.acks.back().cum_ack, 20u);
-}
-
-TEST(ReceiverDelayedAckTest, RoprClockHalvesUnderDelayedAcks) {
-  // The ACK clock drives ROPR: with delayed ACKs at the receiver, Halfback
-  // sends roughly half as many proactive copies (~33% of the flow instead
-  // of ~50%) and the phase still terminates.
-  sim::Simulator sim{1};
-  net::Network net{sim};
-  net::DumbbellConfig topo;
-  topo.sender_count = 1;
-  topo.receiver_count = 1;
-  net::Dumbbell d = net::build_dumbbell(net, topo);
-  transport::TransportAgent sender_agent{sim, net, d.senders[0]};
-  transport::TransportAgent receiver_agent{sim, net, d.receivers[0]};
-  transport::Receiver::Config rc;
-  rc.delayed_ack = true;
-  receiver_agent.set_receiver_config(rc);
-
-  schemes::SchemeContext context;
-  auto sender = schemes::make_sender(schemes::Scheme::halfback, context, sim,
-                                     net.node(d.senders[0]), d.receivers[0], 1,
-                                     100'000);
-  transport::SenderBase& flow = sender_agent.start_flow(std::move(sender));
-  sim.run();
-  ASSERT_TRUE(flow.complete());
-  EXPECT_LT(flow.record().proactive_retx, 30u);  // vs ~35 with per-packet ACKs
-  EXPECT_GT(flow.record().proactive_retx, 10u);
+  EXPECT_TRUE(f.receiver->stats().complete);
+  EXPECT_EQ(f.receiver->stats().complete_at, complete_at);
 }
 
 TEST(ReceiverTest, DataBeforeSynStillWorks) {
