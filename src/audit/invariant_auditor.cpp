@@ -1,6 +1,5 @@
 #include "audit/invariant_auditor.h"
 
-#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -12,26 +11,6 @@
 namespace halfback::audit {
 
 // --- flat shadow state -------------------------------------------------------
-
-void InvariantAuditor::SeqSet::insert(std::uint32_t seq) {
-  if (seq >= kBitmapSeqs) {
-    beyond_.insert(seq);
-    return;
-  }
-  const std::size_t word = seq / 64;
-  if (word >= bits_.size()) {
-    // Double, so a flow walking its seqs upwards grows O(log n) times.
-    bits_.resize(std::min<std::size_t>(std::max(word + 1, 2 * bits_.size()),
-                                       kBitmapSeqs / 64));
-  }
-  bits_[word] |= 1ULL << (seq % 64);
-}
-
-bool InvariantAuditor::SeqSet::contains(std::uint32_t seq) const {
-  if (seq >= kBitmapSeqs) return beyond_.contains(seq);
-  const std::size_t word = seq / 64;
-  return word < bits_.size() && (bits_[word] >> (seq % 64) & 1ULL) != 0;
-}
 
 std::size_t InvariantAuditor::ShadowIndex::home(Kind kind, std::uint64_t key) const {
   // Fibonacci hashing: the multiply spreads aligned addresses and
@@ -89,7 +68,7 @@ InvariantAuditor::LinkShadow& InvariantAuditor::link_shadow(const net::Link& lin
 InvariantAuditor::FlowShadow& InvariantAuditor::flow_shadow(std::uint64_t flow) {
   const auto [position, fresh] = index_.emplace(
       ShadowIndex::Kind::flow, flow, static_cast<std::uint32_t>(flows_.size()));
-  if (fresh) flows_.emplace_back();
+  if (fresh) flows_.emplace_back(flow);
   return flows_[position];
 }
 

@@ -165,21 +165,6 @@ class InvariantAuditor final : public Auditor {
     std::uint64_t expected() const { return offered + fault_duplicated; }
   };
 
-  /// Set of segment indices: a bitmap over [0, kBitmapSeqs), grown on
-  /// demand, plus a flat set for larger seqs, so no seq costs memory
-  /// proportional to its value.
-  class SeqSet {
-   public:
-    static constexpr std::uint32_t kBitmapSeqs = 1U << 20;
-
-    void insert(std::uint32_t seq);
-    bool contains(std::uint32_t seq) const;
-
-   private:
-    std::vector<std::uint64_t> bits_;
-    transport::UidSet beyond_;  ///< seqs >= kBitmapSeqs
-  };
-
   /// Arrival books of a uid that may or did reach its destination more
   /// than once.
   struct RepeatBook {
@@ -189,6 +174,8 @@ class InvariantAuditor final : public Auditor {
 
   /// Sender-side view of one flow.
   struct FlowShadow {
+    explicit FlowShadow(std::uint64_t flow) : arrived{flow << 24} {}
+
     std::uint32_t cum_ack = 0;
     bool have_proactive = false;
     std::uint32_t last_proactive_seq = 0;
@@ -196,13 +183,14 @@ class InvariantAuditor final : public Auditor {
     /// per uid is 1, plus one per injected duplicate (credit, fed by
     /// on_link_fault_duplicated) — exactly-once delivery, extended to
     /// exactly-(1+k)-times under injected duplication. Only credited or
-    /// repeated uids get a RepeatBook.
-    transport::UidSet arrived;
+    /// repeated uids get a RepeatBook. Based at the flow's uid prefix,
+    /// above which its sender stamps them.
+    transport::DenseUidSet arrived;
     std::unordered_map<std::uint64_t, RepeatBook> repeats;
     /// Segment indices observed as data packets on any link. Some schemes
     /// (RC3's RLP copies) transmit outside the scoreboard path, so
     /// sacked=>sent is checked against the wire, not the scoreboard alone.
-    SeqSet wire_seqs;
+    transport::DenseUidSet wire_seqs;
   };
 
   /// Open-addressing map from a (kind, key) pair — a link or queue

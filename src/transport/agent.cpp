@@ -18,10 +18,6 @@ SenderBase& TransportAgent::start_flow(std::unique_ptr<SenderBase> sender,
       SenderBase::CompletionRef::from<&TransportAgent::on_sender_complete>(
           *this));
   senders_[flow] = FlowSlot{std::move(sender), on_complete};
-  // Pre-size the dedup set for the ACK-per-segment this flow will deliver
-  // (plus headroom for retransmissions): growth rehashes showed up as a
-  // measurable slice of per-packet cost in steady state.
-  seen_uids_.reserve(seen_uids_.size() + 2 * ref.record().total_segments);
   ref.start();
   return ref;
 }
@@ -67,9 +63,9 @@ void TransportAgent::on_packet(net::Packet packet) {
   // re-triggering ACK-clocked machinery. uid 0 marks packets outside the
   // uid scheme (bare-component tests); those skip dedup.
   if (packet.uid != 0) {
-    const std::uint64_t key =
-        packet.uid ^ (static_cast<std::uint64_t>(packet.type) << 62);
-    if (!seen_uids_.insert(key)) {
+    const std::uint64_t key = ((packet.uid & 0xffffff) << 2) |
+                              static_cast<std::uint64_t>(packet.type);
+    if (!seen_uids_[packet.uid >> 24].insert(key)) {
       ++delivery_stats_.duplicate_rejected;
       return;
     }
@@ -79,9 +75,6 @@ void TransportAgent::on_packet(net::Packet packet) {
     case net::PacketType::syn: {
       auto it = receivers_.find(packet.flow);
       if (it == receivers_.end()) {
-        // The SYN announces the flow length; pre-size the dedup set for the
-        // data packets about to arrive (see start_flow).
-        seen_uids_.reserve(seen_uids_.size() + 2 * packet.total_segments);
         auto receiver = std::make_unique<Receiver>(simulator_, node_, packet.src,
                                                    packet.flow);
         it = receivers_.emplace(packet.flow, std::move(receiver)).first;

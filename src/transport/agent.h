@@ -78,11 +78,12 @@ class TransportAgent {
   std::unordered_map<net::FlowId, std::unique_ptr<Receiver>> receivers_;
   std::vector<FlowRecord> completed_;
   DeliveryStats delivery_stats_;
-  /// Wire uids already dispatched on this host (keyed with the packet type
-  /// so a sender-assigned data uid and a receiver-assigned ACK uid of the
-  /// same flow can never collide). Injected duplicates are exact copies —
-  /// same uid — so they are rejected here, once, at the delivery boundary.
-  UidSet seen_uids_;
+  /// Wire uids already dispatched on this host, one bitmap per uid flow
+  /// prefix (`uid >> 24`), indexed by `((uid & 0xffffff) << 2) | type` so
+  /// a sender-assigned data uid and a receiver-assigned ACK uid of the same
+  /// flow can never collide. Injected duplicates are exact copies — same
+  /// uid — so they are rejected here, once, at the delivery boundary.
+  std::unordered_map<std::uint64_t, DenseUidSet> seen_uids_;
 };
 
 }  // namespace halfback::transport

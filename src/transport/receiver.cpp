@@ -48,7 +48,6 @@ void Receiver::handle_data(const net::Packet& data) {
     received_[data.seq] = true;
     note_received(data.seq);
     ++stats_.unique_segments;
-    highest_received_ = std::max(highest_received_, data.seq + 1);
     while (cum_ack_ < received_.size() && received_[cum_ack_]) ++cum_ack_;
     if (!stats_.complete && stats_.unique_segments == stats_.total_segments) {
       stats_.complete = true;

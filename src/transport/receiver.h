@@ -71,7 +71,6 @@ class Receiver {
   /// whole window as a flow progresses.
   std::map<std::uint32_t, std::uint32_t> runs_;
   std::uint32_t cum_ack_ = 0;
-  std::uint32_t highest_received_ = 0;  ///< one past highest received index
   std::vector<std::uint32_t> recent_seqs_;  ///< anchors of recently reported runs
   std::uint64_t next_uid_ = 1;
   Stats stats_;

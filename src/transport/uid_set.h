@@ -1,15 +1,18 @@
-// Flat open-addressing membership set for wire uids.
+// Membership sets for wire uids: the exactly-once books.
 //
-// The delivery boundary inserts one key per accepted packet, so the dedup
-// structure is on the per-packet hot path. std::unordered_set allocates a
-// node per element; this set keeps keys inline in a power-of-two slot
-// array with linear probing — no allocation per insert, one cache line
-// touched per probe. Determinism: membership answers are identical to any
-// set, and iteration order is never observed.
+// The delivery boundary inserts one key per accepted packet, so these sets
+// are on the per-packet hot path. Every sender and receiver stamps its uids
+// `(flow << 24) + counter`, so one flow's uids are dense just above
+// `flow << 24`. DenseUidSet keeps such keys as bits over their offset from
+// a base and sends every other key to UidSet, a flat open-addressing table:
+// keys inline in a power-of-two slot array with linear probing, no
+// allocation per insert. Determinism: membership answers are identical to
+// any set, and iteration order is never observed.
 //
 // lint: hot-path — per-packet code; no per-packet allocation or type erasure.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -21,13 +24,6 @@ namespace halfback::transport {
 class UidSet {
  public:
   UidSet() = default;
-
-  /// Pre-size for `n` expected keys (amortized growth otherwise).
-  void reserve(std::size_t n) {
-    std::size_t want = 2;
-    while (want < 2 * n + 1) want <<= 1;
-    if (want > slots_.size()) rehash(want);
-  }
 
   /// Insert `key`; returns true if it was not present before.
   bool insert(std::uint64_t key) {
@@ -61,8 +57,6 @@ class UidSet {
     return false;
   }
 
-  std::size_t size() const { return size_ + (has_zero_ ? 1 : 0); }
-
  private:
   /// splitmix64 finalizer: full-avalanche mix so sequential uids spread
   /// across the table instead of clustering into one probe chain.
@@ -89,6 +83,46 @@ class UidSet {
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   bool has_zero_ = false;
+};
+
+/// Insert-only set of 64-bit keys that cluster just above `base`: a bitmap
+/// over `key - base` for offsets below kDenseKeys, grown by doubling, and a
+/// UidSet for every other key (a key below the base wraps to a huge offset
+/// and lands there too). No key costs memory proportional to its value.
+class DenseUidSet {
+ public:
+  static constexpr std::uint64_t kDenseKeys = 1ULL << 20;
+
+  explicit DenseUidSet(std::uint64_t base = 0) : base_{base} {}
+
+  /// Insert `key`; returns true if it was not present before.
+  bool insert(std::uint64_t key) {
+    const std::uint64_t offset = key - base_;
+    if (offset >= kDenseKeys) return beyond_.insert(key);
+    const std::size_t word = offset / 64;
+    if (word >= bits_.size()) {
+      // Double, so keys walking upwards grow the bitmap O(log n) times.
+      // lint: hot-ok(amortized bitmap growth, capped at kDenseKeys bits)
+      bits_.resize(std::min<std::size_t>(std::max(word + 1, 2 * bits_.size()),
+                                         kDenseKeys / 64));
+    }
+    const std::uint64_t bit = 1ULL << (offset % 64);
+    const bool fresh = (bits_[word] & bit) == 0;
+    bits_[word] |= bit;
+    return fresh;
+  }
+
+  bool contains(std::uint64_t key) const {
+    const std::uint64_t offset = key - base_;
+    if (offset >= kDenseKeys) return beyond_.contains(key);
+    const std::size_t word = offset / 64;
+    return word < bits_.size() && (bits_[word] >> (offset % 64) & 1ULL) != 0;
+  }
+
+ private:
+  std::uint64_t base_;
+  std::vector<std::uint64_t> bits_;
+  UidSet beyond_;  ///< keys outside [base, base + kDenseKeys)
 };
 
 }  // namespace halfback::transport

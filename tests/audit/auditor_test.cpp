@@ -406,6 +406,26 @@ TEST(InvariantAuditorTest, HundredThousandDistinctUidsStayClean) {
       << auditor.report();
 }
 
+TEST(InvariantAuditorTest, HundredThousandSenderStampedUidsStayCleanInAFewKiB) {
+  // Senders stamp uids (flow << 24) + counter, so flow 1's arrivals are
+  // dense above its uid prefix and its books stay a small bitmap.
+  constexpr std::uint64_t kFlowPrefix = 1ULL << 24;
+  InvariantAuditor auditor;
+  const std::size_t before = g_allocated_bytes.load();
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    auditor.on_node_received(
+        2, make_data_packet(kFlowPrefix + i, static_cast<std::uint32_t>(i % 70)));
+  }
+  const std::size_t grown = g_allocated_bytes.load() - before;
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_LT(grown, 64u * 1024u);
+  auditor.on_node_received(2, make_data_packet(kFlowPrefix + 4'242, 42));
+  ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
+  EXPECT_NE(auditor.violations().front().find("arrived 2x with a budget of 1"),
+            std::string::npos)
+      << auditor.report();
+}
+
 TEST(InvariantAuditorTest, CreditedDuplicateIsCleanAtTwoArrivalsAndRedAtThree) {
   BareLink bare;
   InvariantAuditor auditor;

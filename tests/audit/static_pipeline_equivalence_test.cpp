@@ -13,8 +13,7 @@
 //
 // Re-capture (only after an *intentional* semantic change, and say so in
 // the PR):
-//   HALFBACK_CAPTURE_GOLDEN=1 ./audit_tests \
-//     --gtest_filter='StaticPipelineEquivalence.*' 2>&1 | grep '0x'
+//   HALFBACK_CAPTURE_GOLDEN=1 ./audit_test --gtest_filter='StaticPipelineEquivalence.*' 2>&1 | grep '0x'
 #include <gtest/gtest.h>
 
 #include <cstdio>

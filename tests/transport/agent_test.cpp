@@ -142,6 +142,50 @@ class EveryPacketHook final : public net::FaultHook {
   int limit_;
 };
 
+/// A packet stamped with `uid`, handed straight to the receiving host's
+/// transport as its last link would.
+void deliver(AgentFixture& f, net::PacketType type, std::uint64_t uid,
+             net::FlowId flow) {
+  net::Packet p;
+  p.flow = flow;
+  p.type = type;
+  p.src = f.dumbbell.senders[0];
+  p.dst = f.dumbbell.receivers[0];
+  p.size_bytes = 52;
+  p.uid = uid;
+  f.net.node(f.dumbbell.receivers[0]).local_handler()(p);
+}
+
+TEST(TransportAgentTest, DataAndAckSharingAUidAreBothAccepted) {
+  AgentFixture f;
+  const std::uint64_t uid = (5ULL << 24) + 3;
+  deliver(f, net::PacketType::data, uid, 5);
+  deliver(f, net::PacketType::ack, uid, 5);
+  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  EXPECT_EQ(r.accepted, 2u);
+  EXPECT_EQ(r.duplicate_rejected, 0u);
+}
+
+TEST(TransportAgentTest, RepeatOfAUidPastTheDenseRangeIsRejected) {
+  AgentFixture f;
+  const std::uint64_t uid = (1ULL << 24) + (1ULL << 23);
+  deliver(f, net::PacketType::data, uid, 1);
+  deliver(f, net::PacketType::data, uid, 1);
+  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  EXPECT_EQ(r.accepted, 1u);
+  EXPECT_EQ(r.duplicate_rejected, 1u);
+}
+
+TEST(TransportAgentTest, DedupKeysOnTypeAndUidNotTheFlowField) {
+  AgentFixture f;
+  const std::uint64_t uid = (5ULL << 24) + 9;
+  deliver(f, net::PacketType::data, uid, 5);
+  deliver(f, net::PacketType::data, uid, 6);
+  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  EXPECT_EQ(r.accepted, 1u);
+  EXPECT_EQ(r.duplicate_rejected, 1u);
+}
+
 TEST(TransportAgentTest, CleanRunRejectsNothing) {
   AgentFixture f;
   f.start(1, 30'000);
