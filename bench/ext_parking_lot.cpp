@@ -29,9 +29,7 @@ struct Result : exp::RunRecord {
 Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
                  std::uint64_t seed, double duration_s) {
   exp::Rig rig{seed};
-  net::ParkingLotConfig topo;
-  topo.hops = hops;
-  net::ParkingLot lot = net::build_parking_lot(rig.network(), topo);
+  net::ParkingLot lot = net::build_parking_lot(rig.network(), hops);
 
   transport::TransportAgent& main_sender = rig.add_agent(lot.main_sender);
   rig.add_agent(lot.main_receiver);
@@ -48,7 +46,7 @@ Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
   sim::Random rng{seed * 31};
   workload::ScheduleConfig sc;
   sc.target_utilization = cross_utilization;
-  sc.bottleneck = topo.bottleneck_rate;
+  sc.bottleneck = net::ParkingLot::kHopRate;
   sc.duration = sim::Time::seconds(duration_s);
   for (int h = 0; h < hops; ++h) {
     const auto hop = static_cast<std::size_t>(h);

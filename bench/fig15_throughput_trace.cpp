@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
       exp::TraceScenario::single_tcp, exp::TraceScenario::two_tcp_halves};
   std::vector<exp::TraceResult> runs;
   for (exp::TraceScenario scenario : kPanels) {
-    exp::TraceConfig config;
-    config.seed = opt.seed;
-    runs.push_back(exp::run_trace(config, scenario));
+    runs.push_back(exp::run_trace(opt.seed, scenario));
   }
   bench::exit_on_audit_violations(runs, "fig15");
 

@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
   const double duration_s =
       opt.duration_s > 0 ? opt.duration_s : (opt.full ? 120.0 : 30.0);
 
-  workload::WebCatalogConfig catalog_config;
-  catalog_config.site_count = opt.full ? 100 : 40;
-  workload::WebsiteCatalog catalog{catalog_config, sim::Random{opt.seed * 17}};
+  workload::WebsiteCatalog catalog{opt.full ? 100 : 40, sim::Random{opt.seed * 17}};
 
   // One request schedule per utilization, shared across schemes.
   const auto bottleneck = sim::DataRate::megabits_per_second(15);
@@ -47,10 +45,7 @@ int main(int argc, char** argv) {
       [&](std::size_t i) {
         const std::size_t u = i / kSet.size();
         const schemes::Scheme scheme = kSet[i % kSet.size()];
-        exp::WebRunner::Config config;
-        config.seed = opt.seed;
-        exp::WebRunner runner{config};
-        outcomes[i] = runner.run(scheme, catalog, schedules[u]);
+        outcomes[i] = exp::WebRunner{opt.seed}.run(scheme, catalog, schedules[u]);
       },
       opt.threads);
   bench::exit_on_audit_violations(outcomes, "fig16");

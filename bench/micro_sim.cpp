@@ -149,7 +149,7 @@ void BM_ScoreboardAckProcessing(benchmark::State& state) {
     // ACK stream with a SACK hole pattern, plus loss detection per ACK.
     for (std::uint32_t cum = 0; cum < 97; cum += 2) {
       sb.apply_ack(cum, {{cum + 2, cum + 4}});
-      benchmark::DoNotOptimize(sb.detect_losses(3));
+      benchmark::DoNotOptimize(sb.detect_losses());
       benchmark::DoNotOptimize(sb.pipe());
     }
   }

@@ -16,9 +16,7 @@ int main(int argc, char** argv) {
 
   // A catalog of synthetic front pages (object counts and sizes follow
   // 2015-era top-site measurements; see DESIGN.md).
-  workload::WebCatalogConfig catalog_config;
-  catalog_config.site_count = 30;
-  workload::WebsiteCatalog catalog{catalog_config, sim::Random{11}};
+  workload::WebsiteCatalog catalog{30, sim::Random{11}};
 
   std::printf("catalog: %zu pages, mean weight %.0f KB\n", catalog.size(),
               catalog.mean_page_bytes() / 1000.0);
@@ -36,9 +34,7 @@ int main(int argc, char** argv) {
   for (schemes::Scheme scheme :
        {schemes::Scheme::tcp, schemes::Scheme::tcp10, schemes::Scheme::jumpstart,
         schemes::Scheme::halfback}) {
-    exp::WebRunner::Config config;
-    exp::WebRunner runner{config};
-    exp::WebRunOutcome outcome = runner.run(scheme, catalog, requests);
+    exp::WebRunOutcome outcome = exp::WebRunner{/*seed=*/1}.run(scheme, catalog, requests);
 
     // p95 by sorting response times.
     std::vector<double> times;

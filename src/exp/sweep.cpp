@@ -9,6 +9,14 @@ namespace halfback::exp {
 
 namespace {
 
+/// The paper's short flow (Figs. 12-14 and 17).
+constexpr sim::Bytes kShortFlowBytes = 100'000;
+/// Fig. 13: the short flows' share of the offered bytes.
+constexpr double kShortTrafficFraction = 0.10;
+/// Fig. 11: the load, and the size the measured distribution is cut at.
+constexpr double kFlowSizeUtilization = 0.25;
+constexpr sim::Bytes kFlowSizeTruncateBytes = 1'000'000;
+
 SweepCell summarize(schemes::Scheme scheme, double utilization, const RunResult& run) {
   const RoleStats primary = run.role_stats(FlowRole::primary);
   SweepCell cell;
@@ -44,7 +52,7 @@ std::vector<SweepCell> utilization_sweep(const UtilizationSweepConfig& config,
       sc.bottleneck = config.runner.dumbbell.bottleneck_rate;
       sc.duration = config.duration;
       schedules.push_back(workload::make_schedule(
-          workload::FlowSizeDist::fixed(config.flow_bytes), sc, rng));
+          workload::FlowSizeDist::fixed(kShortFlowBytes), sc, rng));
     }
   }
 
@@ -132,8 +140,8 @@ std::map<schemes::Scheme, double> low_load_fct(const std::vector<SweepCell>& swe
 
 std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
                                std::span<const schemes::Scheme> schemes) {
-  // Schedules per utilization: short flows carry `short_traffic_fraction`
-  // of the offered bytes, long TCP flows the rest.
+  // Schedules per utilization: short flows carry kShortTrafficFraction of
+  // the offered bytes, long TCP flows the rest.
   struct Schedules {
     std::vector<workload::FlowArrival> shorts;
     std::vector<workload::FlowArrival> longs;
@@ -145,11 +153,10 @@ std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
     sc.bottleneck = config.runner.dumbbell.bottleneck_rate;
     sc.duration = config.duration;
     Schedules s;
-    sc.target_utilization = config.utilizations[u] * config.short_traffic_fraction;
-    s.shorts = workload::make_schedule(workload::FlowSizeDist::fixed(config.short_bytes),
+    sc.target_utilization = config.utilizations[u] * kShortTrafficFraction;
+    s.shorts = workload::make_schedule(workload::FlowSizeDist::fixed(kShortFlowBytes),
                                        sc, rng);
-    sc.target_utilization =
-        config.utilizations[u] * (1.0 - config.short_traffic_fraction);
+    sc.target_utilization = config.utilizations[u] * (1.0 - kShortTrafficFraction);
     s.longs = workload::make_schedule(workload::FlowSizeDist::fixed(config.long_bytes),
                                       sc, rng);
     schedules.push_back(std::move(s));
@@ -220,7 +227,7 @@ std::vector<FriendlinessPoint> friendliness_matrix(
     sc.bottleneck = config.runner.dumbbell.bottleneck_rate;
     sc.duration = config.duration;
     schedules.push_back(workload::make_schedule(
-        workload::FlowSizeDist::fixed(config.flow_bytes), sc, rng));
+        workload::FlowSizeDist::fixed(kShortFlowBytes), sc, rng));
   }
 
   auto split = [](const std::vector<workload::FlowArrival>& all) {
@@ -298,10 +305,10 @@ std::vector<FriendlinessPoint> friendliness_matrix(
 std::vector<FlowSizeCell> flow_size_sweep(const FlowSizeSweepConfig& config,
                                           std::span<const schemes::Scheme> schemes) {
   // One shared schedule from the truncated distribution.
-  workload::FlowSizeDist sizes = config.sizes.truncated(config.truncate_bytes);
+  workload::FlowSizeDist sizes = config.sizes.truncated(kFlowSizeTruncateBytes);
   sim::Random rng{config.runner.seed * 179426549};
   workload::ScheduleConfig sc;
-  sc.target_utilization = config.utilization;
+  sc.target_utilization = kFlowSizeUtilization;
   sc.bottleneck = config.runner.dumbbell.bottleneck_rate;
   sc.duration = config.duration;
   std::vector<workload::FlowArrival> schedule = workload::make_schedule(sizes, sc, rng);

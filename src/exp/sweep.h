@@ -26,12 +26,12 @@ struct SweepCell {
   std::uint64_t audit_violations = 0;
 };
 
-/// Fig. 12 / Fig. 17: all-short-flow workload at each utilization, same
-/// arrival schedule for every scheme at a given utilization.
+/// Fig. 12 / Fig. 17: all-short-flow (100 KB) workload at each
+/// utilization, same arrival schedule for every scheme at a given
+/// utilization.
 struct UtilizationSweepConfig {
   EmulabRunner::Config runner;
   std::vector<double> utilizations;       ///< e.g. 0.05 .. 0.90
-  sim::Bytes flow_bytes = 100'000;
   sim::Time duration = sim::Time::seconds(60);
   unsigned threads = 0;
   /// Independent replications per cell (distinct seeds and schedules);
@@ -54,14 +54,12 @@ std::map<schemes::Scheme, double> feasible_capacities(
 /// Low-load mean FCT per scheme from a finished sweep (Fig. 1's y-axis).
 std::map<schemes::Scheme, double> low_load_fct(const std::vector<SweepCell>& sweep);
 
-/// Fig. 13: 10% of traffic from short flows (the scheme under test), 90%
-/// from long TCP flows; FCTs normalized by the all-TCP baseline.
+/// Fig. 13: 10% of traffic from 100 KB short flows (the scheme under
+/// test), 90% from long TCP flows; FCTs normalized by the all-TCP baseline.
 struct MixSweepConfig {
   EmulabRunner::Config runner;
   std::vector<double> utilizations;  ///< e.g. 0.30 .. 0.85
-  sim::Bytes short_bytes = 100'000;
   sim::Bytes long_bytes = 5'000'000;  ///< paper: 100 MB; scaled by default
-  double short_traffic_fraction = 0.10;
   sim::Time duration = sim::Time::seconds(60);
   unsigned threads = 0;
 };
@@ -82,12 +80,12 @@ struct MixCell {
 std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
                                std::span<const schemes::Scheme> schemes);
 
-/// Fig. 14: half the flows run `scheme`, half run TCP, at utilizations
-/// 5%..30%. Coordinates are factor-changes in FCT due to co-existence.
+/// Fig. 14: half the 100 KB flows run `scheme`, half run TCP, at
+/// utilizations 5%..30%. Coordinates are factor-changes in FCT due to
+/// co-existence.
 struct FriendlinessConfig {
   EmulabRunner::Config runner;
   std::vector<double> utilizations{0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
-  sim::Bytes flow_bytes = 100'000;
   sim::Time duration = sim::Time::seconds(60);
   unsigned threads = 0;
 };
@@ -113,8 +111,6 @@ std::vector<FriendlinessPoint> friendliness_matrix(
 struct FlowSizeSweepConfig {
   EmulabRunner::Config runner;
   workload::FlowSizeDist sizes = workload::FlowSizeDist::internet();
-  double utilization = 0.25;
-  sim::Bytes truncate_bytes = 1'000'000;
   sim::Time duration = sim::Time::seconds(60);
   sim::Bytes bin_bytes = sim::Bytes::kilobytes(25);  ///< FCT reported per flow-size bin
   unsigned threads = 0;

@@ -1,10 +1,18 @@
 #include "exp/trace.h"
 
-#include <algorithm>
-
+#include "net/topology.h"
+#include "sim/bytes.h"
 #include "sim/timer.h"
 
 namespace halfback::exp {
+
+namespace {
+constexpr sim::Bytes kShortBytes = 100'000;
+constexpr sim::Bytes kBackgroundBytes = 20'000'000;
+constexpr auto kShortStart = sim::Time::seconds(1);
+constexpr auto kBucket = sim::Time::milliseconds(60);
+constexpr auto kDuration = sim::Time::seconds(4);
+}  // namespace
 
 const char* to_string(TraceScenario scenario) {
   switch (scenario) {
@@ -16,20 +24,15 @@ const char* to_string(TraceScenario scenario) {
   return "?";
 }
 
-TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
-  Rig rig{config.seed};
-  net::DumbbellConfig dc = config.dumbbell;
-  dc.sender_count = std::max(dc.sender_count, 3);
-  dc.receiver_count = std::max(dc.receiver_count, 3);
-  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), dc);
+TraceResult run_trace(std::uint64_t seed, TraceScenario scenario) {
+  Rig rig{seed};
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), net::DumbbellConfig{});
   // Agents 0..pairs-1 send, pairs..2*pairs-1 receive.
   for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
   for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
   const std::size_t pairs = dumbbell.senders.size();
 
   schemes::SchemeContext context;
-  context.sender_config = config.sender_config;
-  context.halfback_config = config.halfback_config;
 
   struct Tracked {
     std::string label;
@@ -53,29 +56,29 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
   };
 
   // Background TCP flow on pair 0 from t=0.
-  start_flow("background", schemes::Scheme::tcp, config.background_bytes, 0,
+  start_flow("background", schemes::Scheme::tcp, kBackgroundBytes, 0,
              sim::Time::zero(), 0);
 
   switch (scenario) {
     case TraceScenario::optimal:
       // "Optimal": the whole flow leaves in one immediate burst (an ICW
       // covering the flow), the best a sender-side scheme could do.
-      start_flow("short-optimal", schemes::Scheme::tcp, config.short_bytes, 1,
-                 config.short_start, /*burst_window=*/97);
+      start_flow("short-optimal", schemes::Scheme::tcp, kShortBytes, 1,
+                 kShortStart, /*burst_window=*/97);
       break;
     case TraceScenario::halfback:
-      start_flow("short-halfback", schemes::Scheme::halfback, config.short_bytes, 1,
-                 config.short_start, 0);
+      start_flow("short-halfback", schemes::Scheme::halfback, kShortBytes, 1,
+                 kShortStart, 0);
       break;
     case TraceScenario::single_tcp:
-      start_flow("short-tcp", schemes::Scheme::tcp, config.short_bytes, 1,
-                 config.short_start, 0);
+      start_flow("short-tcp", schemes::Scheme::tcp, kShortBytes, 1,
+                 kShortStart, 0);
       break;
     case TraceScenario::two_tcp_halves:
-      start_flow("short-tcp-1", schemes::Scheme::tcp, config.short_bytes / 2, 1,
-                 config.short_start, 0);
-      start_flow("short-tcp-2", schemes::Scheme::tcp, config.short_bytes / 2, 2,
-                 config.short_start, 0);
+      start_flow("short-tcp-1", schemes::Scheme::tcp, kShortBytes / 2, 1,
+                 kShortStart, 0);
+      start_flow("short-tcp-2", schemes::Scheme::tcp, kShortBytes / 2, 2,
+                 kShortStart, 0);
       break;
   }
 
@@ -85,7 +88,7 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
   auto sample = [&] {
     // Attribute to the bucket that just ended.
     const auto ended = static_cast<std::size_t>(
-        (simulator.now() - config.bucket).ns() / config.bucket.ns());
+        (simulator.now() - kBucket).ns() / kBucket.ns());
     for (Tracked& t : tracked) {
       transport::Receiver* r = rig.agent(pairs + t.pair).receiver(t.flow);
       if (r == nullptr) continue;
@@ -98,24 +101,24 @@ TraceResult run_trace(const TraceConfig& config, TraceScenario scenario) {
         t.seen_segments = now_segments;
       }
     }
-    if (simulator.now() < config.duration) {
-      sampler.schedule_after(config.bucket);
+    if (simulator.now() < kDuration) {
+      sampler.schedule_after(kBucket);
     }
   };
   sampler.bind(simulator, sample);
-  sampler.schedule_after(config.bucket);
+  sampler.schedule_after(kBucket);
 
-  simulator.run_until(config.duration);
+  simulator.run_until(kDuration);
 
   TraceResult result;
   rig.finish(result);
-  const double bucket_seconds = config.bucket.to_seconds();
+  const double bucket_seconds = kBucket.to_seconds();
   for (const Tracked& t : tracked) {
     FlowTrace ft;
     ft.label = t.label;
     for (std::size_t i = 0; i < t.bucket_bytes.size(); ++i) {
       const double bytes = static_cast<double>(t.bucket_bytes[i]);
-      ft.throughput.push_back({config.bucket * static_cast<double>(i),
+      ft.throughput.push_back({kBucket * static_cast<double>(i),
                                bytes * 8.0 / bucket_seconds / 1e6});
     }
     const transport::SenderBase* sender = rig.started(t.start);

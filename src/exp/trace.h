@@ -2,12 +2,12 @@
 // short flow disturbs a saturated background TCP flow.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "exp/rig.h"
-#include "net/topology.h"
-#include "sim/bytes.h"
+#include "sim/time.h"
 
 namespace halfback::exp {
 
@@ -20,18 +20,6 @@ enum class TraceScenario {
 };
 
 const char* to_string(TraceScenario scenario);
-
-struct TraceConfig {
-  net::DumbbellConfig dumbbell;
-  std::uint64_t seed = 1;
-  transport::SenderConfig sender_config;
-  schemes::HalfbackConfig halfback_config;
-  sim::Bytes short_bytes = 100'000;
-  sim::Bytes background_bytes = 20'000'000;
-  sim::Time short_start = sim::Time::seconds(1);  ///< after bg reaches full rate
-  sim::Time bucket = sim::Time::milliseconds(60); ///< the paper's 60 ms bins
-  sim::Time duration = sim::Time::seconds(4);
-};
 
 /// Per-flow throughput series, sampled at the receiver (unique bytes
 /// delivered per bucket — "successfully transmitted packets").
@@ -53,6 +41,9 @@ struct TraceResult : RunRecord {
   std::vector<FlowTrace> flows;
 };
 
-TraceResult run_trace(const TraceConfig& config, TraceScenario scenario);
+/// Run one panel for 4 s over the default dumbbell: a 20 MB background TCP
+/// flow from t = 0, and at 1 s (once it runs at full rate) 100 KB of short
+/// traffic, sampled in the paper's 60 ms bins.
+TraceResult run_trace(std::uint64_t seed, TraceScenario scenario);
 
 }  // namespace halfback::exp

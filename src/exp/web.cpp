@@ -4,9 +4,14 @@
 #include <functional>
 #include <memory>
 
+#include "net/topology.h"
+
 namespace halfback::exp {
 
 namespace {
+
+constexpr std::size_t kMaxConnections = 6;
+constexpr auto kDrain = sim::Time::seconds(30);
 
 /// Live state of one in-flight page request.
 struct PageState {
@@ -40,16 +45,14 @@ std::size_t WebRunOutcome::unfinished_pages() const {
 WebRunOutcome WebRunner::run(schemes::Scheme scheme,
                              const workload::WebsiteCatalog& catalog,
                              const std::vector<workload::WebRequest>& requests) {
-  Rig rig{config_.seed};
-  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), config_.dumbbell);
+  Rig rig{seed_};
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), net::DumbbellConfig{});
   // Agents 0..pair_count-1 are the servers; the clients follow.
   for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
   for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
   const std::size_t pair_count = dumbbell.senders.size();
 
   schemes::SchemeContext context;
-  context.sender_config = config_.sender_config;
-  context.halfback_config = config_.halfback_config;
 
   std::vector<std::unique_ptr<PageState>> pages;
   net::FlowId next_flow = 1;
@@ -74,9 +77,8 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
     }
     if (state.completed_objects == 1) {
       // HTML delivered: open the concurrent subresource lanes.
-      const auto lanes = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.max_connections),
-          state.page->object_bytes.size() - 1);
+      const auto lanes =
+          std::min(kMaxConnections, state.page->object_bytes.size() - 1);
       for (std::size_t lane = 0; lane < lanes; ++lane) launch_next(state);
     } else {
       launch_next(state);  // this lane takes the next object
@@ -105,7 +107,7 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
     simulator.schedule_at(req.at, [&, raw] { launch_next(*raw); });
   }
 
-  simulator.run_until(last_request + config_.drain);
+  simulator.run_until(last_request + kDrain);
 
   WebRunOutcome outcome;
   rig.finish(outcome);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "exp/rig.h"
-#include "net/topology.h"
 #include "workload/web.h"
 
 namespace halfback::exp {
@@ -40,28 +39,20 @@ struct WebRunOutcome : RunRecord {
   std::size_t unfinished_pages() const;
 };
 
-/// Runs a schedule of page requests with one scheme. The HTML document is
-/// fetched first on one connection; then up to `max_connections` concurrent
-/// lanes (Chrome's per-host default of 6) fetch the remaining objects, each
-/// lane back to back.
+/// Runs a schedule of page requests with one scheme over the default
+/// dumbbell. The HTML document is fetched first on one connection; then up
+/// to six concurrent lanes (Chrome's per-host default) fetch the remaining
+/// objects, each lane back to back. Pages still open 30 s after the last
+/// request are censored.
 class WebRunner {
  public:
-  struct Config {
-    net::DumbbellConfig dumbbell;
-    std::uint64_t seed = 1;
-    transport::SenderConfig sender_config;
-    schemes::HalfbackConfig halfback_config;
-    int max_connections = 6;
-    sim::Time drain = sim::Time::seconds(30);
-  };
-
-  explicit WebRunner(Config config) : config_{std::move(config)} {}
+  explicit WebRunner(std::uint64_t seed) : seed_{seed} {}
 
   WebRunOutcome run(schemes::Scheme scheme, const workload::WebsiteCatalog& catalog,
                     const std::vector<workload::WebRequest>& requests);
 
  private:
-  Config config_;
+  std::uint64_t seed_;
 };
 
 }  // namespace halfback::exp

@@ -105,7 +105,6 @@ class Link {
   void send(Packet p) HB_EFFECTS(alloc, throw);
 
   sim::DataRate rate() const { return rate_; }
-  sim::Time propagation_delay() const { return delay_; }
   PacketQueue& queue() { return *queue_; }
   const PacketQueue& queue() const { return *queue_; }
   const LinkStats& stats() const { return stats_; }

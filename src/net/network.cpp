@@ -16,18 +16,13 @@ NodeId Network::add_node() {
 Link* Network::make_link(NodeId from, NodeId to, const LinkConfig& config) {
   std::unique_ptr<PacketQueue> queue;
   switch (config.queue_kind) {
-    case QueueKind::red: {
-      RedQueue::Config red;
-      red.capacity_bytes = config.queue_bytes;
-      queue = std::make_unique<RedQueue>(red, simulator_.random().fork(0xaedULL + to));
+    case QueueKind::red:
+      queue = std::make_unique<RedQueue>(config.queue_bytes,
+                                         simulator_.random().fork(0xaedULL + to));
       break;
-    }
-    case QueueKind::codel: {
-      CoDelQueue::Config codel;
-      codel.capacity_bytes = config.queue_bytes;
-      queue = std::make_unique<CoDelQueue>(codel);
+    case QueueKind::codel:
+      queue = std::make_unique<CoDelQueue>(config.queue_bytes);
       break;
-    }
     case QueueKind::priority:
       queue = std::make_unique<PriorityQueue>(config.queue_bytes);
       break;

@@ -63,10 +63,6 @@ class Network {
   /// All links, for statistics sweeps.
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
-  /// The per-simulation recycling pool all of this network's links draw
-  /// in-flight packet nodes from (diagnostics / allocation assertions).
-  const PacketPool& packet_pool() const { return pool_; }
-
   /// Total packets dropped by all queues in the network.
   std::uint64_t total_queue_drops() const;
 

@@ -53,8 +53,4 @@ void Node::handle(Packet p) {
                          std::to_string(route->second)};
 }
 
-bool Node::has_route_to(NodeId dest) const {
-  return dest == id_ || routes_.contains(dest);
-}
-
 }  // namespace halfback::net

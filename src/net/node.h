@@ -44,8 +44,6 @@ class Node {
   /// Send a locally-originated packet.
   void send(Packet p) HB_EFFECTS(alloc, throw) { handle(std::move(p)); }
 
-  bool has_route_to(NodeId dest) const;
-
  private:
   /// Rebuild the forwarding-cache entry for `dest` from routes_ + egress_.
   void refresh_forward(NodeId dest);

@@ -99,7 +99,6 @@ class PacketPool {
   }
 
   const PacketPoolStats& stats() const { return stats_; }
-  std::size_t slab_size() const { return slab_.size(); }
 
  private:
   std::vector<std::unique_ptr<PacketEvent>> slab_;

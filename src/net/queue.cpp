@@ -6,6 +6,20 @@
 
 namespace halfback::net {
 
+namespace {
+/// CoDel's acceptable standing sojourn and the interval it must persist for
+/// before the first drop (the RFC 8289 defaults).
+constexpr auto kCoDelTarget = sim::Time::milliseconds(5);
+constexpr auto kCoDelInterval = sim::Time::milliseconds(100);
+
+/// Gentle RED: early drops start once the averaged backlog passes a quarter
+/// of capacity and reach kRedMaxDropProbability at three quarters.
+constexpr double kRedMinThresholdFrac = 0.25;
+constexpr double kRedMaxThresholdFrac = 0.75;
+constexpr double kRedMaxDropProbability = 0.1;
+constexpr double kRedEwmaWeight = 0.002;  ///< per arrival
+}  // namespace
+
 void PacketQueue::record_enqueue(const Packet& p) {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p.size_bytes;
@@ -75,7 +89,7 @@ std::optional<Packet> PriorityQueue::dequeue(sim::Time /*now*/) {
 }
 
 bool CoDelQueue::enqueue(Packet p, sim::Time now) {
-  if (bytes_ + p.size_bytes > config_.capacity_bytes) {
+  if (bytes_ + p.size_bytes > capacity_bytes_) {
     record_drop(p);
     return false;
   }
@@ -87,7 +101,7 @@ bool CoDelQueue::enqueue(Packet p, sim::Time now) {
 }
 
 sim::Time CoDelQueue::control_law(sim::Time t) const {
-  return t + config_.interval / std::sqrt(static_cast<double>(std::max(drop_count_, 1)));
+  return t + kCoDelInterval / std::sqrt(static_cast<double>(std::max(drop_count_, 1)));
 }
 
 std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
@@ -97,7 +111,7 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
     bytes_ -= entry.packet.size_bytes;
     const sim::Time sojourn = now - entry.enqueued_at;
 
-    if (sojourn < config_.target || bytes_ == 0) {
+    if (sojourn < kCoDelTarget || bytes_ == 0) {
       // Sojourn back under control: leave the dropping state.
       first_above_time_ = sim::Time::zero();
       if (dropping_) dropping_ = false;
@@ -107,7 +121,7 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
 
     if (first_above_time_.is_zero()) {
       // Start the grace interval before the first drop.
-      first_above_time_ = now + config_.interval;
+      first_above_time_ = now + kCoDelInterval;
       record_dequeue(entry.packet);
       return entry.packet;
     }
@@ -139,19 +153,19 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
 
 bool RedQueue::enqueue(Packet p, sim::Time /*now*/) {
   // Update the EWMA of the backlog on every arrival.
-  avg_bytes_ = (1.0 - config_.ewma_weight) * avg_bytes_ +
-               config_.ewma_weight * static_cast<double>(bytes_);
+  avg_bytes_ = (1.0 - kRedEwmaWeight) * avg_bytes_ +
+               kRedEwmaWeight * static_cast<double>(bytes_);
 
-  const double min_th = config_.min_threshold_frac * static_cast<double>(config_.capacity_bytes);
-  const double max_th = config_.max_threshold_frac * static_cast<double>(config_.capacity_bytes);
+  const double min_th = kRedMinThresholdFrac * static_cast<double>(capacity_bytes_);
+  const double max_th = kRedMaxThresholdFrac * static_cast<double>(capacity_bytes_);
 
   bool drop = false;
-  if (bytes_ + p.size_bytes > config_.capacity_bytes) {
+  if (bytes_ + p.size_bytes > capacity_bytes_) {
     drop = true;  // hard limit
   } else if (avg_bytes_ >= max_th) {
     drop = true;
   } else if (avg_bytes_ > min_th) {
-    double drop_p = config_.max_drop_probability * (avg_bytes_ - min_th) / (max_th - min_th);
+    double drop_p = kRedMaxDropProbability * (avg_bytes_ - min_th) / (max_th - min_th);
     drop = rng_.bernoulli(drop_p);
   }
   if (drop) {

@@ -122,19 +122,14 @@ class DropTailQueue final : public PacketQueue {
 /// Halfback (reducing the number of RTTs) are complementary.
 class CoDelQueue final : public PacketQueue {
  public:
-  struct Config {
-    sim::Bytes capacity_bytes;                      ///< hard limit
-    sim::Time target = sim::Time::milliseconds(5);  ///< acceptable sojourn
-    sim::Time interval = sim::Time::milliseconds(100);
-  };
-
-  explicit CoDelQueue(Config config) : config_{config} {}
+  /// `capacity_bytes` is the hard limit.
+  explicit CoDelQueue(sim::Bytes capacity_bytes) : capacity_bytes_{capacity_bytes} {}
 
   bool enqueue(Packet p, sim::Time now) override HB_EFFECTS(alloc);
   std::optional<Packet> dequeue(sim::Time now) override HB_EFFECTS(alloc);
   std::uint64_t byte_length() const override { return bytes_; }
   std::size_t packet_count() const override { return packets_.size(); }
-  std::uint64_t capacity_bytes() const override { return config_.capacity_bytes; }
+  std::uint64_t capacity_bytes() const override { return capacity_bytes_; }
 
   bool dropping() const { return dropping_; }
 
@@ -147,7 +142,7 @@ class CoDelQueue final : public PacketQueue {
     Packet packet;
   };
 
-  Config config_;
+  sim::Bytes capacity_bytes_;
   std::uint64_t bytes_ = 0;
   std::deque<Entry> packets_;
   bool dropping_ = false;
@@ -191,27 +186,20 @@ class PriorityQueue final : public PacketQueue {
 /// RTT inflation and is complementary to Halfback's fewer-RTTs approach.
 class RedQueue final : public PacketQueue {
  public:
-  struct Config {
-    sim::Bytes capacity_bytes;         ///< hard limit
-    double min_threshold_frac = 0.25;  ///< of capacity
-    double max_threshold_frac = 0.75;  ///< of capacity
-    double max_drop_probability = 0.1;
-    double ewma_weight = 0.002;
-  };
-
-  RedQueue(Config config, sim::Random rng)
-      : config_{config}, rng_{std::move(rng)} {}
+  /// `capacity_bytes` is the hard limit.
+  RedQueue(sim::Bytes capacity_bytes, sim::Random rng)
+      : capacity_bytes_{capacity_bytes}, rng_{std::move(rng)} {}
 
   bool enqueue(Packet p, sim::Time now) override HB_EFFECTS(alloc, rng);
   std::optional<Packet> dequeue(sim::Time now) override HB_EFFECTS(alloc);
   std::uint64_t byte_length() const override { return bytes_; }
   std::size_t packet_count() const override { return packets_.size(); }
-  std::uint64_t capacity_bytes() const override { return config_.capacity_bytes; }
+  std::uint64_t capacity_bytes() const override { return capacity_bytes_; }
 
   double average_backlog_bytes() const { return avg_bytes_; }
 
  private:
-  Config config_;
+  sim::Bytes capacity_bytes_;
   sim::Random rng_;
   std::uint64_t bytes_ = 0;
   double avg_bytes_ = 0.0;  // lint: unit-ok(RED's EWMA backlog is intrinsically fractional)

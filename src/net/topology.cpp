@@ -6,6 +6,12 @@ namespace halfback::net {
 
 namespace {
 constexpr auto kAccessDelay = sim::Time::microseconds(10);
+/// Host-side links (the parking lot's access links and the access path's
+/// server hop) run at 1 Gbps, and every host-side buffer holds 4 MB: fast
+/// and deep enough never to be the bottleneck.
+constexpr auto kHostRate = sim::DataRate::gigabits_per_second(1);
+constexpr sim::Bytes kHostBufferBytes = 4u << 20;
+constexpr sim::Bytes kParkingLotHopBufferBytes = 115'000;
 }
 
 Dumbbell build_dumbbell(Network& network, const DumbbellConfig& config) {
@@ -27,7 +33,7 @@ Dumbbell build_dumbbell(Network& network, const DumbbellConfig& config) {
   LinkConfig access;
   access.rate = config.access_rate;
   access.delay = kAccessDelay;
-  access.queue_bytes = config.access_buffer_bytes;
+  access.queue_bytes = kHostBufferBytes;
 
   for (int i = 0; i < config.sender_count; ++i) {
     NodeId host = network.add_node();
@@ -66,9 +72,9 @@ AccessPath build_access_path(Network& network, const AccessPathConfig& config) {
   if (wan_delay < sim::Time::zero()) wan_delay = sim::Time::zero();
 
   LinkConfig wan;
-  wan.rate = config.server_rate;
+  wan.rate = kHostRate;
   wan.delay = wan_delay;
-  wan.queue_bytes = 4u << 20;
+  wan.queue_bytes = kHostBufferBytes;
   network.connect(path.server, path.router, wan);
 
   LinkConfig down;
@@ -90,34 +96,29 @@ AccessPath build_access_path(Network& network, const AccessPathConfig& config) {
   return path;
 }
 
-ParkingLot build_parking_lot(Network& network, const ParkingLotConfig& config) {
-  if (config.hops < 1) throw std::invalid_argument{"parking lot needs >= 1 hop"};
+ParkingLot build_parking_lot(Network& network, int hops) {
+  if (hops < 1) throw std::invalid_argument{"parking lot needs >= 1 hop"};
   ParkingLot lot;
-  lot.config = config;
+  lot.hops = hops;
 
-  for (int i = 0; i <= config.hops; ++i) lot.routers.push_back(network.add_node());
+  for (int i = 0; i <= hops; ++i) lot.routers.push_back(network.add_node());
 
   LinkConfig access;
-  access.rate = config.access_rate;
+  access.rate = kHostRate;
   access.delay = kAccessDelay;
-  access.queue_bytes = 4u << 20;
+  access.queue_bytes = kHostBufferBytes;
 
   lot.main_sender = network.add_node();
   network.connect(lot.main_sender, lot.routers.front(), access);
   lot.main_receiver = network.add_node();
   network.connect(lot.main_receiver, lot.routers.back(), access);
 
-  // The per-hop RTT budget, minus the access hops, sits on the hop link.
-  sim::Time hop_delay = config.per_hop_rtt / 2.0;
-  if (hop_delay <= sim::Time::zero()) {
-    throw std::invalid_argument{"per-hop RTT too small"};
-  }
-
+  // The per-hop RTT budget sits on the hop link.
   LinkConfig hop;
-  hop.rate = config.bottleneck_rate;
-  hop.delay = hop_delay;
-  hop.queue_bytes = config.buffer_bytes;
-  for (int i = 0; i < config.hops; ++i) {
+  hop.rate = ParkingLot::kHopRate;
+  hop.delay = ParkingLot::kPerHopRtt / 2.0;
+  hop.queue_bytes = kParkingLotHopBufferBytes;
+  for (int i = 0; i < hops; ++i) {
     LinkPair pair = network.connect(lot.routers[static_cast<std::size_t>(i)],
                                     lot.routers[static_cast<std::size_t>(i) + 1], hop);
     lot.bottlenecks.push_back(pair.forward);

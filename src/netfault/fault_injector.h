@@ -53,7 +53,6 @@ class FaultInjector final : public net::FaultHook {
                                  sim::Time now) override;
 
   const InjectorStats& stats() const { return stats_; }
-  const FaultConfig& config() const { return config_; }
 
  private:
   FaultConfig config_;

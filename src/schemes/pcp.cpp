@@ -99,7 +99,7 @@ void PcpSender::handle_ack(const net::Packet& /*ack*/,
     if (!round_has_sample_ || latest < round_min_rtt_) round_min_rtt_ = latest;
     round_has_sample_ = true;
   }
-  scoreboard_.detect_losses(config_.dup_threshold);
+  scoreboard_.detect_losses();
   if (idle_ && !paused_) {
     idle_ = false;
     if (!tick_pending_) schedule_data_tick();

@@ -29,9 +29,8 @@ class Bytes {
   constexpr std::uint64_t count() const { return count_; }
   constexpr operator std::uint64_t() const { return count_; }  // NOLINT(google-explicit-constructor)
 
-  /// Floating-point views for the statistics edges (mirrors Time::to_ms).
+  /// Floating-point view for the statistics edges (mirrors Time::to_ms).
   constexpr double to_kb() const { return static_cast<double>(count_) * 1e-3; }
-  constexpr double to_mb() const { return static_cast<double>(count_) * 1e-6; }
 
   constexpr bool is_zero() const { return count_ == 0; }
 

@@ -76,8 +76,6 @@ class Random {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

@@ -26,15 +26,14 @@ void write_histogram_fields(std::ostream& out, const Histogram& h) {
       << ",\"p90\":" << h.value_at_quantile(0.9)
       << ",\"p99\":" << h.value_at_quantile(0.99)
       << ",\"p999\":" << h.value_at_quantile(0.999)
-      << ",\"sub_bucket_bits\":" << h.sub_bucket_bits() << ",\"buckets\":[";
+      << ",\"sub_bucket_bits\":" << Histogram::kSubBucketBits << ",\"buckets\":[";
   bool first = true;
   for (std::size_t i = 0; i < h.bucket_count(); ++i) {
     if (h.bucket_value(i) == 0) continue;
     if (!first) out << ',';
     first = false;
-    out << '[' << Histogram::bucket_lower(i, h.sub_bucket_bits()) << ','
-        << Histogram::bucket_upper(i, h.sub_bucket_bits()) << ','
-        << h.bucket_value(i) << ']';
+    out << '[' << Histogram::bucket_lower(i) << ',' << Histogram::bucket_upper(i)
+        << ',' << h.bucket_value(i) << ']';
   }
   out << ']';
 }

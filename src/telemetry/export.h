@@ -65,11 +65,10 @@ inline std::vector<stats::HistogramBin> histogram_bins(const Histogram& h,
                                                        double scale = 1.0) {
   std::vector<stats::HistogramBin> bins;
   bins.reserve(h.bucket_count());
-  const unsigned k = h.sub_bucket_bits();
   for (std::size_t i = 0; i < h.bucket_count(); ++i) {
     stats::HistogramBin bin;
-    bin.lower = static_cast<double>(Histogram::bucket_lower(i, k)) / scale;
-    bin.upper = static_cast<double>(Histogram::bucket_upper(i, k)) / scale;
+    bin.lower = static_cast<double>(Histogram::bucket_lower(i)) / scale;
+    bin.upper = static_cast<double>(Histogram::bucket_upper(i)) / scale;
     bin.count = h.bucket_value(i);
     bins.push_back(bin);
   }

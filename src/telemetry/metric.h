@@ -72,21 +72,21 @@ class Gauge {
 /// Fixed log-linear histogram over non-negative 64-bit values (HdrHistogram
 /// style, pure integer math, no floating point on the record path).
 ///
-/// The first 2^k buckets are unit-wide: value v < 2^k lands in bucket v.
-/// Every further power of two is split into 2^k equal-width sub-buckets, so
-/// relative bucket resolution stays ~2^-k across the whole 64-bit range.
-/// Bucket edges are a pure function of k — they are locked by a golden file
-/// in tests/telemetry/ so exported histograms stay comparable across
-/// versions. Every bucket of the 64-bit range is allocated at registration
-/// (496 at the default resolution), so recording never allocates; the
-/// occupied range runs up to the highest bucket recorded into.
+/// With k = kSubBucketBits, the first 2^k buckets are unit-wide: value
+/// v < 2^k lands in bucket v. Every further power of two is split into 2^k
+/// equal-width sub-buckets, so relative bucket resolution stays ~2^-k
+/// across the whole 64-bit range. Bucket edges are a pure function of the
+/// index — they are locked by a golden file in tests/telemetry/ so exported
+/// histograms stay comparable across versions. Every bucket of the 64-bit
+/// range (496) is allocated at registration, so recording never allocates;
+/// the occupied range runs up to the highest bucket recorded into.
 class Histogram {
  public:
-  /// Sub-bucket resolution: 2^sub_bucket_bits sub-buckets per octave.
-  static constexpr unsigned kDefaultSubBucketBits = 3;
+  /// Sub-bucket resolution: 2^kSubBucketBits sub-buckets per octave.
+  static constexpr unsigned kSubBucketBits = 3;
 
   void record(std::uint64_t v) HB_EFFECTS() {
-    const std::size_t i = bucket_index(v, sub_bucket_bits_);
+    const std::size_t i = bucket_index(v);
     if (i >= used_) used_ = i + 1;
     ++counts_[i];
     ++count_;
@@ -109,34 +109,28 @@ class Histogram {
                        : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
-  unsigned sub_bucket_bits() const { return sub_bucket_bits_; }
   /// Occupied bucket range; buckets() is indexed [0, bucket_count()).
   std::size_t bucket_count() const { return used_; }
   std::uint64_t bucket_value(std::size_t i) const { return counts_[i]; }
 
-  /// Inclusive lower edge of bucket `i` for resolution `k` (pure function).
-  static std::uint64_t bucket_lower(std::size_t i, unsigned k);
+  /// Inclusive lower edge of bucket `i` (pure function).
+  static std::uint64_t bucket_lower(std::size_t i);
   /// Exclusive upper edge of bucket `i` (lower edge of bucket i+1).
-  static std::uint64_t bucket_upper(std::size_t i, unsigned k);
-
-  /// Smallest value `p` (0 < p <= 1) quantile estimate: upper edge of the
-  /// bucket where the cumulative count first reaches p * count().
-  std::uint64_t quantile_upper_bound(double p) const;
+  static std::uint64_t bucket_upper(std::size_t i);
 
   /// Exact bucket-walk quantile: walk the cumulative distribution to the
   /// target rank q * count(), then interpolate linearly between the winning
   /// bucket's edges by the rank's position inside it. The result is clamped
   /// to the recorded [min(), max()] so sparse histograms report the exact
   /// extremes at q = 0 and q = 1 instead of bucket edges. This is the
-  /// percentile the exporters and `hbreport` print (p50/p90/p99/p99.9);
-  /// quantile_upper_bound() remains the conservative upper estimate.
+  /// percentile the exporters and `hbreport` print (p50/p90/p99/p99.9).
   std::uint64_t value_at_quantile(double q) const;
 
-  static std::size_t bucket_index(std::uint64_t v, unsigned k) {
-    const std::uint64_t m = std::uint64_t{1} << k;
+  static std::size_t bucket_index(std::uint64_t v) {
+    constexpr std::uint64_t m = std::uint64_t{1} << kSubBucketBits;
     if (v < m) return static_cast<std::size_t>(v);
     const unsigned msb = static_cast<unsigned>(std::bit_width(v)) - 1;
-    const unsigned shift = msb - k;
+    const unsigned shift = msb - kSubBucketBits;
     const std::uint64_t sub = (v >> shift) - m;
     return static_cast<std::size_t>((static_cast<std::uint64_t>(shift) + 1) * m +
                                     sub);
@@ -144,11 +138,8 @@ class Histogram {
 
  private:
   friend class MetricRegistry;
-  explicit Histogram(unsigned sub_bucket_bits)
-      : sub_bucket_bits_{sub_bucket_bits},
-        counts_(bucket_index(~std::uint64_t{0}, sub_bucket_bits) + 1, 0) {}
+  Histogram() : counts_(bucket_index(~std::uint64_t{0}) + 1, 0) {}
 
-  unsigned sub_bucket_bits_;
   std::vector<std::uint64_t> counts_;  ///< every bucket of the 64-bit range
   std::size_t used_ = 0;               ///< highest occupied bucket + 1
   std::uint64_t count_ = 0;

@@ -29,8 +29,8 @@ const char* to_string(MetricKind kind) {
   return "?";
 }
 
-std::uint64_t Histogram::bucket_lower(std::size_t i, unsigned k) {
-  const std::uint64_t m = std::uint64_t{1} << k;
+std::uint64_t Histogram::bucket_lower(std::size_t i) {
+  constexpr std::uint64_t m = std::uint64_t{1} << kSubBucketBits;
   if (i < m) return i;
   const std::uint64_t block = i / m;  // >= 1
   const std::uint64_t sub = i % m;
@@ -38,21 +38,8 @@ std::uint64_t Histogram::bucket_lower(std::size_t i, unsigned k) {
   return (m + sub) << shift;
 }
 
-std::uint64_t Histogram::bucket_upper(std::size_t i, unsigned k) {
-  return bucket_lower(i + 1, k);
-}
-
-std::uint64_t Histogram::quantile_upper_bound(double p) const {
-  if (count_ == 0) return 0;
-  const double target = p * static_cast<double>(count_);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < used_; ++i) {
-    cumulative += counts_[i];
-    if (static_cast<double>(cumulative) >= target) {
-      return bucket_upper(i, sub_bucket_bits_);
-    }
-  }
-  return bucket_upper(used_ - 1, sub_bucket_bits_);
+std::uint64_t Histogram::bucket_upper(std::size_t i) {
+  return bucket_lower(i + 1);
 }
 
 std::uint64_t Histogram::value_at_quantile(double q) const {
@@ -66,8 +53,8 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
     const std::uint64_t before = cumulative;
     cumulative += counts_[i];
     if (static_cast<double>(cumulative) >= target) {
-      const std::uint64_t lower = bucket_lower(i, sub_bucket_bits_);
-      const std::uint64_t upper = bucket_upper(i, sub_bucket_bits_);
+      const std::uint64_t lower = bucket_lower(i);
+      const std::uint64_t upper = bucket_upper(i);
       const double inside =
           (target - static_cast<double>(before)) /
           static_cast<double>(counts_[i]);
@@ -119,10 +106,9 @@ Gauge* MetricRegistry::gauge(const std::string& name, const std::string& help,
 }
 
 Histogram* MetricRegistry::histogram(const std::string& name,
-                                     const std::string& help, Unit unit,
-                                     unsigned sub_bucket_bits) {
+                                     const std::string& help, Unit unit) {
   MutexLock lock{mu_};
-  return enroll(histograms_, Histogram{sub_bucket_bits},
+  return enroll(histograms_, Histogram{},
                 MetricKind::histogram, name, help, unit);
 }
 

@@ -54,9 +54,8 @@ class MetricRegistry {
                Unit unit = Unit::none) HB_EXCLUDES(mu_)
       HB_EFFECTS(alloc, throw, block);
   Histogram* histogram(const std::string& name, const std::string& help,
-                       Unit unit = Unit::none,
-                       unsigned sub_bucket_bits = Histogram::kDefaultSubBucketBits)
-      HB_EXCLUDES(mu_) HB_EFFECTS(alloc, throw, block);
+                       Unit unit = Unit::none) HB_EXCLUDES(mu_)
+      HB_EFFECTS(alloc, throw, block);
 
   // Read accessors are for the export phase, after the run has finished;
   // they take no lock so exporters can hold references across iteration.

@@ -27,7 +27,7 @@ sim::Time RttEstimator::rto() const {
   sim::Time base = has_sample_ ? srtt_ + 4.0 * rttvar_ : config_.initial_rto;
   base = std::max(base, config_.min_rto);
   base = base * static_cast<double>(backoff_multiplier_);
-  return std::min(base, config_.max_rto);
+  return std::min(base, kMaxRto);
 }
 
 void RttEstimator::backoff() {

@@ -12,6 +12,9 @@ namespace halfback::transport {
 /// is *when* they transmit, not how they estimate the path.
 class RttEstimator {
  public:
+  /// RFC 6298's ceiling on the backed-off timeout.
+  static constexpr sim::Time kMaxRto = sim::Time::seconds(60);
+
   struct Config {
     sim::Time initial_rto = sim::Time::seconds(1);
     /// RFC 6298's 1-second floor (the paper's UDT substrate behaves the
@@ -20,7 +23,6 @@ class RttEstimator {
     /// expensive, so lowering this (Linux uses 200 ms) compresses the
     /// paper's gaps.
     sim::Time min_rto = sim::Time::seconds(1);
-    sim::Time max_rto = sim::Time::seconds(60);
   };
 
   RttEstimator() : RttEstimator{Config{}} {}

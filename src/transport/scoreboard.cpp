@@ -7,6 +7,12 @@
 
 namespace halfback::transport {
 
+namespace {
+/// SACKed segments above a hole that mark it lost: RFC 5681's three
+/// duplicate ACKs.
+constexpr int kDupThreshold = 3;
+}  // namespace
+
 Scoreboard::Scoreboard(std::uint32_t total_segments) : total_{total_segments} {
   if (total_segments == 0) throw std::invalid_argument{"flow must have at least one segment"};
 }
@@ -107,25 +113,21 @@ AckUpdate Scoreboard::apply_ack(std::uint32_t cum_ack,
   return update;
 }
 
-std::vector<std::uint32_t> Scoreboard::detect_losses(int dup_threshold) {
+std::vector<std::uint32_t> Scoreboard::detect_losses() {
   std::vector<std::uint32_t> newly_lost;
-  if (window_.empty()) return newly_lost;
   // Loss-free fast path: with nothing SACKed, no un-SACKed segment can have
-  // dup_threshold SACKed segments above it, so the scan below would mark
+  // kDupThreshold SACKed segments above it, so the scan below would mark
   // nothing. This skips the per-ACK window walk for the common clean flow.
-  if (sacked_in_window_ == 0 && dup_threshold > 0) return newly_lost;
+  if (window_.empty() || sacked_in_window_ == 0) return newly_lost;
 
   // Count SACKed segments above each un-SACKed, sent segment: walk the
   // window from the top accumulating the count. Positions at or above
   // highest_sacked_ (a conservative-high hint) contain no SACKed segment,
-  // so for a positive threshold they can neither be marked lost nor change
-  // the accumulator — skip them.
-  std::size_t start = window_.size();
-  if (dup_threshold > 0) {
-    const std::size_t cap =
-        highest_sacked_ > window_base_ ? highest_sacked_ - window_base_ : 0;
-    start = std::min(start, cap);
-  }
+  // so they can neither be marked lost nor change the accumulator — skip
+  // them.
+  const std::size_t cap =
+      highest_sacked_ > window_base_ ? highest_sacked_ - window_base_ : 0;
+  const std::size_t start = std::min(window_.size(), cap);
   int sacked_above = 0;
   for (std::size_t i = start; i-- > 0;) {
     SegmentState& s = window_[i];
@@ -135,7 +137,7 @@ std::vector<std::uint32_t> Scoreboard::detect_losses(int dup_threshold) {
       ++sacked_above;
       continue;
     }
-    if (s.times_sent > 0 && !s.lost && sacked_above >= dup_threshold) {
+    if (s.times_sent > 0 && !s.lost && sacked_above >= kDupThreshold) {
       account(s, seq, -1);
       s.lost = true;
       s.retx_after_loss = false;

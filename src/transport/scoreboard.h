@@ -89,9 +89,10 @@ class Scoreboard {
   }
 
   /// SACK-based loss detection (simplified RFC 6675 / FACK rule): an
-  /// un-SACKed segment is deemed lost once at least `dup_threshold`
-  /// segments above it have been SACKed. Returns newly-lost indices.
-  std::vector<std::uint32_t> detect_losses(int dup_threshold);
+  /// un-SACKed segment is deemed lost once at least three segments above
+  /// it have been SACKed (the duplicate-ACK threshold). Returns newly-lost
+  /// indices.
+  std::vector<std::uint32_t> detect_losses();
 
   /// Mark every outstanding (sent, un-SACKed) segment lost (RTO recovery).
   /// Clears retx_after_loss so they become eligible for retransmission.

@@ -9,6 +9,16 @@
 
 namespace halfback::transport {
 
+namespace {
+/// SYN retry: the first retry waits 1 s and each later one doubles, up to
+/// an RFC 6298-style 60 s ceiling so a long blackout never schedules an
+/// absurd timer (the data-path RTO has the matching cap,
+/// RttEstimator::kMaxRto). After 8 retries the sender gives up silently.
+constexpr auto kSynTimeout = sim::Time::seconds(1);
+constexpr auto kMaxSynTimeout = sim::Time::seconds(60);
+constexpr int kMaxSynRetries = 8;
+}  // namespace
+
 std::uint32_t segments_for_bytes(std::uint64_t bytes) {
   if (bytes == 0) return 1;  // a zero-byte request still occupies one segment
   return static_cast<std::uint32_t>((bytes + net::kSegmentPayloadBytes - 1) /
@@ -66,17 +76,17 @@ void SenderBase::send_syn() {
   }
   node_.send(std::move(syn));
 
-  sim::Time timeout = config_.syn_timeout;
-  for (int i = 1; i < syn_tries_ && timeout < config_.max_syn_timeout; ++i) {
+  sim::Time timeout = kSynTimeout;
+  for (int i = 1; i < syn_tries_ && timeout < kMaxSynTimeout; ++i) {
     timeout = timeout * 2.0;
   }
-  timeout = std::min(timeout, config_.max_syn_timeout);
+  timeout = std::min(timeout, kMaxSynTimeout);
   syn_timer_.schedule_after(timeout);
 }
 
 void SenderBase::on_syn_timeout() {
   if (established_) return;
-  if (syn_tries_ > config_.max_syn_retries) return;  // give up silently
+  if (syn_tries_ > kMaxSynRetries) return;  // give up silently
   send_syn();
 }
 

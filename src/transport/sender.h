@@ -38,15 +38,7 @@ namespace halfback::transport {
 struct SenderConfig {
   std::uint32_t initial_window = 2;  ///< segments
   std::uint32_t receive_window_segments = 97;  ///< 141 KB / 1448 B payload
-  int dup_threshold = 3;
   RttEstimator::Config rtt;
-  sim::Time syn_timeout = sim::Time::seconds(1);
-  int max_syn_retries = 8;
-  /// RFC 6298-style ceiling on the exponential SYN backoff: however many
-  /// retries have happened, the next SYN timer never exceeds this. Keeps a
-  /// long blackout from scheduling absurd timers (the data-path RTO has the
-  /// matching cap in RttEstimator::Config::max_rto).
-  sim::Time max_syn_timeout = sim::Time::seconds(60);
 };
 
 /// Everything an experiment wants to know about a finished (or ongoing)
@@ -82,9 +74,6 @@ struct FlowRecord {
   double rtts_used() const {
     return handshake_rtt.is_zero() ? 0.0 : fct() / handshake_rtt;
   }
-
-  /// Total wire transmissions of data segments beyond the first copy.
-  std::uint32_t all_retx() const { return normal_retx + proactive_retx; }
 };
 
 /// The type-erased sender seam.

@@ -47,8 +47,7 @@ class TcpSenderImpl : public Sender<Derived> {
       cwnd_ = ssthresh_;
     }
 
-    std::vector<std::uint32_t> newly_lost =
-        this->scoreboard_.detect_losses(this->config_.dup_threshold);
+    std::vector<std::uint32_t> newly_lost = this->scoreboard_.detect_losses();
     if (!newly_lost.empty() && !in_recovery_) enter_recovery();
 
     this->self().send_available();

@@ -15,11 +15,10 @@ std::vector<FlowArrival> make_schedule(const FlowSizeDist& sizes,
   const double mean_interarrival_s = sizes.mean_bytes() / bytes_per_second;
 
   std::vector<FlowArrival> schedule;
-  sim::Time t = config.warmup;
-  const sim::Time end = config.warmup + config.duration;
+  sim::Time t;
   while (true) {
     t += sim::Time::seconds(rng.exponential(mean_interarrival_s));
-    if (t >= end) break;
+    if (t >= config.duration) break;
     schedule.push_back(FlowArrival{t, sizes.sample(rng)});
   }
   return schedule;

@@ -21,13 +21,12 @@ struct FlowArrival {
   std::uint64_t bytes = 0;
 };
 
-/// Poisson arrivals of flows drawn from a size distribution, paced to hit a
-/// target utilization of a bottleneck.
+/// Poisson arrivals in [0, duration) of flows drawn from a size
+/// distribution, paced to hit a target utilization of a bottleneck.
 struct ScheduleConfig {
   double target_utilization = 0.25;  ///< fraction of the bottleneck rate
   sim::DataRate bottleneck = sim::DataRate::megabits_per_second(15);
   sim::Time duration = sim::Time::seconds(60);
-  sim::Time warmup;  ///< arrivals start after this offset
 };
 
 /// Generate a schedule. Exponential interarrival times with mean chosen so

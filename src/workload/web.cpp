@@ -5,21 +5,30 @@
 
 namespace halfback::workload {
 
-WebsiteCatalog::WebsiteCatalog(const WebCatalogConfig& config, sim::Random rng) {
-  pages_.reserve(static_cast<std::size_t>(config.site_count));
-  for (int i = 0; i < config.site_count; ++i) {
+namespace {
+/// Object count per page ~ lognormal(median 30, sigma 0.7); object size ~
+/// lognormal(median 14 KB, sigma 1.3). 2015-era front pages carry ~1.5-2 MB
+/// over a few dozen objects.
+constexpr double kObjectsMedian = 30.0;
+constexpr double kObjectsSigma = 0.7;
+constexpr double kObjectBytesMedian = 14'000.0;
+constexpr double kObjectBytesSigma = 1.3;
+}  // namespace
+
+WebsiteCatalog::WebsiteCatalog(int site_count, sim::Random rng) {
+  pages_.reserve(static_cast<std::size_t>(site_count));
+  for (int i = 0; i < site_count; ++i) {
     WebPage page;
-    const double raw_count =
-        rng.lognormal(std::log(config.objects_median), config.objects_sigma);
+    const double raw_count = rng.lognormal(std::log(kObjectsMedian), kObjectsSigma);
     const int count = std::clamp(static_cast<int>(std::lround(raw_count)),
-                                 config.objects_min, config.objects_max);
+                                 kObjectsMin, kObjectsMax);
     page.object_bytes.reserve(static_cast<std::size_t>(count));
     for (int j = 0; j < count; ++j) {
       const double raw_bytes =
-          rng.lognormal(std::log(config.object_bytes_median), config.object_bytes_sigma);
+          rng.lognormal(std::log(kObjectBytesMedian), kObjectBytesSigma);
       const auto bytes = static_cast<std::uint64_t>(raw_bytes);
       page.object_bytes.push_back(
-          std::clamp(bytes, config.object_bytes_min, config.object_bytes_max));
+          std::clamp(bytes, kObjectBytesMin.count(), kObjectBytesMax.count()));
     }
     pages_.push_back(std::move(page));
   }

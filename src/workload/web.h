@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/bytes.h"
 #include "sim/data_rate.h"
 #include "sim/random.h"
 #include "sim/time.h"
@@ -30,26 +31,18 @@ struct WebPage {
   }
 };
 
-/// Parameters of the synthetic page generator.
-struct WebCatalogConfig {
-  int site_count = 100;
-  /// Object count per page ~ lognormal, clamped.
-  double objects_median = 30.0;
-  double objects_sigma = 0.7;
-  int objects_min = 3;
-  int objects_max = 150;
-  /// Object size ~ lognormal, clamped (bytes). 2015-era front pages carry
-  /// ~1.5-2 MB over a few dozen objects.
-  double object_bytes_median = 14'000.0;
-  double object_bytes_sigma = 1.3;
-  std::uint64_t object_bytes_min = 200;
-  std::uint64_t object_bytes_max = 1'000'000;
-};
-
 /// A fixed catalog of synthetic front pages.
 class WebsiteCatalog {
  public:
-  WebsiteCatalog(const WebCatalogConfig& config, sim::Random rng);
+  /// Each page's object count and each object's size are lognormal draws
+  /// clamped to these bounds.
+  static constexpr int kObjectsMin = 3;
+  static constexpr int kObjectsMax = 150;
+  static constexpr sim::Bytes kObjectBytesMin = 200;
+  static constexpr sim::Bytes kObjectBytesMax = 1'000'000;
+
+  /// `site_count` front pages (the paper replays 100).
+  WebsiteCatalog(int site_count, sim::Random rng);
 
   const WebPage& page(std::size_t index) const { return pages_.at(index); }
   std::size_t size() const { return pages_.size(); }

@@ -18,6 +18,7 @@
 #include "exp/planetlab.h"
 #include "exp/trace.h"
 #include "exp/web.h"
+#include "net/topology.h"
 #include "schemes/scheme.h"
 #include "workload/flow_schedule.h"
 #include "workload/web.h"
@@ -45,6 +46,12 @@ constexpr std::uint64_t kGoldenWebHalfback = 0x6625da7839adf16fULL;
 constexpr std::array<std::uint64_t, 4> kGoldenHomeNetWifiHalfback{
     0x06b74e486a9c5b8bULL, 0xacfcb23011596f8fULL, 0x6d85aa64614d962dULL,
     0x237e328dd73ba11cULL};
+
+// Captured before the AQM and parking-lot tuning became named constants:
+// the two AQM bottlenecks and the multi-hop chain had no pinned run.
+constexpr std::uint64_t kGoldenRedDumbbell = 0xb08d81027c47ebc6ULL;
+constexpr std::uint64_t kGoldenCoDelDumbbell = 0xbfc03b006a9d07dfULL;
+constexpr std::uint64_t kGoldenParkingLot = 0xa03977ae73abfec5ULL;
 
 PlanetLabEnv golden_env() {
   PlanetLabConfig config;
@@ -97,27 +104,106 @@ TEST(RefactorStability, TraceHashesMatchGolden) {
       TraceScenario::two_tcp_halves};
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     SCOPED_TRACE(to_string(scenarios[i]));
-    const TraceResult run = run_trace(TraceConfig{}, scenarios[i]);
+    const TraceResult run = run_trace(1, scenarios[i]);
     EXPECT_EQ(run.audit_violations, 0u);
     EXPECT_EQ(run.trace_hash, kGoldenTrace[i]);
   }
 }
 
 TEST(RefactorStability, WebTraceHashMatchesGolden) {
-  workload::WebCatalogConfig cc;
-  cc.site_count = 6;
-  const workload::WebsiteCatalog catalog{cc, sim::Random{9}};
+  const workload::WebsiteCatalog catalog{6, sim::Random{9}};
   std::vector<workload::WebRequest> requests;
   for (std::size_t i = 0; i < 4; ++i) {
     requests.push_back({sim::Time::seconds(1.5 * static_cast<double>(i)), i});
   }
-  WebRunner::Config config;
-  config.seed = 3;
   const WebRunOutcome run =
-      WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests);
+      WebRunner{3}.run(schemes::Scheme::halfback, catalog, requests);
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.unfinished_pages(), 0u);
   EXPECT_EQ(run.trace_hash, kGoldenWebHalfback);
+}
+
+/// Eight Halfback flows started together into a 40 KB bottleneck run by
+/// `queue`: enough load that the discipline drops.
+RunResult loaded_aqm_run(net::QueueKind queue) {
+  EmulabRunner::Config config;
+  config.seed = 13;
+  config.dumbbell.sender_count = 4;
+  config.dumbbell.receiver_count = 4;
+  config.dumbbell.bottleneck_buffer_bytes = 40'000;
+  config.dumbbell.bottleneck_queue = queue;
+  config.drain = sim::Time::seconds(20);
+  std::vector<WorkloadPart> parts(1);
+  parts[0].scheme = schemes::Scheme::halfback;
+  for (int i = 0; i < 8; ++i) {
+    parts[0].schedule.push_back(workload::FlowArrival{sim::Time::zero(), 100'000});
+  }
+  return EmulabRunner{config}.run(parts);
+}
+
+TEST(RefactorStability, RedDumbbellTraceHashMatchesGolden) {
+  const RunResult run = loaded_aqm_run(net::QueueKind::red);
+  EXPECT_EQ(run.audit_violations, 0u);
+  EXPECT_EQ(run.unfinished_count(FlowRole::primary), 0u);
+  EXPECT_GT(run.bottleneck_drops_total, 0u);
+  EXPECT_EQ(run.trace_hash, kGoldenRedDumbbell);
+}
+
+TEST(RefactorStability, CoDelDumbbellTraceHashMatchesGolden) {
+  const RunResult run = loaded_aqm_run(net::QueueKind::codel);
+  EXPECT_EQ(run.audit_violations, 0u);
+  EXPECT_EQ(run.unfinished_count(FlowRole::primary), 0u);
+  EXPECT_GT(run.bottleneck_drops_total, 0u);
+  EXPECT_EQ(run.trace_hash, kGoldenCoDelDumbbell);
+}
+
+TEST(RefactorStability, ParkingLotTraceHashMatchesGolden) {
+  // A 3-hop chain built on exp::Rig as ext_parking_lot builds it: TCP cross
+  // traffic at 50% of every hop, and a Halfback flow across the whole chain
+  // every 2 s.
+  constexpr int kHops = 3;
+  constexpr std::uint64_t kSeed = 1;
+  Rig rig{kSeed};
+  const net::ParkingLot lot = net::build_parking_lot(rig.network(), kHops);
+  transport::TransportAgent& main_sender = rig.add_agent(lot.main_sender);
+  rig.add_agent(lot.main_receiver);
+  std::vector<transport::TransportAgent*> cross_agents;
+  for (std::size_t h = 0; h < kHops; ++h) {
+    cross_agents.push_back(&rig.add_agent(lot.cross_senders[h]));
+    rig.add_agent(lot.cross_receivers[h]);
+  }
+
+  schemes::SchemeContext context;
+  net::FlowId next_flow = 1;
+  sim::Random rng{kSeed * 31};
+  workload::ScheduleConfig sc;
+  sc.target_utilization = 0.5;
+  sc.bottleneck = net::ParkingLot::kHopRate;
+  sc.duration = sim::Time::seconds(6);
+  for (std::size_t h = 0; h < kHops; ++h) {
+    for (const workload::FlowArrival& arrival : workload::make_schedule(
+             workload::FlowSizeDist::fixed(100'000), sc, rng)) {
+      rig.start_at(arrival.at, *cross_agents[h], context,
+                   FlowSpec{schemes::Scheme::tcp, lot.cross_receivers[h],
+                            next_flow++, arrival.bytes});
+    }
+  }
+  std::vector<std::size_t> main_flows;
+  for (double t = 1.0; t < 6.0; t += 2.0) {
+    main_flows.push_back(rig.start_at(
+        sim::Time::seconds(t), main_sender, context,
+        FlowSpec{schemes::Scheme::halfback, lot.main_receiver, next_flow++, 100'000}));
+  }
+  rig.simulator().run_until(sim::Time::seconds(36));
+
+  RunRecord record;
+  rig.finish(record);
+  EXPECT_EQ(record.audit_violations, 0u);
+  for (std::size_t start : main_flows) {
+    ASSERT_NE(rig.started(start), nullptr);
+    EXPECT_TRUE(rig.started(start)->complete());
+  }
+  EXPECT_EQ(record.trace_hash, kGoldenParkingLot);
 }
 
 TEST(RefactorStability, HomeNetWifiTraceHashesMatchGolden) {

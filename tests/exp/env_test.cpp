@@ -203,11 +203,8 @@ TEST(DeadlineCensoringTest, ATrippedBudgetEndsTheDrive) {
 }
 
 TEST(WebRunnerTest, PagesCompleteUnderLightLoad) {
-  workload::WebCatalogConfig cc;
-  cc.site_count = 10;
-  workload::WebsiteCatalog catalog{cc, sim::Random{3}};
-  WebRunner::Config config;
-  WebRunner runner{config};
+  workload::WebsiteCatalog catalog{10, sim::Random{3}};
+  WebRunner runner{1};
   std::vector<workload::WebRequest> requests;
   for (int i = 0; i < 5; ++i) {
     requests.push_back({sim::Time::seconds(3.0 * i), static_cast<std::size_t>(i)});
@@ -222,16 +219,13 @@ TEST(WebRunnerTest, PagesCompleteUnderLightLoad) {
 }
 
 TEST(WebRunnerTest, HalfbackPagesFasterThanTcp) {
-  workload::WebCatalogConfig cc;
-  cc.site_count = 8;
-  workload::WebsiteCatalog catalog{cc, sim::Random{4}};
+  workload::WebsiteCatalog catalog{8, sim::Random{4}};
   std::vector<workload::WebRequest> requests;
   for (int i = 0; i < 4; ++i) {
     requests.push_back({sim::Time::seconds(4.0 * i), static_cast<std::size_t>(i)});
   }
-  WebRunner::Config config;
-  auto halfback = WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests).pages;
-  auto tcp = WebRunner{config}.run(schemes::Scheme::tcp, catalog, requests).pages;
+  auto halfback = WebRunner{1}.run(schemes::Scheme::halfback, catalog, requests).pages;
+  auto tcp = WebRunner{1}.run(schemes::Scheme::tcp, catalog, requests).pages;
   stats::Summary h, t;
   for (const auto& r : halfback) h.add(r.response_time().to_ms());
   for (const auto& r : tcp) t.add(r.response_time().to_ms());
@@ -239,8 +233,7 @@ TEST(WebRunnerTest, HalfbackPagesFasterThanTcp) {
 }
 
 TEST(TraceTest, BackgroundFlowDipsAndRecovers) {
-  TraceConfig config;
-  auto traces = run_trace(config, TraceScenario::halfback).flows;
+  auto traces = run_trace(1, TraceScenario::halfback).flows;
   ASSERT_EQ(traces.size(), 2u);
   const FlowTrace& bg = traces[0];
   // Background reaches near-full rate before the short flow starts...
@@ -266,8 +259,7 @@ TEST(TraceTest, BackgroundFlowDipsAndRecovers) {
 TEST(TraceTest, HalfbackShortFlowBucketsPinned) {
   // Each sample is the bucket that just ended: bytes delivered during
   // [i x 60 ms, (i + 1) x 60 ms), up to the last bucket with deliveries.
-  TraceConfig config;
-  const auto traces = run_trace(config, TraceScenario::halfback).flows;
+  const auto traces = run_trace(1, TraceScenario::halfback).flows;
   ASSERT_EQ(traces.size(), 2u);
   const std::vector<FlowTrace::Sample>& samples = traces[1].throughput;
   EXPECT_EQ(samples.size(), 22u);  // 0 to 1260 ms
@@ -290,8 +282,7 @@ TEST(TraceTest, AllScenariosProduceShortFlows) {
   for (TraceScenario scenario :
        {TraceScenario::optimal, TraceScenario::halfback, TraceScenario::single_tcp,
         TraceScenario::two_tcp_halves}) {
-    TraceConfig config;
-    auto traces = run_trace(config, scenario).flows;
+    auto traces = run_trace(1, scenario).flows;
     const std::size_t expected = scenario == TraceScenario::two_tcp_halves ? 3u : 2u;
     EXPECT_EQ(traces.size(), expected) << to_string(scenario);
     for (std::size_t i = 1; i < traces.size(); ++i) {
@@ -341,23 +332,15 @@ TEST(RunRigTest, EveryDriverIsAuditedAndReproducesItsHash) {
     expect_audited("HomeNet", HomeNetEnv{config}.run(schemes::Scheme::tcp, wifi)[0],
                    HomeNetEnv{config}.run(schemes::Scheme::tcp, wifi)[0]);
   }
+  expect_audited("run_trace", run_trace(1, TraceScenario::halfback),
+                 run_trace(1, TraceScenario::halfback));
   {
-    TraceConfig config;
-    config.duration = sim::Time::seconds(2);
-    expect_audited("run_trace", run_trace(config, TraceScenario::halfback),
-                   run_trace(config, TraceScenario::halfback));
-  }
-  {
-    workload::WebCatalogConfig cc;
-    cc.site_count = 3;
-    workload::WebsiteCatalog catalog{cc, sim::Random{5}};
+    workload::WebsiteCatalog catalog{3, sim::Random{5}};
     const std::vector<workload::WebRequest> requests{{sim::Time::zero(), 0},
                                                      {sim::Time::seconds(1), 1}};
-    WebRunner::Config config;
-    config.drain = sim::Time::seconds(10);
     expect_audited("WebRunner",
-                   WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests),
-                   WebRunner{config}.run(schemes::Scheme::halfback, catalog, requests));
+                   WebRunner{1}.run(schemes::Scheme::halfback, catalog, requests),
+                   WebRunner{1}.run(schemes::Scheme::halfback, catalog, requests));
   }
 }
 

@@ -91,9 +91,7 @@ TEST(Rc3LossTest, PrimaryLoopCoversRlpLosses) {
 TEST(ParkingLotIntegrationTest, HalfbackPacesOverSummedRtt) {
   sim::Simulator simulator{9};
   net::Network network{simulator};
-  net::ParkingLotConfig topo;
-  topo.hops = 3;  // 60 ms end to end
-  net::ParkingLot lot = net::build_parking_lot(network, topo);
+  net::ParkingLot lot = net::build_parking_lot(network, 3);  // 60 ms end to end
   transport::TransportAgent sender{simulator, network, lot.main_sender};
   transport::TransportAgent receiver{simulator, network, lot.main_receiver};
   schemes::SchemeContext context;

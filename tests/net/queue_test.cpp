@@ -73,9 +73,7 @@ TEST(DropTailQueueTest, ExactlyFullIsAccepted) {
 }
 
 TEST(CoDelQueueTest, PassesTrafficWithLowSojourn) {
-  CoDelQueue::Config config;
-  config.capacity_bytes = 100000;
-  CoDelQueue q{config};
+  CoDelQueue q{100000};
   using sim::Time;
   for (int i = 0; i < 50; ++i) {
     Time now = Time::milliseconds(i);
@@ -88,9 +86,7 @@ TEST(CoDelQueueTest, PassesTrafficWithLowSojourn) {
 }
 
 TEST(CoDelQueueTest, DropsWhenSojournStaysAboveTarget) {
-  CoDelQueue::Config config;
-  config.capacity_bytes = 1 << 20;
-  CoDelQueue q{config};
+  CoDelQueue q{1 << 20};
   using sim::Time;
   // Fill a standing queue, then drain slowly so every packet's sojourn is
   // far above the 5 ms target for longer than the 100 ms interval.
@@ -106,18 +102,14 @@ TEST(CoDelQueueTest, DropsWhenSojournStaysAboveTarget) {
 }
 
 TEST(CoDelQueueTest, HardLimitStillApplies) {
-  CoDelQueue::Config config;
-  config.capacity_bytes = 3000;
-  CoDelQueue q{config};
+  CoDelQueue q{3000};
   EXPECT_TRUE(q.enqueue(make_packet(1500), {}));
   EXPECT_TRUE(q.enqueue(make_packet(1500), {}));
   EXPECT_FALSE(q.enqueue(make_packet(1500), {}));
 }
 
 TEST(CoDelQueueTest, RecoversWhenQueueDrains) {
-  CoDelQueue::Config config;
-  config.capacity_bytes = 1 << 20;
-  CoDelQueue q{config};
+  CoDelQueue q{1 << 20};
   using sim::Time;
   for (int i = 0; i < 100; ++i) q.enqueue(make_packet(1500), Time::milliseconds(0));
   // Drain everything late (high sojourn), entering the dropping state.
@@ -135,9 +127,7 @@ TEST(CoDelQueueTest, RecoversWhenQueueDrains) {
 }
 
 TEST(RedQueueTest, AcceptsWhenBelowMinThreshold) {
-  RedQueue::Config config;
-  config.capacity_bytes = 100000;
-  RedQueue q{config, sim::Random{1}};
+  RedQueue q{100000, sim::Random{1}};
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.enqueue(make_packet(1500), {}));
     q.dequeue({});
@@ -146,25 +136,24 @@ TEST(RedQueueTest, AcceptsWhenBelowMinThreshold) {
 }
 
 TEST(RedQueueTest, HardLimitAlwaysDrops) {
-  RedQueue::Config config;
-  config.capacity_bytes = 3000;
-  RedQueue q{config, sim::Random{1}};
+  RedQueue q{3000, sim::Random{1}};
   q.enqueue(make_packet(1500), {});
   q.enqueue(make_packet(1500), {});
   EXPECT_FALSE(q.enqueue(make_packet(1500), {}));
 }
 
 TEST(RedQueueTest, DropsProbabilisticallyUnderSustainedLoad) {
-  RedQueue::Config config;
-  config.capacity_bytes = 30000;
-  config.ewma_weight = 0.2;  // fast-moving average for the test
-  RedQueue q{config, sim::Random{7}};
-  // Fill to ~80% and keep offering packets without draining.
+  RedQueue q{30000, sim::Random{7}};
+  // Hold the backlog near 80% of capacity, below the hard limit, and keep
+  // offering packets: at a 0.002 EWMA weight the average passes the lower
+  // threshold (a quarter of capacity) after ~200 arrivals, and early drops
+  // follow.
   int accepted = 0;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     if (q.byte_length() + 1500 > 24000) q.dequeue({});
     if (q.enqueue(make_packet(1500), {})) ++accepted;
   }
+  EXPECT_GT(q.average_backlog_bytes(), 7500.0);
   EXPECT_GT(q.stats().dropped_packets, 0u);
   EXPECT_GT(accepted, 0);
 }

@@ -110,9 +110,7 @@ TEST(AccessPathTest, RttMatchesConfig) {
 TEST(ParkingLotTest, BuildsChainWithCrossPairs) {
   Simulator sim{1};
   Network net{sim};
-  ParkingLotConfig config;
-  config.hops = 3;
-  ParkingLot lot = build_parking_lot(net, config);
+  ParkingLot lot = build_parking_lot(net, 3);
   EXPECT_EQ(lot.routers.size(), 4u);
   EXPECT_EQ(lot.bottlenecks.size(), 3u);
   EXPECT_EQ(lot.cross_senders.size(), 3u);
@@ -124,9 +122,7 @@ TEST(ParkingLotTest, BuildsChainWithCrossPairs) {
 TEST(ParkingLotTest, EndToEndRttSpansAllHops) {
   Simulator sim{1};
   Network net{sim};
-  ParkingLotConfig config;
-  config.hops = 3;
-  ParkingLot lot = build_parking_lot(net, config);
+  ParkingLot lot = build_parking_lot(net, 3);
 
   Time echo_at;
   net.node(lot.main_receiver).set_local_handler([&](Packet p) {
@@ -149,9 +145,7 @@ TEST(ParkingLotTest, EndToEndRttSpansAllHops) {
 TEST(ParkingLotTest, CrossTrafficOccupiesOnlyItsHop) {
   Simulator sim{1};
   Network net{sim};
-  ParkingLotConfig config;
-  config.hops = 2;
-  ParkingLot lot = build_parking_lot(net, config);
+  ParkingLot lot = build_parking_lot(net, 2);
   net.node(lot.cross_receivers[0]).set_local_handler([](Packet) {});
   Packet p;
   p.type = PacketType::data;
@@ -167,9 +161,7 @@ TEST(ParkingLotTest, CrossTrafficOccupiesOnlyItsHop) {
 TEST(ParkingLotTest, RejectsZeroHops) {
   Simulator sim{1};
   Network net{sim};
-  ParkingLotConfig config;
-  config.hops = 0;
-  EXPECT_THROW(build_parking_lot(net, config), std::invalid_argument);
+  EXPECT_THROW(build_parking_lot(net, 0), std::invalid_argument);
 }
 
 TEST(AccessPathTest, WirelessLossProfileDropsPackets) {

@@ -102,8 +102,8 @@ TEST(ExportDeterminism, ContentMatchesPinnedDigests) {
 TEST(ExportDeterminism, BucketEdgesMatchGoldenFile) {
   // The golden file was generated from the documented closed form, not from
   // this code, so it catches a bucketing change from either side.
-  ASSERT_EQ(Histogram::kDefaultSubBucketBits, 3u)
-      << "default changed: regenerate bucket_edges_k3.txt deliberately";
+  ASSERT_EQ(Histogram::kSubBucketBits, 3u)
+      << "resolution changed: regenerate bucket_edges_k3.txt deliberately";
   std::ifstream golden(std::string{HALFBACK_TELEMETRY_GOLDEN} +
                        "/bucket_edges_k3.txt");
   ASSERT_TRUE(golden.is_open());
@@ -116,8 +116,8 @@ TEST(ExportDeterminism, BucketEdgesMatchGoldenFile) {
     std::uint64_t lower = 0;
     std::uint64_t upper = 0;
     ASSERT_TRUE(fields >> index >> lower >> upper) << line;
-    EXPECT_EQ(Histogram::bucket_lower(index, 3), lower) << "index " << index;
-    EXPECT_EQ(Histogram::bucket_upper(index, 3), upper) << "index " << index;
+    EXPECT_EQ(Histogram::bucket_lower(index), lower) << "index " << index;
+    EXPECT_EQ(Histogram::bucket_upper(index), upper) << "index " << index;
     ++checked;
   }
   EXPECT_EQ(checked, 128u);

@@ -80,34 +80,31 @@ TEST(Registry, PointersStayStableAcrossGrowth) {
 
 TEST(Histogram, UnitRegionBucketsAreExact) {
   // With k sub-bucket bits, values below 2^k each get their own bucket.
-  const unsigned k = Histogram::kDefaultSubBucketBits;
-  for (std::uint64_t v = 0; v < (1u << k); ++v) {
-    EXPECT_EQ(Histogram::bucket_index(v, k), v);
-    EXPECT_EQ(Histogram::bucket_lower(v, k), v);
-    EXPECT_EQ(Histogram::bucket_upper(v, k), v + 1);
+  for (std::uint64_t v = 0; v < (1u << Histogram::kSubBucketBits); ++v) {
+    EXPECT_EQ(Histogram::bucket_index(v), v);
+    EXPECT_EQ(Histogram::bucket_lower(v), v);
+    EXPECT_EQ(Histogram::bucket_upper(v), v + 1);
   }
 }
 
 TEST(Histogram, EveryValueLandsInsideItsBucket) {
-  const unsigned k = Histogram::kDefaultSubBucketBits;
   // Probe values around every power of two up to 2^40, plus neighbours.
   for (unsigned p = 0; p <= 40; ++p) {
     for (std::int64_t delta : {-1, 0, 1, 3}) {
       const std::int64_t raw = (std::int64_t{1} << p) + delta;
       if (raw < 0) continue;
       const auto v = static_cast<std::uint64_t>(raw);
-      const std::size_t i = Histogram::bucket_index(v, k);
-      EXPECT_LE(Histogram::bucket_lower(i, k), v) << "v=" << v;
-      EXPECT_LT(v, Histogram::bucket_upper(i, k)) << "v=" << v;
+      const std::size_t i = Histogram::bucket_index(v);
+      EXPECT_LE(Histogram::bucket_lower(i), v) << "v=" << v;
+      EXPECT_LT(v, Histogram::bucket_upper(i)) << "v=" << v;
     }
   }
 }
 
 TEST(Histogram, BucketEdgesAreContiguousAndMonotone) {
-  const unsigned k = Histogram::kDefaultSubBucketBits;
   for (std::size_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(Histogram::bucket_upper(i, k), Histogram::bucket_lower(i + 1, k));
-    EXPECT_LT(Histogram::bucket_lower(i, k), Histogram::bucket_upper(i, k));
+    EXPECT_EQ(Histogram::bucket_upper(i), Histogram::bucket_lower(i + 1));
+    EXPECT_LT(Histogram::bucket_lower(i), Histogram::bucket_upper(i));
   }
 }
 
@@ -129,7 +126,6 @@ TEST(Histogram, EmptyHistogramHasZeroStats) {
   EXPECT_EQ(h->min(), 0u);
   EXPECT_EQ(h->max(), 0u);
   EXPECT_EQ(h->mean(), 0.0);
-  EXPECT_EQ(h->quantile_upper_bound(0.5), 0u);
 }
 
 TEST(Histogram, RecordTimeClampsNegativeDurations) {
@@ -138,21 +134,6 @@ TEST(Histogram, RecordTimeClampsNegativeDurations) {
   h->record_time(sim::Time::nanoseconds(-5));
   EXPECT_EQ(h->count(), 1u);
   EXPECT_EQ(h->max(), 0u);
-}
-
-TEST(Histogram, QuantileUpperBoundCoversTheValue) {
-  MetricRegistry registry;
-  Histogram* h = registry.histogram("h", "test");
-  for (std::uint64_t v = 1; v <= 1000; ++v) h->record(v);
-  // The p-quantile estimate is a bucket upper edge at or above the exact
-  // p-quantile, and within one bucket's relative resolution of it.
-  const std::uint64_t p50 = h->quantile_upper_bound(0.5);
-  const std::uint64_t p99 = h->quantile_upper_bound(0.99);
-  EXPECT_GE(p50, 500u);
-  EXPECT_LE(p50, 640u);  // <= next bucket upper at 2^-3 resolution
-  EXPECT_GE(p99, 990u);
-  EXPECT_LE(p99, 1152u);
-  EXPECT_LE(p50, p99);
 }
 
 TEST(Histogram, ValueAtQuantileGoldenInUnitRegion) {
@@ -187,14 +168,13 @@ TEST(Histogram, ValueAtQuantileStaysInsideTheConservativeBound) {
   std::uint64_t prev = 0;
   for (double q : {0.5, 0.9, 0.99, 0.999}) {
     const std::uint64_t v = h->value_at_quantile(q);
-    EXPECT_LE(v, h->quantile_upper_bound(q)) << "q=" << q;
     EXPECT_GE(v, prev) << "q=" << q;  // monotone in q
     EXPECT_GE(v, h->min());
     EXPECT_LE(v, h->max());
     prev = v;
   }
-  // The interpolated p50 of 1..1000 must be near 500, tighter than the
-  // bucket-upper bound which may overshoot by a full bucket.
+  // The interpolated p50 of 1..1000 must be near 500, tighter than a
+  // bucket edge, which may overshoot by a full bucket.
   EXPECT_GE(h->value_at_quantile(0.5), 480u);
   EXPECT_LE(h->value_at_quantile(0.5), 520u);
 }
@@ -206,7 +186,7 @@ TEST(Histogram, LazyStorageGrowsToHighestBucketOnly) {
   EXPECT_EQ(h->bucket_count(), 4u);  // unit region, bucket 3
   h->record(1'000'000);
   EXPECT_EQ(h->bucket_count(),
-            Histogram::bucket_index(1'000'000, h->sub_bucket_bits()) + 1);
+            Histogram::bucket_index(1'000'000) + 1);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ TEST(HandshakeTest, GivesUpAfterMaxRetries) {
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();  // drains: finitely many SYN retries, then silence
   EXPECT_FALSE(s.complete());
-  EXPECT_EQ(s.record().syn_retx, 8u);  // max_syn_retries
+  EXPECT_EQ(s.record().syn_retx, 8u);  // the retry limit
 }
 
 TEST(HandshakeTest, HandshakeRttSurvivesSynRetryKarn) {
@@ -108,46 +108,44 @@ TEST(HandshakeTest, PacedSchemesStillPaceAfterSynRetry) {
 }
 
 TEST(HandshakeTest, SynBackoffIsCappedDuringLongBlackouts) {
-  // A path black-holed for 8.5 s. With pure exponential doubling the SYN
-  // retries land at t = 1, 3, 7, 15 s — the flow would not connect until
-  // 15 s. Capping the backoff at 2 s keeps probing every 2 s, so the
-  // handshake completes shortly after the blackout lifts.
+  // A path black-holed for 100 s. Doubling puts the SYN retries at
+  // t = 1, 3, 7, 15, 31 and 63 s; the next would wait 64 s (t = 127 s),
+  // but the 60 s ceiling sends it at 123 s, and it gets through.
   DumbbellFixture f;
-  f.context.sender_config.max_syn_timeout = 2_s;
   DropHook blackout{[&](const net::Packet& p) {
-    return p.type == net::PacketType::syn && f.sim.now() < 8.5_s;
+    return p.type == net::PacketType::syn && f.sim.now() < 100_s;
   }};
   f.dumbbell.bottleneck_forward->set_fault_hook(&blackout);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
-  // Capped retries fire at 1, 3, 5, 7, 9 s; the 9 s SYN gets through.
-  EXPECT_EQ(s.record().syn_retx, 5u);
-  EXPECT_GT(s.record().fct(), 9_s);
-  EXPECT_LT(s.record().fct(), 10_s);
+  EXPECT_EQ(s.record().syn_retx, 7u);
+  EXPECT_GT(s.record().fct(), 123_s);
+  EXPECT_LT(s.record().fct(), 124_s);
 }
 
 TEST(HandshakeTest, CappedBackoffStillBacksOffBeforeTheCeiling) {
   // The cap must not turn backoff into a fixed interval below the
-  // ceiling: the first retries still double (1 s, then 2 s), and only
-  // then flatten at max_syn_timeout.
+  // ceiling: the retries double (1, 2, 4, 8, 16, 32 s) and only then
+  // flatten at the 60 s ceiling.
   DumbbellFixture f;
-  f.context.sender_config.max_syn_timeout = 2_s;
   std::vector<sim::Time> syn_times;
-  DropHook lose_four_syns{[&](const net::Packet& p) {
+  DropHook lose_seven_syns{[&](const net::Packet& p) {
     if (p.type != net::PacketType::syn) return false;
     syn_times.push_back(f.sim.now());
-    return syn_times.size() <= 4;  // let the fifth SYN through
+    return syn_times.size() <= 7;  // let the eighth SYN through
   }};
-  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_four_syns);
+  f.dumbbell.bottleneck_forward->set_fault_hook(&lose_seven_syns);
   SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
-  ASSERT_EQ(syn_times.size(), 5u);
-  EXPECT_EQ(syn_times[1] - syn_times[0], 1_s);
-  EXPECT_EQ(syn_times[2] - syn_times[1], 2_s);
-  EXPECT_EQ(syn_times[3] - syn_times[2], 2_s);  // capped, not 4 s
-  EXPECT_EQ(syn_times[4] - syn_times[3], 2_s);  // capped, not 8 s
+  ASSERT_EQ(syn_times.size(), 8u);
+  for (std::size_t i = 1; i < 7; ++i) {
+    EXPECT_EQ(syn_times[i] - syn_times[i - 1],
+              sim::Time::seconds(static_cast<double>(1u << (i - 1))))
+        << "retry " << i;
+  }
+  EXPECT_EQ(syn_times[7] - syn_times[6], 60_s);  // capped, not 64 s
 }
 
 }  // namespace

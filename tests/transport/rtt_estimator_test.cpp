@@ -75,11 +75,10 @@ TEST(RttEstimatorTest, ResetBackoffExplicit) {
 }
 
 TEST(RttEstimatorTest, MaxRtoCaps) {
-  RttEstimator::Config config;
-  config.max_rto = 2_s;
-  RttEstimator est{config};
+  RttEstimator est;
   for (int i = 0; i < 20; ++i) est.backoff();
-  EXPECT_EQ(est.rto(), 2_s);
+  EXPECT_EQ(est.rto(), 60_s);
+  EXPECT_EQ(RttEstimator::kMaxRto, 60_s);
 }
 
 TEST(RttEstimatorTest, TracksMinAndLatest) {

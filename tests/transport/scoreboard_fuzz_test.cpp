@@ -141,8 +141,8 @@ TEST(ScoreboardFuzzTest, MatchesReferenceModelOnRandomTraces) {
         std::uint32_t ref_newly = ref.apply_ack(receiver_cum, sacks);
         ASSERT_EQ(update.newly_acked_total(), ref_newly) << "trial " << trial;
       } else {
-        auto real_losses = real.detect_losses(3);
-        auto ref_losses = ref.detect_losses(3);
+        auto real_losses = real.detect_losses();
+        auto ref_losses = ref.detect_losses(3);  // the duplicate-ACK threshold
         ASSERT_EQ(real_losses, ref_losses) << "trial " << trial;
       }
       ASSERT_EQ(real.pipe(), ref.pipe()) << "trial " << trial << " step " << step;
@@ -168,7 +168,7 @@ TEST(ScoreboardFuzzTest, NextLostNeedingRetxNeverReturnsAckedSegments) {
       const auto hi = static_cast<std::uint32_t>(
           rng.uniform_int(lo, static_cast<std::int64_t>(total)));
       sb.apply_ack(cum, {{lo, hi}});
-      sb.detect_losses(3);
+      sb.detect_losses();
       if (auto lost = sb.next_lost_needing_retx()) {
         EXPECT_GE(*lost, sb.cum_ack());
         EXPECT_FALSE(sb.is_acked(*lost));

@@ -78,9 +78,9 @@ TEST(ScoreboardTest, DetectLossesRequiresDupThreshold) {
   Scoreboard sb{10};
   send_range(sb, 0, 6);
   sb.apply_ack(0, {{1, 3}});  // two SACKed above segment 0
-  EXPECT_TRUE(sb.detect_losses(3).empty());
+  EXPECT_TRUE(sb.detect_losses().empty());
   sb.apply_ack(0, {{1, 4}});  // three SACKed above segment 0
-  auto lost = sb.detect_losses(3);
+  auto lost = sb.detect_losses();
   EXPECT_EQ(lost, (std::vector<std::uint32_t>{0}));
   const SegmentState* s = sb.state(0);
   ASSERT_NE(s, nullptr);
@@ -92,7 +92,7 @@ TEST(ScoreboardTest, DetectLossesFindsMultipleHoles) {
   send_range(sb, 0, 8);
   // Holes at 0, 2; SACKed: 1, 3, 4, 5 -> both holes have >= 3 SACKs above.
   sb.apply_ack(0, {{1, 2}, {3, 6}});
-  auto lost = sb.detect_losses(3);
+  auto lost = sb.detect_losses();
   EXPECT_EQ(lost, (std::vector<std::uint32_t>{0, 2}));
 }
 
@@ -100,15 +100,15 @@ TEST(ScoreboardTest, LossNotRedetected) {
   Scoreboard sb{10};
   send_range(sb, 0, 6);
   sb.apply_ack(0, {{1, 4}});
-  EXPECT_EQ(sb.detect_losses(3).size(), 1u);
-  EXPECT_TRUE(sb.detect_losses(3).empty());
+  EXPECT_EQ(sb.detect_losses().size(), 1u);
+  EXPECT_TRUE(sb.detect_losses().empty());
 }
 
 TEST(ScoreboardTest, NextLostNeedingRetxAndRetxClears) {
   Scoreboard sb{10};
   send_range(sb, 0, 6);
   sb.apply_ack(0, {{1, 4}});
-  sb.detect_losses(3);
+  sb.detect_losses();
   ASSERT_EQ(sb.next_lost_needing_retx().value(), 0u);
   // Retransmit it (not proactive): need cleared.
   sb.on_sent(0, 2000, 5_ms, /*proactive=*/false);
@@ -119,7 +119,7 @@ TEST(ScoreboardTest, ProactiveSendDoesNotClearLossRetxNeed) {
   Scoreboard sb{10};
   send_range(sb, 0, 6);
   sb.apply_ack(0, {{1, 4}});
-  sb.detect_losses(3);
+  sb.detect_losses();
   sb.on_sent(0, 2000, 5_ms, /*proactive=*/true);
   // ROPR's proactive copy doesn't satisfy the normal-recovery obligation.
   EXPECT_EQ(sb.next_lost_needing_retx().value(), 0u);
@@ -132,7 +132,7 @@ TEST(ScoreboardTest, PipeCountsOutstandingOnly) {
   sb.apply_ack(2, {{4, 5}});
   EXPECT_EQ(sb.pipe(), 3u);  // 2, 3, 5 outstanding; 4 SACKed
   sb.apply_ack(2, {{3, 6}});
-  sb.detect_losses(3);       // segment 2 deemed lost
+  sb.detect_losses();       // segment 2 deemed lost
   EXPECT_EQ(sb.pipe(), 0u);  // lost & not retransmitted leaves the pipe
   sb.on_sent(2, 3000, 6_ms, false);
   EXPECT_EQ(sb.pipe(), 1u);  // the retransmission is in flight

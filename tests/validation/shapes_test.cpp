@@ -156,9 +156,8 @@ TEST(ShapeValidation, Fig14HalfbackIsTcpFriendly) {
 // ----------------------------------------------------------------- Fig. 15
 
 TEST(ShapeValidation, Fig15HalfbackShortFlowFinishesFastest) {
-  exp::TraceConfig config;
-  auto halfback = exp::run_trace(config, exp::TraceScenario::halfback).flows;
-  auto tcp = exp::run_trace(config, exp::TraceScenario::single_tcp).flows;
+  auto halfback = exp::run_trace(1, exp::TraceScenario::halfback).flows;
+  auto tcp = exp::run_trace(1, exp::TraceScenario::single_tcp).flows;
   ASSERT_GT(halfback[1].completion, sim::Time::zero());
   ASSERT_GT(tcp[1].completion, sim::Time::zero());
   EXPECT_LT(halfback[1].completion, tcp[1].completion);
@@ -167,17 +166,13 @@ TEST(ShapeValidation, Fig15HalfbackShortFlowFinishesFastest) {
 // ----------------------------------------------------------------- Fig. 16
 
 TEST(ShapeValidation, Fig16JumpStartCrossesTcpUnderLoad) {
-  workload::WebCatalogConfig cc;
-  cc.site_count = 25;
-  workload::WebsiteCatalog catalog{cc, sim::Random{17}};
+  workload::WebsiteCatalog catalog{25, sim::Random{17}};
   auto bottleneck = sim::DataRate::megabits_per_second(15);
 
   auto mean_response = [&](Scheme scheme, double util) {
     sim::Random rng{23};
     auto schedule = workload::make_web_schedule(catalog, util, bottleneck, 25_s, rng);
-    exp::WebRunner::Config config;
-    exp::WebRunner runner{config};
-    return runner.run(scheme, catalog, schedule).mean_response_s();
+    return exp::WebRunner{1}.run(scheme, catalog, schedule).mean_response_s();
   };
   // At light load JumpStart beats TCP; by ~35% the order flips — the
   // paper's application-level warning.

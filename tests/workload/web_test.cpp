@@ -8,7 +8,7 @@ namespace {
 using namespace halfback::sim::literals;
 
 WebsiteCatalog make_catalog(std::uint64_t seed = 1) {
-  return WebsiteCatalog{WebCatalogConfig{}, sim::Random{seed}};
+  return WebsiteCatalog{100, sim::Random{seed}};
 }
 
 TEST(WebCatalogTest, GeneratesRequestedSiteCount) {
@@ -17,17 +17,16 @@ TEST(WebCatalogTest, GeneratesRequestedSiteCount) {
 }
 
 TEST(WebCatalogTest, PagesRespectConfigBounds) {
-  WebCatalogConfig config;
-  WebsiteCatalog catalog{config, sim::Random{2}};
+  WebsiteCatalog catalog = make_catalog(2);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const WebPage& page = catalog.page(i);
     EXPECT_GE(page.object_bytes.size(),
-              static_cast<std::size_t>(config.objects_min));
+              static_cast<std::size_t>(WebsiteCatalog::kObjectsMin));
     EXPECT_LE(page.object_bytes.size(),
-              static_cast<std::size_t>(config.objects_max));
+              static_cast<std::size_t>(WebsiteCatalog::kObjectsMax));
     for (std::uint64_t b : page.object_bytes) {
-      EXPECT_GE(b, config.object_bytes_min);
-      EXPECT_LE(b, config.object_bytes_max);
+      EXPECT_GE(b, WebsiteCatalog::kObjectBytesMin.count());
+      EXPECT_LE(b, WebsiteCatalog::kObjectBytesMax.count());
     }
   }
 }

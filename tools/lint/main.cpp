@@ -3,10 +3,6 @@
 // cross-TU rules on the include and call graphs.
 //
 //   halfback-lint --root <repo>             analyze the whole tree
-//   --baseline <file>          tolerate findings listed in <file>
-//   --update-baseline <file>   write current findings to <file> and exit 0
-//   --verify-baseline <file>   exit 1 if <file> has entries matching no
-//                              finding (the CI drift guard)
 //   --rule <id>                run a single rule
 //   --list-rules               print the rule table and exit
 //   --dot <file>               also write the layer include graph (Graphviz)
@@ -14,9 +10,10 @@
 //                              function whose qualified name starts with
 //                              <prefix> and exit (annotation aid)
 //
-// Exit status: 0 clean, 1 findings (or stale baseline), 2 usage or I/O
-// error (including a root without src/ and an unknown rule id), so CI
-// failures are diagnosable from the code alone.
+// A finding is excused only inline, by a `// lint: <tag>(reason)` comment
+// at its site. Exit status: 0 clean, 1 findings, 2 usage or I/O error
+// (including a root without src/ and an unknown rule id), so CI failures
+// are diagnosable from the code alone.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -24,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "effects.h"
 #include "rules.h"
 
@@ -34,9 +30,6 @@ using namespace halfback::lint;
 
 struct Options {
   std::filesystem::path root = ".";
-  std::string baseline_path;
-  std::string update_baseline_path;
-  std::string verify_baseline_path;
   std::string only_rule;
   std::string dot_path;
   std::string effects_prefix;
@@ -45,11 +38,8 @@ struct Options {
 };
 
 int usage(std::ostream& out, int code) {
-  out << "usage: halfback-lint --root <repo> [--baseline <file>]\n"
-         "                     [--update-baseline <file>] "
-         "[--verify-baseline <file>]\n"
-         "                     [--rule <id>] [--list-rules] "
-         "[--dot <file>]\n"
+  out << "usage: halfback-lint --root <repo> [--rule <id>] [--list-rules]\n"
+         "                     [--dot <file>]\n"
          "                     [--effects <qualified-name-prefix>]\n";
   return code;
 }
@@ -66,12 +56,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
     if (arg == "--root") {
       if (!value(root_value)) return false;
       opts.root = root_value;
-    } else if (arg == "--baseline") {
-      if (!value(opts.baseline_path)) return false;
-    } else if (arg == "--update-baseline") {
-      if (!value(opts.update_baseline_path)) return false;
-    } else if (arg == "--verify-baseline") {
-      if (!value(opts.verify_baseline_path)) return false;
     } else if (arg == "--rule") {
       if (!value(opts.only_rule)) return false;
     } else if (arg == "--dot") {
@@ -88,17 +72,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return true;
 }
 
-/// The baseline at `path` (empty when no path is given). Throws on I/O or
-/// parse errors.
-Baseline load_baseline(const std::string& path) {
-  Baseline baseline;
-  std::string error;
-  if (!path.empty() && !baseline.parse(read_file(path), error)) {
-    throw std::runtime_error{error};
-  }
-  return baseline;
-}
-
 /// Write `text` to `path`; throws when the file cannot be opened or written.
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out{path};
@@ -109,8 +82,6 @@ void write_file(const std::string& path, const std::string& text) {
 
 /// Everything after argument parsing; throws on usage and I/O errors.
 int run(const Options& opts) {
-  const Baseline baseline = load_baseline(opts.baseline_path);
-  const Baseline verify = load_baseline(opts.verify_baseline_path);
   const SeamInventory seams = load_seams(opts.root);
   const ProjectModel model = ProjectModel::build(opts.root);
   if (opts.dump_effects) {
@@ -129,40 +100,15 @@ int run(const Options& opts) {
       analyze_model(model, seams, opts.only_rule);
   if (!opts.dot_path.empty()) write_file(opts.dot_path, model.layer_graph_dot());
 
-  if (!opts.update_baseline_path.empty()) {
-    write_file(opts.update_baseline_path, Baseline::render(findings));
-    std::cout << "halfback-lint: wrote " << findings.size()
-              << " finding(s) to " << opts.update_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!opts.verify_baseline_path.empty()) {
-    const auto stale = verify.stale_entries(findings);
-    if (!stale.empty()) {
-      for (const std::string& entry : stale) {
-        std::cout << "stale baseline entry: " << entry << "\n";
-      }
-      std::cout << "halfback-lint: " << stale.size()
-                << " stale baseline entr(ies) in " << opts.verify_baseline_path
-                << "\n";
-      return 1;
-    }
-  }
-
-  std::size_t reported = 0;
   for (const Finding& f : findings) {
-    if (baseline.contains(f)) continue;
-    ++reported;
     std::cout << f.path << ":" << f.line << ": [" << f.rule << "] "
               << f.message << "\n";
   }
-  if (reported == 0) {
-    std::cout << "halfback-lint: clean (" << findings.size()
-              << " finding(s) total, " << baseline.size()
-              << " baseline entr(ies))\n";
+  if (findings.empty()) {
+    std::cout << "halfback-lint: clean\n";
     return 0;
   }
-  std::cout << "halfback-lint: " << reported << " finding(s)\n";
+  std::cout << "halfback-lint: " << findings.size() << " finding(s)\n";
   return 1;
 }
 
