@@ -123,12 +123,7 @@ int main(int argc, char** argv) {
     exp::EmulabRunner runner{runner_config};
     exp::WorkloadPart part;
     part.scheme = schemes::Scheme::halfback;
-    for (std::size_t i = 0; i < config.flows_per_cell; ++i) {
-      workload::FlowArrival arrival;
-      arrival.at = config.arrival_spacing * static_cast<double>(i);
-      arrival.bytes = config.flow_bytes;
-      part.schedule.push_back(arrival);
-    }
+    part.schedule = exp::chaos_cell_schedule();
     const auto wall_start = std::chrono::steady_clock::now();
     const exp::RunResult run = runner.run({part});
     telemetry::RunManifest manifest =

@@ -4,23 +4,35 @@
 //   $ ./examples/custom_scenario scheme=halfback bytes=200000 rtt_ms=80 rate_mbps=10 buffer_kb=64 loss=0.01 flows=5 trace=1
 //
 // Every key is optional; defaults reproduce the paper's Emulab bottleneck.
+// An unknown key or value exits 2, numbers parse as the benches parse
+// theirs, and a run with an unfinished flow or an invariant violation
+// exits 1.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 
+#include "common.h"
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "netfault/fault_injector.h"
-#include "schemes/factory.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "telemetry/hub.h"
-#include "transport/agent.h"
 
 using namespace halfback;
 
 namespace {
+
+/// The bottleneck disciplines queue= accepts.
+constexpr std::pair<const char*, net::QueueKind> kQueues[] = {
+    {"droptail", net::QueueKind::drop_tail},
+    {"red", net::QueueKind::red},
+    {"codel", net::QueueKind::codel},
+    {"priority", net::QueueKind::priority},
+};
 
 struct Args {
   schemes::Scheme scheme = schemes::Scheme::halfback;
@@ -29,11 +41,11 @@ struct Args {
   double rate_mbps = 15;
   std::uint64_t buffer_kb = 115;
   double loss = 0.0;
-  int flows = 1;
+  std::size_t flows = 1;
   double gap_ms = 200;  ///< interval between flow starts
   std::uint64_t seed = 1;
   bool trace = false;
-  std::string queue = "droptail";
+  const std::pair<const char*, net::QueueKind>* queue = kQueues;  ///< into kQueues
 };
 
 Args parse(int argc, char** argv) {
@@ -59,25 +71,32 @@ Args parse(int argc, char** argv) {
       }
       a.scheme = *parsed;
     } else if (key == "bytes") {
-      a.bytes = std::strtoull(value.c_str(), nullptr, 10);
+      a.bytes = bench::parse_count("bytes", value.c_str());
     } else if (key == "rtt_ms") {
-      a.rtt_ms = std::atof(value.c_str());
+      a.rtt_ms = bench::parse_number("rtt_ms", value.c_str());
     } else if (key == "rate_mbps") {
-      a.rate_mbps = std::atof(value.c_str());
+      a.rate_mbps = bench::parse_number("rate_mbps", value.c_str());
     } else if (key == "buffer_kb") {
-      a.buffer_kb = std::strtoull(value.c_str(), nullptr, 10);
+      a.buffer_kb = bench::parse_count("buffer_kb", value.c_str());
     } else if (key == "loss") {
-      a.loss = std::atof(value.c_str());
+      a.loss = bench::parse_number("loss", value.c_str());
     } else if (key == "flows") {
-      a.flows = std::atoi(value.c_str());
+      a.flows = bench::parse_count("flows", value.c_str());
     } else if (key == "gap_ms") {
-      a.gap_ms = std::atof(value.c_str());
+      a.gap_ms = bench::parse_number("gap_ms", value.c_str());
     } else if (key == "seed") {
-      a.seed = std::strtoull(value.c_str(), nullptr, 10);
+      a.seed = bench::parse_count("seed", value.c_str());
     } else if (key == "trace") {
       a.trace = value != "0";
     } else if (key == "queue") {
-      a.queue = value;
+      a.queue = std::find_if(std::begin(kQueues), std::end(kQueues),
+                             [&](const auto& q) { return value == q.first; });
+      if (a.queue == std::end(kQueues)) {
+        std::fprintf(stderr, "unknown queue '%s'; known:", value.c_str());
+        for (const auto& [name, kind] : kQueues) std::fprintf(stderr, " %s", name);
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+      }
     } else {
       std::fprintf(stderr, "unknown key '%s'\n", key.c_str());
       std::exit(2);
@@ -91,20 +110,18 @@ Args parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   Args args = parse(argc, argv);
 
-  sim::Simulator simulator{args.seed};
-  net::Network network{simulator};
+  exp::Rig rig{args.seed};
   net::DumbbellConfig topo;
   topo.sender_count = 1;
   topo.receiver_count = 1;
   topo.bottleneck_rate = sim::DataRate::megabits_per_second(args.rate_mbps);
   topo.rtt = sim::Time::milliseconds(args.rtt_ms);
   topo.bottleneck_buffer_bytes = args.buffer_kb * 1000;
-  if (args.queue == "red") topo.bottleneck_queue = net::QueueKind::red;
-  if (args.queue == "codel") topo.bottleneck_queue = net::QueueKind::codel;
-  net::Dumbbell dumbbell = net::build_dumbbell(network, topo);
+  topo.bottleneck_queue = args.queue->second;
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), topo);
 
-  transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
-  transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
+  transport::TransportAgent& sender_host = rig.add_agent(dumbbell.senders[0]);
+  rig.add_agent(dumbbell.receivers[0]);
 
   std::uint32_t bottleneck_drops = 0;
   dumbbell.bottleneck_forward->queue().set_drop_callback(
@@ -113,9 +130,7 @@ int main(int argc, char** argv) {
       });
   // trace=1: every flow and link gets a flight-recorder tape, printed below.
   telemetry::Hub hub;
-  if (args.trace) {
-    hub.instrument_network(network);
-  }
+  if (args.trace) rig.install(&hub, nullptr, {});
   // loss=p: i.i.d. loss on the bottleneck through the fault layer, a
   // Gilbert-Elliott channel that never leaves its Good state.
   std::optional<netfault::FaultInjector> loss;
@@ -128,31 +143,37 @@ int main(int argc, char** argv) {
   }
 
   schemes::SchemeContext context;
-  std::vector<transport::SenderBase*> flows;
-  for (int i = 0; i < args.flows; ++i) {
-    simulator.schedule_at(sim::Time::milliseconds(args.gap_ms * i), [&, i] {
-      auto sender = schemes::make_sender(
-          args.scheme, context, simulator, network.node(dumbbell.senders[0]),
-          dumbbell.receivers[0], static_cast<net::FlowId>(i + 1), args.bytes);
-      flows.push_back(&sender_host.start_flow(std::move(sender)));
-    });
+  for (std::size_t i = 0; i < args.flows; ++i) {
+    rig.start_at(sim::Time::milliseconds(args.gap_ms * static_cast<double>(i)),
+                 sender_host, context,
+                 exp::FlowSpec{args.scheme, dumbbell.receivers[0],
+                               static_cast<net::FlowId>(i + 1), args.bytes});
   }
-  simulator.run_until(sim::Time::seconds(300));
+  rig.simulator().run_until(sim::Time::seconds(300));
+  exp::RunRecord run;
+  rig.finish(run);
+  if (run.audit_violations > 0) {
+    std::fprintf(stderr, "custom_scenario: invariant violations\n%s",
+                 rig.auditor().report().c_str());
+    return 1;
+  }
 
   for (std::size_t i = 0; i < hub.recorder().tape_count(); ++i) {
     const telemetry::Tape& tape = hub.recorder().tape_at(i);
     if (tape.size() > 0) std::fputs(telemetry::render_tape(tape).c_str(), stdout);
   }
 
-  std::printf("\nscenario: %s, %d x %llu B, %.0f Mbps / %.0f ms RTT, %llu KB %s buffer, loss %.3f\n",
+  std::printf("\nscenario: %s, %zu x %llu B, %.0f Mbps / %.0f ms RTT, %llu KB %s buffer, loss %.3f\n",
               schemes::name(args.scheme), args.flows,
               static_cast<unsigned long long>(args.bytes), args.rate_mbps,
               args.rtt_ms, static_cast<unsigned long long>(args.buffer_kb),
-              args.queue.c_str(), args.loss);
+              args.queue->first, args.loss);
   stats::Summary fct;
   std::uint32_t retx = 0, proactive = 0, timeouts = 0;
-  int completed = 0;
-  for (transport::SenderBase* flow : flows) {
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < args.flows; ++i) {
+    const transport::SenderBase* flow = rig.started(i);
+    if (flow == nullptr) continue;  // its start lies past the horizon
     const transport::FlowRecord& r = flow->record();
     if (flow->complete()) {
       ++completed;
@@ -162,7 +183,7 @@ int main(int argc, char** argv) {
     proactive += r.proactive_retx;
     timeouts += r.timeouts;
   }
-  std::printf("completed %d/%d flows\n", completed, args.flows);
+  std::printf("completed %zu/%zu flows\n", completed, args.flows);
   if (!fct.empty()) {
     std::printf("FCT: mean %.1f ms, median %.1f ms, max %.1f ms\n", fct.mean(),
                 fct.median(), fct.max());
@@ -170,6 +191,6 @@ int main(int argc, char** argv) {
   std::printf("normal retx %u, proactive retx %u, timeouts %u, bottleneck drops %u\n",
               retx, proactive, timeouts, bottleneck_drops);
   std::printf("simulated %llu events\n",
-              static_cast<unsigned long long>(simulator.events_executed()));
+              static_cast<unsigned long long>(run.events_executed));
   return completed == args.flows ? 0 : 1;
 }

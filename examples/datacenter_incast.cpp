@@ -9,14 +9,14 @@
 // negligible); this example probes how the schemes behave there.
 //
 //   $ ./examples/datacenter_incast [workers] [response_kb]
+//
+// Exits 1 if the run rig's invariant auditor reports a violation.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
+#include "exp/rig.h"
 #include "net/topology.h"
-#include "schemes/factory.h"
-#include "sim/simulator.h"
-#include "transport/agent.h"
 
 using namespace halfback;
 
@@ -33,8 +33,7 @@ struct IncastResult {
 
 IncastResult run_incast(schemes::Scheme scheme, int workers,
                         std::uint64_t response_bytes) {
-  sim::Simulator simulator{3};
-  net::Network network{simulator};
+  exp::Rig rig{3};
 
   // N workers behind a ToR switch, one aggregator link: 1 Gbps everywhere,
   // 100 us RTT, a shallow 64 KB switch buffer (the incast ingredient).
@@ -45,13 +44,11 @@ IncastResult run_incast(schemes::Scheme scheme, int workers,
   topo.bottleneck_rate = sim::DataRate::gigabits_per_second(1);
   topo.rtt = sim::Time::microseconds(100);
   topo.bottleneck_buffer_bytes = 64'000;
-  net::Dumbbell dumbbell = net::build_dumbbell(network, topo);
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), topo);
 
-  std::vector<std::unique_ptr<transport::TransportAgent>> agents;
-  for (net::NodeId id : dumbbell.senders) {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  transport::TransportAgent aggregator{simulator, network, dumbbell.receivers[0]};
+  // Agents 0..workers-1 answer; the aggregator's agent comes last.
+  for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
+  rig.add_agent(dumbbell.receivers[0]);
 
   std::uint32_t drops = 0;
   dumbbell.bottleneck_forward->queue().set_drop_callback(
@@ -64,12 +61,19 @@ IncastResult run_incast(schemes::Scheme scheme, int workers,
 
   std::vector<transport::SenderBase*> responses;
   for (int w = 0; w < workers; ++w) {
-    auto sender = schemes::make_sender(
-        scheme, context, simulator, network.node(dumbbell.senders[static_cast<std::size_t>(w)]),
-        dumbbell.receivers[0], static_cast<net::FlowId>(w + 1), response_bytes);
-    responses.push_back(&agents[static_cast<std::size_t>(w)]->start_flow(std::move(sender)));
+    responses.push_back(&rig.start(
+        rig.agent(static_cast<std::size_t>(w)), context,
+        exp::FlowSpec{scheme, dumbbell.receivers[0], static_cast<net::FlowId>(w + 1),
+                      response_bytes}));
   }
-  simulator.run_until(sim::Time::seconds(60));
+  rig.simulator().run_until(sim::Time::seconds(60));
+  exp::RunRecord run;
+  rig.finish(run);
+  if (run.audit_violations > 0) {
+    std::fprintf(stderr, "datacenter_incast: invariant violations\n%s",
+                 rig.auditor().report().c_str());
+    std::exit(1);
+  }
 
   IncastResult result;
   result.workers = workers;

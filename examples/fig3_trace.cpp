@@ -5,15 +5,14 @@
 //
 // Demonstrates the flow flight recorder (the timeline is the sender's tape,
 // printed with telemetry::render_tape) and loss injection through the
-// link's fault hook (net::FaultHook), the same seam netfault uses.
+// link's fault hook (net::FaultHook), the same seam netfault uses. Exits 1
+// if the run rig's invariant auditor reports a violation.
 #include <cstdio>
 
+#include "exp/rig.h"
 #include "net/fault_hook.h"
 #include "net/topology.h"
-#include "schemes/factory.h"
-#include "sim/simulator.h"
 #include "telemetry/hub.h"
-#include "transport/agent.h"
 
 using namespace halfback;
 
@@ -43,21 +42,20 @@ class DropFirstCopy final : public net::FaultHook {
 }  // namespace
 
 int main() {
-  sim::Simulator simulator{7};
-  net::Network network{simulator};
+  exp::Rig rig{7};
   net::DumbbellConfig topo;
   topo.sender_count = 1;
   topo.receiver_count = 1;
-  net::Dumbbell dumbbell = net::build_dumbbell(network, topo);
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), topo);
 
-  transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
-  transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
+  transport::TransportAgent& sender_host = rig.add_agent(dumbbell.senders[0]);
+  transport::TransportAgent& receiver_host = rig.add_agent(dumbbell.receivers[0]);
 
   // The hub gives every flow started on the network a flight-recorder
   // tape: each transmission, proactive copy, and ACK lands on it as it
   // happens.
   telemetry::Hub hub;
-  hub.instrument_network(network);
+  rig.install(&hub, nullptr, {});
 
   // Force the loss the paper's example narrates: the first copy of
   // segment index 8 (the paper's "packet 9") vanishes at the bottleneck.
@@ -65,14 +63,20 @@ int main() {
   dumbbell.bottleneck_forward->set_fault_hook(&drop);
 
   schemes::SchemeContext context;
-  auto sender = schemes::make_sender(schemes::Scheme::halfback, context, simulator,
-                                     network.node(dumbbell.senders[0]),
-                                     dumbbell.receivers[0], /*flow=*/1,
-                                     10 * net::kSegmentPayloadBytes);
   std::printf("starting a 10-segment Halfback flow (Fig. 3 walkthrough)\n");
-  transport::SenderBase& flow = sender_host.start_flow(std::move(sender));
+  transport::SenderBase& flow = rig.start(
+      sender_host, context,
+      exp::FlowSpec{schemes::Scheme::halfback, dumbbell.receivers[0], /*flow=*/1,
+                    10 * net::kSegmentPayloadBytes});
 
-  simulator.run();
+  rig.simulator().run();
+  exp::RunRecord run;
+  rig.finish(run);
+  if (run.audit_violations > 0) {
+    std::fprintf(stderr, "fig3_trace: invariant violations\n%s",
+                 rig.auditor().report().c_str());
+    return 1;
+  }
 
   std::printf("\nsender-side timeline (the flow's flight-recorder tape):\n%s",
               telemetry::render_tape(

@@ -3,6 +3,8 @@
 // vs TCP — the paper's "does this help real users?" experiment.
 //
 //   $ ./examples/home_network [flow_kb]
+//
+// Exits 1 if any trial's invariant auditor reports a violation.
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,14 +29,17 @@ int main(int argc, char** argv) {
 
   std::printf("%-22s %10s %16s %14s %12s\n", "access profile", "scheme",
               "median FCT (ms)", "p90 FCT (ms)", "vs TCP");
+  std::uint64_t violations = 0;
   for (const exp::HomeNetProfile& profile : exp::home_profiles()) {
     stats::Summary tcp;
     for (const exp::TrialResult& t : env.run(schemes::Scheme::tcp, profile)) {
       tcp.add(t.record.fct().to_ms());
+      violations += t.audit_violations;
     }
     stats::Summary halfback;
     for (const exp::TrialResult& t : env.run(schemes::Scheme::halfback, profile)) {
       halfback.add(t.record.fct().to_ms());
+      violations += t.audit_violations;
     }
     std::printf("%-22s %10s %16.0f %14.0f %11.0f%%\n", profile.name, "halfback",
                 halfback.median(), halfback.percentile(90),
@@ -46,5 +51,10 @@ int main(int argc, char** argv) {
       "\nAs in the paper's Fig. 9: the gain is largest on well-provisioned\n"
       "wired links (the start-up RTTs dominate) and smallest on the slow DSL\n"
       "profile, where the link itself — not TCP's start-up — is the limit.\n");
+  if (violations > 0) {
+    std::fprintf(stderr, "home_network: %llu invariant violation(s)\n",
+                 static_cast<unsigned long long>(violations));
+    return 1;
+  }
   return 0;
 }

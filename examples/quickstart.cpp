@@ -3,46 +3,51 @@
 //
 //   $ ./examples/quickstart [flow_bytes]
 //
-// This is the smallest complete use of the library: build a topology,
-// attach transport agents, start flows via the scheme factory, run the
-// simulator, read the flow records.
+// This is the smallest complete use of the library: build a topology on a
+// run rig, attach transport agents, start flows via the scheme factory, run
+// the simulator, check the run's invariants, read the flow records. Exits 1
+// if the rig's invariant auditor reports a violation.
 #include <cstdio>
 #include <cstdlib>
 
+#include "exp/rig.h"
 #include "net/topology.h"
-#include "schemes/factory.h"
-#include "sim/simulator.h"
-#include "transport/agent.h"
 
 using namespace halfback;
 
 namespace {
 
 transport::FlowRecord run_one(schemes::Scheme scheme, std::uint64_t bytes) {
-  // 1. A simulator owns virtual time and seeded randomness.
-  sim::Simulator simulator{/*seed=*/42};
+  // 1. A rig owns one run: the simulator (virtual time and seeded
+  //    randomness), the invariant auditor and the network.
+  exp::Rig rig{/*seed=*/42};
 
   // 2. Build the paper's single-bottleneck dumbbell (Fig. 4): 1 Gbps access
   //    links, a 15 Mbps / 60 ms RTT bottleneck with a BDP-sized buffer.
-  net::Network network{simulator};
   net::DumbbellConfig topo;
   topo.sender_count = 1;
   topo.receiver_count = 1;
-  net::Dumbbell dumbbell = net::build_dumbbell(network, topo);
+  net::Dumbbell dumbbell = net::build_dumbbell(rig.network(), topo);
 
   // 3. Attach a transport agent to each end host.
-  transport::TransportAgent sender_host{simulator, network, dumbbell.senders[0]};
-  transport::TransportAgent receiver_host{simulator, network, dumbbell.receivers[0]};
+  transport::TransportAgent& sender_host = rig.add_agent(dumbbell.senders[0]);
+  rig.add_agent(dumbbell.receivers[0]);
 
   // 4. Create a sender for the chosen scheme and start the flow.
   schemes::SchemeContext context;  // default §4.1 parameters
-  auto sender = schemes::make_sender(scheme, context, simulator,
-                                     network.node(dumbbell.senders[0]),
-                                     dumbbell.receivers[0], /*flow=*/1, bytes);
-  transport::SenderBase& flow = sender_host.start_flow(std::move(sender));
+  transport::SenderBase& flow = rig.start(
+      sender_host, context,
+      exp::FlowSpec{scheme, dumbbell.receivers[0], /*flow=*/1, bytes});
 
-  // 5. Run to completion and read the results.
-  simulator.run();
+  // 5. Run to completion, audit the run, and read the results.
+  rig.simulator().run();
+  exp::RunRecord run;
+  rig.finish(run);
+  if (run.audit_violations > 0) {
+    std::fprintf(stderr, "quickstart: invariant violations\n%s",
+                 rig.auditor().report().c_str());
+    std::exit(1);
+  }
   return flow.record();
 }
 

@@ -3,6 +3,8 @@
 // view where flow-level aggressiveness turns into self-interference.
 //
 //   $ ./examples/web_browsing [utilization_percent]
+//
+// Exits 1 if any run's invariant auditor reports a violation.
 #include <cstdio>
 #include <cstdlib>
 
@@ -35,6 +37,12 @@ int main(int argc, char** argv) {
        {schemes::Scheme::tcp, schemes::Scheme::tcp10, schemes::Scheme::jumpstart,
         schemes::Scheme::halfback}) {
     exp::WebRunOutcome outcome = exp::WebRunner{/*seed=*/1}.run(scheme, catalog, requests);
+    if (outcome.audit_violations > 0) {
+      std::fprintf(stderr, "web_browsing: %llu invariant violation(s) under %s\n",
+                   static_cast<unsigned long long>(outcome.audit_violations),
+                   schemes::name(scheme));
+      return 1;
+    }
 
     // p95 by sorting response times.
     std::vector<double> times;

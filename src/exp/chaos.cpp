@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/bytes.h"
 #include "telemetry/export.h"
 #include "telemetry/hub.h"
 #include "workload/flow_schedule.h"
@@ -95,6 +96,10 @@ std::vector<ChaosScenario> chaos_catalog() {
 
 namespace {
 
+constexpr std::size_t kCellFlows = 8;
+constexpr auto kCellArrivalSpacing = sim::Time::milliseconds(800);
+constexpr sim::Bytes kCellFlowBytes = 100'000;
+
 RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario,
                    schemes::Scheme scheme, telemetry::Hub* hub = nullptr,
                    telemetry::RunManifest* manifest_out = nullptr) {
@@ -106,13 +111,7 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
   WorkloadPart part;
   part.scheme = scheme;
   part.role = FlowRole::primary;
-  part.schedule.reserve(config.flows_per_cell);
-  for (std::size_t i = 0; i < config.flows_per_cell; ++i) {
-    workload::FlowArrival arrival;
-    arrival.at = config.arrival_spacing * static_cast<double>(i);
-    arrival.bytes = config.flow_bytes;
-    part.schedule.push_back(arrival);
-  }
+  part.schedule = chaos_cell_schedule();
   RunResult result = runner.run({part});
   if (manifest_out != nullptr) {
     *manifest_out = runner.manifest(result, "chaos:" + scenario.name);
@@ -145,6 +144,14 @@ ChaosCell summarize(const ChaosScenario& scenario, schemes::Scheme scheme,
 }
 
 }  // namespace
+
+std::vector<workload::FlowArrival> chaos_cell_schedule() {
+  std::vector<workload::FlowArrival> schedule(kCellFlows);
+  for (std::size_t i = 0; i < kCellFlows; ++i) {
+    schedule[i] = {kCellArrivalSpacing * static_cast<double>(i), kCellFlowBytes};
+  }
+  return schedule;
+}
 
 void write_run_artifacts(const std::string& stem, const telemetry::Hub& hub,
                          const telemetry::RunManifest& manifest, sim::Time end) {

@@ -18,7 +18,7 @@
 #include "exp/supervisor.h"
 #include "netfault/fault_config.h"
 #include "schemes/scheme.h"
-#include "sim/bytes.h"
+#include "workload/flow_schedule.h"
 
 namespace halfback::exp {
 
@@ -82,14 +82,14 @@ inline sim::RunBudget default_cell_budget() {
   return budget;
 }
 
+/// Every chaos cell's workload: eight flows of 100 KB (the paper's
+/// short-flow size), evenly spaced (deterministic by construction): flow i
+/// starts at i * 800 ms, so several flows are mid-flight when the blackout
+/// scenarios strike.
+std::vector<workload::FlowArrival> chaos_cell_schedule();
+
 struct ChaosSweepConfig {
   EmulabRunner::Config runner;
-  sim::Bytes flow_bytes = 100'000;  ///< the paper's short-flow size
-  /// Evenly spaced arrivals (deterministic by construction): flow i starts
-  /// at i * arrival_spacing, so several flows are mid-flight when the
-  /// blackout scenarios strike.
-  std::size_t flows_per_cell = 8;
-  sim::Time arrival_spacing = sim::Time::milliseconds(800);
   unsigned threads = 0;
   /// Re-run every cell with an identical config and require an identical
   /// trace hash (the determinism acceptance gate; doubles the work).

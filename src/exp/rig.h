@@ -1,10 +1,11 @@
-// The run rig: the one way an experiment driver assembles a simulation run.
+// The run rig: the one way an end-to-end simulation run is assembled.
 //
 // EmulabRunner, the access-path trial behind PlanetLabEnv and HomeNetEnv,
-// run_trace, WebRunner and the parking-lot bench all build their runs on a
-// Rig, so every run carries the same invariant auditor and finishes into
-// the same RunRecord. A driver keeps only what differs: its topology, its
-// workload, how it drives the clock, and how it shapes the result.
+// run_trace, WebRunner, run_parking_lot, the examples and the end-to-end
+// tests all build their runs on a Rig, so every run carries the same
+// invariant auditor and finishes into the same RunRecord. A driver keeps
+// only what differs: its topology, its workload, how it drives the clock,
+// and how it shapes the result.
 //
 //   Rig rig{seed};                       // simulator, auditor, network
 //   ...build the topology on rig.network()...
@@ -86,6 +87,8 @@ class Rig {
 
   sim::Simulator& simulator() { return simulator_; }
   net::Network& network() { return network_; }
+  /// The run's auditor, for its violation report().
+  const audit::InvariantAuditor& auditor() const { return auditor_; }
 
   /// Put a transport agent on `host`. Agents are indexed in call order.
   transport::TransportAgent& add_agent(net::NodeId host);

@@ -18,10 +18,7 @@ void Receiver::on_packet(const net::Packet& packet) {
 }
 
 void Receiver::handle_syn(const net::Packet& syn) {
-  if (received_.empty() && syn.total_segments > 0) {
-    stats_.total_segments = syn.total_segments;
-    received_.assign(syn.total_segments, false);
-  }
+  if (stats_.total_segments == 0) stats_.total_segments = syn.total_segments;
   net::Packet reply;
   reply.flow = flow_;
   reply.type = net::PacketType::syn_ack;
@@ -36,19 +33,15 @@ void Receiver::handle_syn(const net::Packet& syn) {
 
 void Receiver::handle_data(const net::Packet& data) {
   // A receiver can see data before the SYN if the SYN-ACK was lost and the
-  // sender opened anyway; size the bitmap from the data header.
-  if (received_.empty() && data.total_segments > 0) {
-    stats_.total_segments = data.total_segments;
-    received_.assign(data.total_segments, false);
-  }
+  // sender opened anyway; take the flow length from the data header.
+  if (stats_.total_segments == 0) stats_.total_segments = data.total_segments;
   ++stats_.data_packets;
   if (stats_.data_packets == 1) stats_.first_data_at = simulator_.now();
 
-  if (data.seq < received_.size() && !received_[data.seq]) {
-    received_[data.seq] = true;
-    note_received(data.seq);
+  if (data.seq < stats_.total_segments && note_received(data.seq)) {
     ++stats_.unique_segments;
-    while (cum_ack_ < received_.size() && received_[cum_ack_]) ++cum_ack_;
+    const auto first = runs_.begin();
+    if (first->first == 0) cum_ack_ = first->second;
     if (!stats_.complete && stats_.unique_segments == stats_.total_segments) {
       stats_.complete = true;
       stats_.complete_at = simulator_.now();
@@ -59,20 +52,22 @@ void Receiver::handle_data(const net::Packet& data) {
   send_ack(data);
 }
 
-void Receiver::note_received(std::uint32_t seq) {
+bool Receiver::note_received(std::uint32_t seq) {
   // Merge [seq, seq + 1) into the run set: extend the left-adjacent run,
   // absorb the right-adjacent one, or open a new run.
-  auto right = runs_.find(seq + 1);
-  auto after = runs_.upper_bound(seq);
+  const auto after = runs_.upper_bound(seq);  // first run starting above seq
+  const auto right =
+      after != runs_.end() && after->first == seq + 1 ? after : runs_.end();
   if (after != runs_.begin()) {
-    auto left = std::prev(after);
+    const auto left = std::prev(after);
+    if (left->second > seq) return false;  // already held
     if (left->second == seq) {
       left->second = seq + 1;
       if (right != runs_.end()) {
         left->second = right->second;
         runs_.erase(right);
       }
-      return;
+      return true;
     }
   }
   if (right != runs_.end()) {
@@ -82,6 +77,7 @@ void Receiver::note_received(std::uint32_t seq) {
   } else {
     runs_.emplace(seq, seq + 1);
   }
+  return true;
 }
 
 net::SackBlock Receiver::run_containing(std::uint32_t seq) const {
@@ -90,8 +86,8 @@ net::SackBlock Receiver::run_containing(std::uint32_t seq) const {
   if (after == runs_.begin()) return block;  // empty: seq not received
   const auto run = std::prev(after);
   if (seq >= run->second) return block;  // empty: gap after the prior run
-  // A run never reports below the cumulative ACK (those segments are
-  // covered by cum_ack, exactly where the bitmap walk used to stop).
+  // A run never reports below the cumulative ACK, which covers those
+  // segments.
   block.begin = std::max(run->first, cum_ack_);
   block.end = run->second;
   return block;

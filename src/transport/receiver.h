@@ -56,19 +56,17 @@ class Receiver {
   /// option semantics).
   net::SackList build_sack_blocks(std::uint32_t trigger_seq);
   net::SackBlock run_containing(std::uint32_t seq) const;
-  /// Merge a newly-received segment into runs_.
-  void note_received(std::uint32_t seq);
+  /// Merge segment `seq` into runs_; false when a run already holds it.
+  bool note_received(std::uint32_t seq);
 
   sim::Simulator& simulator_;
   net::Node& node_;
   net::NodeId peer_;
   net::FlowId flow_;
 
-  std::vector<bool> received_;
-  /// Maximal runs of received segments, keyed by run start (half-open
-  /// [begin, end)). Mirrors received_: SACK-block construction reads a run
-  /// in one lookup instead of walking the bitmap, whose runs grow to the
-  /// whole window as a flow progresses.
+  /// The received segments as maximal runs, keyed by run start (half-open
+  /// [begin, end)): SACK-block construction reads a run in one lookup, and
+  /// the run starting at 0 ends at the cumulative ACK.
   std::map<std::uint32_t, std::uint32_t> runs_;
   std::uint32_t cum_ack_ = 0;
   std::vector<std::uint32_t> recent_seqs_;  ///< anchors of recently reported runs

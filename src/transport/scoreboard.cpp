@@ -113,8 +113,8 @@ AckUpdate Scoreboard::apply_ack(std::uint32_t cum_ack,
   return update;
 }
 
-std::vector<std::uint32_t> Scoreboard::detect_losses() {
-  std::vector<std::uint32_t> newly_lost;
+std::size_t Scoreboard::detect_losses() {
+  std::size_t newly_lost = 0;
   // Loss-free fast path: with nothing SACKed, no un-SACKed segment can have
   // kDupThreshold SACKed segments above it, so the scan below would mark
   // nothing. This skips the per-ACK window walk for the common clean flow.
@@ -142,10 +142,9 @@ std::vector<std::uint32_t> Scoreboard::detect_losses() {
       s.lost = true;
       s.retx_after_loss = false;
       account(s, seq, +1);
-      newly_lost.push_back(seq);
+      ++newly_lost;
     }
   }
-  std::reverse(newly_lost.begin(), newly_lost.end());
   return newly_lost;
 }
 

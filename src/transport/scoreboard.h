@@ -1,6 +1,7 @@
 // Sender-side SACK scoreboard over a sliding window of segments.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
@@ -90,9 +91,9 @@ class Scoreboard {
 
   /// SACK-based loss detection (simplified RFC 6675 / FACK rule): an
   /// un-SACKed segment is deemed lost once at least three segments above
-  /// it have been SACKed (the duplicate-ACK threshold). Returns newly-lost
-  /// indices.
-  std::vector<std::uint32_t> detect_losses();
+  /// it have been SACKed (the duplicate-ACK threshold). Returns how many
+  /// segments it newly marked lost.
+  std::size_t detect_losses();
 
   /// Mark every outstanding (sent, un-SACKed) segment lost (RTO recovery).
   /// Clears retx_after_loss so they become eligible for retransmission.

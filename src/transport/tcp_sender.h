@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "transport/sender.h"
 
@@ -47,8 +46,7 @@ class TcpSenderImpl : public Sender<Derived> {
       cwnd_ = ssthresh_;
     }
 
-    std::vector<std::uint32_t> newly_lost = this->scoreboard_.detect_losses();
-    if (!newly_lost.empty() && !in_recovery_) enter_recovery();
+    if (this->scoreboard_.detect_losses() > 0 && !in_recovery_) enter_recovery();
 
     this->self().send_available();
   }

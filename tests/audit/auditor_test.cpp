@@ -70,16 +70,13 @@ struct BareLink {
 
 TEST(InvariantAuditorTest, RealDumbbellRunIsClean) {
   testing::DumbbellFixture fx;
-  InvariantAuditor auditor;
-  fx.net.install_auditor(auditor);
-
   auto& flow = fx.start(schemes::Scheme::halfback, 100'000);
   fx.sim.run();
 
   ASSERT_TRUE(flow.complete());
-  auditor.finalize(/*drained=*/fx.sim.queue().empty());
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
-  EXPECT_NE(auditor.trace_hash(), 0u);
+  const exp::RunRecord& run = fx.finish();
+  EXPECT_EQ(run.audit_violations, 0u);
+  EXPECT_NE(run.trace_hash, 0u);
 }
 
 TEST(InvariantAuditorTest, LossyCoDelBottleneckRunIsClean) {
@@ -90,16 +87,12 @@ TEST(InvariantAuditorTest, LossyCoDelBottleneckRunIsClean) {
   config.bottleneck_buffer_bytes = 20'000;
   config.bottleneck_rate = sim::DataRate::megabits_per_second(5);
   testing::DumbbellFixture fx{config};
-  InvariantAuditor auditor;
-  fx.net.install_auditor(auditor);
-
   for (std::size_t pair = 0; pair < 4; ++pair) {
     fx.start(schemes::Scheme::tcp, 400'000, pair);
   }
   fx.sim.run();
 
-  auditor.finalize(fx.sim.queue().empty());
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_EQ(fx.finish().audit_violations, 0u);
 }
 
 // --- event-engine violations ------------------------------------------------

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "audit/invariant_auditor.h"
 #include "sim/budget.h"
 #include "sim/dispatch_profiler.h"
 #include "support/dumbbell_fixture.h"
@@ -55,21 +54,19 @@ Outcome run_case(const Case& c) {
   config.receiver_count = 3;
   config.bottleneck_buffer_bytes = 40'000;  // tight: drops and recoveries
   testing::DumbbellFixture fx{config, /*seed=*/5};
-  InvariantAuditor auditor;
-  fx.net.install_auditor(auditor);
 
   telemetry::Hub hub;
-  if ((c.observers & kHub) != 0) {
-    hub.instrument_network(fx.net);
-  }
-  sim::BudgetEnforcer budget{sim::RunBudget{
-      .max_events = 10'000'000,
-      .storm_window = 100,
-      .storm_events_per_sim_second = 1e9,
-  }};
-  if ((c.observers & kBudget) != 0) fx.sim.set_budget(&budget);
   sim::DispatchProfiler profiler;
-  if ((c.observers & kProfiler) != 0) fx.sim.set_profiler(&profiler);
+  sim::RunBudget budget;
+  if ((c.observers & kBudget) != 0) {
+    budget = sim::RunBudget{
+        .max_events = 10'000'000,
+        .storm_window = 100,
+        .storm_events_per_sim_second = 1e9,
+    };
+  }
+  fx.rig.install((c.observers & kHub) != 0 ? &hub : nullptr,
+                 (c.observers & kProfiler) != 0 ? &profiler : nullptr, budget);
 
   const std::vector<schemes::Scheme> mix{
       schemes::Scheme::halfback,  schemes::Scheme::tcp,
@@ -99,21 +96,19 @@ Outcome run_case(const Case& c) {
   // Every flow finished and the queue drained inside the horizon, so the
   // three drives cover the same events.
   EXPECT_TRUE(fx.sim.queue().empty());
-  for (auto& agent : fx.sender_agents) {
-    EXPECT_EQ(agent->active_sender_count(), 0u);
+  for (std::size_t pair = 0; pair < fx.dumbbell.senders.size(); ++pair) {
+    EXPECT_EQ(fx.sender_agent(pair).active_sender_count(), 0u);
   }
-  auditor.finalize(fx.sim.queue().empty());
-  EXPECT_EQ(auditor.total_violations(), 0u);
+  const exp::RunRecord& run = fx.finish();
+  EXPECT_EQ(run.audit_violations, 0u);
   if ((c.observers & kHub) != 0) {
     EXPECT_EQ(hub.sim().events_dispatched->value(), fx.sim.events_executed());
   }
-  if ((c.observers & kBudget) != 0) {
-    EXPECT_FALSE(budget.tripped());
-  }
+  EXPECT_EQ(run.budget_report.tripped, sim::BudgetTrip::none);
   if ((c.observers & kProfiler) != 0) {
     EXPECT_EQ(profiler.total_dispatches(), fx.sim.events_executed());
   }
-  return {auditor.trace_hash(), fx.sim.events_executed()};
+  return {run.trace_hash, run.events_executed};
 }
 
 class ObserverInvariance : public ::testing::TestWithParam<Case> {};

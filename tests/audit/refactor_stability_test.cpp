@@ -15,6 +15,7 @@
 
 #include "exp/emulab.h"
 #include "exp/homenet.h"
+#include "exp/parking_lot.h"
 #include "exp/planetlab.h"
 #include "exp/trace.h"
 #include "exp/web.h"
@@ -158,52 +159,15 @@ TEST(RefactorStability, CoDelDumbbellTraceHashMatchesGolden) {
 }
 
 TEST(RefactorStability, ParkingLotTraceHashMatchesGolden) {
-  // A 3-hop chain built on exp::Rig as ext_parking_lot builds it: TCP cross
-  // traffic at 50% of every hop, and a Halfback flow across the whole chain
-  // every 2 s.
-  constexpr int kHops = 3;
-  constexpr std::uint64_t kSeed = 1;
-  Rig rig{kSeed};
-  const net::ParkingLot lot = net::build_parking_lot(rig.network(), kHops);
-  transport::TransportAgent& main_sender = rig.add_agent(lot.main_sender);
-  rig.add_agent(lot.main_receiver);
-  std::vector<transport::TransportAgent*> cross_agents;
-  for (std::size_t h = 0; h < kHops; ++h) {
-    cross_agents.push_back(&rig.add_agent(lot.cross_senders[h]));
-    rig.add_agent(lot.cross_receivers[h]);
-  }
-
-  schemes::SchemeContext context;
-  net::FlowId next_flow = 1;
-  sim::Random rng{kSeed * 31};
-  workload::ScheduleConfig sc;
-  sc.target_utilization = 0.5;
-  sc.bottleneck = net::ParkingLot::kHopRate;
-  sc.duration = sim::Time::seconds(6);
-  for (std::size_t h = 0; h < kHops; ++h) {
-    for (const workload::FlowArrival& arrival : workload::make_schedule(
-             workload::FlowSizeDist::fixed(100'000), sc, rng)) {
-      rig.start_at(arrival.at, *cross_agents[h], context,
-                   FlowSpec{schemes::Scheme::tcp, lot.cross_receivers[h],
-                            next_flow++, arrival.bytes});
-    }
-  }
-  std::vector<std::size_t> main_flows;
-  for (double t = 1.0; t < 6.0; t += 2.0) {
-    main_flows.push_back(rig.start_at(
-        sim::Time::seconds(t), main_sender, context,
-        FlowSpec{schemes::Scheme::halfback, lot.main_receiver, next_flow++, 100'000}));
-  }
-  rig.simulator().run_until(sim::Time::seconds(36));
-
-  RunRecord record;
-  rig.finish(record);
-  EXPECT_EQ(record.audit_violations, 0u);
-  for (std::size_t start : main_flows) {
-    ASSERT_NE(rig.started(start), nullptr);
-    EXPECT_TRUE(rig.started(start)->complete());
-  }
-  EXPECT_EQ(record.trace_hash, kGoldenParkingLot);
+  // ext_parking_lot's own run: a 3-hop chain with TCP cross traffic at 50%
+  // of every hop, and a Halfback flow across the whole chain every 2 s.
+  const ParkingLotResult run = run_parking_lot(
+      schemes::Scheme::halfback, /*hops=*/3, /*cross_utilization=*/0.5,
+      /*seed=*/1, sim::Time::seconds(6));
+  EXPECT_EQ(run.audit_violations, 0u);
+  EXPECT_EQ(run.flows, 3u);  // every main-path start fired
+  EXPECT_EQ(run.unfinished, 0u);
+  EXPECT_EQ(run.trace_hash, kGoldenParkingLot);
 }
 
 TEST(RefactorStability, HomeNetWifiTraceHashesMatchGolden) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "schemes/factory.h"
 #include "support/drop_hook.h"
@@ -28,11 +29,9 @@ TEST(CoDelIntegrationTest, BulkFlowKeepsStandingQueueSmall) {
   // 5 ms target (~9.4 KB at 15 Mbps).
   auto standing_queue = [](net::QueueKind kind) {
     net::DumbbellConfig config;
-    config.sender_count = 1;
-    config.receiver_count = 1;
     config.bottleneck_buffer_bytes = 600'000;
     config.bottleneck_queue = kind;
-    DumbbellFixture f{config};
+    DumbbellFixture f{testing::one_pair(config)};
     f.context.sender_config.receive_window_segments = 1000;
     f.start(Scheme::tcp, 20'000'000);
     // Steady state, mid-transfer: the *standing* queue, not the slow-start
@@ -61,45 +60,35 @@ TEST(CoDelIntegrationTest, HalfbackShortFlowsSurviveCoDel) {
 TEST(Rc3LossTest, PrimaryLoopCoversRlpLosses) {
   // Random loss kills some low-priority copies AND some primary packets;
   // the primary loop must still deliver everything exactly once.
-  sim::Simulator simulator{5};
-  net::Network network{simulator};
   net::DumbbellConfig config;
-  config.sender_count = 1;
-  config.receiver_count = 1;
   config.bottleneck_queue = net::QueueKind::priority;
-  net::Dumbbell d = net::build_dumbbell(network, config);
+  DumbbellFixture f{testing::one_pair(config), /*seed=*/5};
   // 5% random loss on the bottleneck.
   sim::Random rng{11};
   DropHook random_loss{[&rng](const net::Packet&) { return rng.bernoulli(0.05); }};
-  d.bottleneck_forward->set_fault_hook(&random_loss);
+  f.dumbbell.bottleneck_forward->set_fault_hook(&random_loss);
 
-  transport::TransportAgent sender{simulator, network, d.senders[0]};
-  transport::TransportAgent receiver{simulator, network, d.receivers[0]};
-  schemes::SchemeContext context;
-  auto rc3 = schemes::make_sender(Scheme::rc3, context, simulator,
-                                  network.node(d.senders[0]), d.receivers[0], 1,
-                                  100'000);
-  transport::SenderBase& flow = sender.start_flow(std::move(rc3));
-  simulator.run_until(60_s);
+  transport::SenderBase& flow = f.start(Scheme::rc3, 100'000);
+  f.sim.run_until(60_s);
   ASSERT_TRUE(flow.complete());
-  transport::Receiver* r = receiver.receiver(1);
+  transport::Receiver* r = f.receiver_for(1);
   EXPECT_EQ(r->stats().unique_segments, flow.record().total_segments);
 }
 
 // --------------------------------------------------- parking lot x schemes
 
 TEST(ParkingLotIntegrationTest, HalfbackPacesOverSummedRtt) {
-  sim::Simulator simulator{9};
-  net::Network network{simulator};
-  net::ParkingLot lot = net::build_parking_lot(network, 3);  // 60 ms end to end
-  transport::TransportAgent sender{simulator, network, lot.main_sender};
-  transport::TransportAgent receiver{simulator, network, lot.main_receiver};
+  exp::Rig rig{9};
+  net::ParkingLot lot = net::build_parking_lot(rig.network(), 3);  // 60 ms end to end
+  transport::TransportAgent& sender = rig.add_agent(lot.main_sender);
+  rig.add_agent(lot.main_receiver);
   schemes::SchemeContext context;
-  auto halfback = schemes::make_sender(Scheme::halfback, context, simulator,
-                                       network.node(lot.main_sender),
-                                       lot.main_receiver, 1, 100'000);
-  transport::SenderBase& flow = sender.start_flow(std::move(halfback));
-  simulator.run();
+  transport::SenderBase& flow = rig.start(
+      sender, context, exp::FlowSpec{Scheme::halfback, lot.main_receiver, 1, 100'000});
+  rig.simulator().run();
+  exp::RunRecord run;
+  rig.finish(run);
+  EXPECT_EQ(run.audit_violations, 0u) << rig.auditor().report();
   ASSERT_TRUE(flow.complete());
   // Handshake measured the summed RTT; pacing + ROPR behave as on a single
   // 60 ms path: ~3 RTTs, ~50% copies.
@@ -137,10 +126,7 @@ TEST(PacingQuantizationTest, SegmentsLeaveInTimerClumps) {
   // the pacing interval).
   sim::Simulator simulator{2};
   net::Network network{simulator};
-  net::DumbbellConfig config;
-  config.sender_count = 1;
-  config.receiver_count = 1;
-  net::Dumbbell d = net::build_dumbbell(network, config);
+  net::Dumbbell d = net::build_dumbbell(network, testing::one_pair());
   // Observe *arrival* instants at the bottleneck.
   IngressTap tap{simulator, *d.bottleneck_forward};
   simulator.set_auditor(&tap);

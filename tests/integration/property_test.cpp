@@ -14,11 +14,10 @@
 #include <cstdint>
 #include <tuple>
 
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "schemes/factory.h"
-#include "sim/simulator.h"
 #include "support/dumbbell_fixture.h"
-#include "transport/agent.h"
 
 namespace halfback {
 namespace {
@@ -60,23 +59,23 @@ class LossyPathTest : public ::testing::TestWithParam<LossyTrial> {};
 
 TEST_P(LossyPathTest, CompletesWithExactDelivery) {
   const LossyTrial& trial = GetParam();
-  sim::Simulator simulator{99};
-  net::Network network{simulator};
+  exp::Rig rig{99};
   net::AccessPathConfig apc;
   apc.downlink_rate = sim::DataRate::megabits_per_second(20);
   apc.rtt = 40_ms;
   apc.downlink_loss_rate = trial.loss_rate;
-  net::AccessPath path = net::build_access_path(network, apc);
+  net::AccessPath path = net::build_access_path(rig.network(), apc);
 
-  transport::TransportAgent server{simulator, network, path.server};
-  transport::TransportAgent client{simulator, network, path.client};
+  transport::TransportAgent& server = rig.add_agent(path.server);
+  transport::TransportAgent& client = rig.add_agent(path.client);
 
   schemes::SchemeContext context;
-  auto sender = schemes::make_sender(trial.scheme, context, simulator,
-                                     network.node(path.server), path.client,
-                                     /*flow=*/1, 100'000);
-  transport::SenderBase& flow = server.start_flow(std::move(sender));
-  simulator.run_until(5_s + sim::Time::seconds(600.0 * trial.loss_rate));
+  transport::SenderBase& flow = rig.start(
+      server, context, exp::FlowSpec{trial.scheme, path.client, /*flow=*/1, 100'000});
+  rig.simulator().run_until(5_s + sim::Time::seconds(600.0 * trial.loss_rate));
+  exp::RunRecord run;
+  rig.finish(run);
+  EXPECT_EQ(run.audit_violations, 0u) << rig.auditor().report();
 
   ASSERT_TRUE(flow.complete())
       << schemes::name(trial.scheme) << " at loss " << trial.loss_rate;

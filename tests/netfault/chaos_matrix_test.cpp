@@ -52,7 +52,7 @@ TEST(ChaosMatrixTest, EverySchemeSurvivesEveryScenario) {
   for (const ChaosCell& cell : cells) {
     SCOPED_TRACE(cell.scenario + " / " + schemes::name(cell.scheme));
     EXPECT_EQ(cell.unfinished, 0u) << "flows failed to complete under faults";
-    EXPECT_EQ(cell.flows, test_config().flows_per_cell);
+    EXPECT_EQ(cell.flows, chaos_cell_schedule().size());
     EXPECT_TRUE(cell.deterministic)
         << "same seed + same fault config produced a different trace hash";
     EXPECT_EQ(cell.audit_violations, 0u) << "invariants broke under chaos";
@@ -124,10 +124,7 @@ TEST(ChaosMatrixTest, CleanCellMatchesARunWithoutTheChaosLayer) {
   WorkloadPart part;
   part.scheme = schemes::Scheme::halfback;
   part.role = FlowRole::primary;
-  for (std::size_t i = 0; i < config.flows_per_cell; ++i) {
-    part.schedule.push_back(
-        {config.arrival_spacing * static_cast<double>(i), config.flow_bytes});
-  }
+  part.schedule = chaos_cell_schedule();
   const RunResult plain = runner.run({part});
 
   const std::vector<schemes::Scheme> one{schemes::Scheme::halfback};
@@ -163,10 +160,7 @@ TEST(ChaosMatrixTest, Rc3AdversarialCellDoesNotStormTheEventQueue) {
   runner_config.budget.max_events = 100'000;
   WorkloadPart part;
   part.scheme = schemes::Scheme::rc3;
-  for (std::size_t i = 0; i < config.flows_per_cell; ++i) {
-    part.schedule.push_back(
-        {config.arrival_spacing * static_cast<double>(i), config.flow_bytes});
-  }
+  part.schedule = chaos_cell_schedule();
   const RunResult result = EmulabRunner{runner_config}.run({part});
   EXPECT_EQ(result.budget_report.tripped, sim::BudgetTrip::none)
       << "event-count explosion: the rc3 retransmission storm is back\n"

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "audit/invariant_auditor.h"
 #include "support/drop_hook.h"
 #include "support/dumbbell_fixture.h"
 
@@ -64,8 +63,6 @@ TEST(HalfbackTest, Fig3TailLossRecoveredByRoprWithoutTimeout) {
   // on its first transmission; the ROPR copy delivers it before any
   // timeout and without waiting for normal loss detection.
   DumbbellFixture f;
-  audit::InvariantAuditor auditor;
-  f.net.install_auditor(auditor);
   bool dropped = false;
   DropHook lose_first_copy{[&](const net::Packet& p) {
     if (!dropped && p.type == net::PacketType::data && p.seq == 8 && !p.is_retx) {
@@ -85,8 +82,7 @@ TEST(HalfbackTest, Fig3TailLossRecoveredByRoprWithoutTimeout) {
   // The injected drop is booked like any fault-hook drop: link
   // conservation and exactly-once delivery still hold.
   EXPECT_EQ(f.dumbbell.bottleneck_forward->stats().fault_dropped_packets, 1u);
-  auditor.finalize(/*drained=*/f.sim.queue().empty());
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_EQ(f.finish().audit_violations, 0u);
 }
 
 TEST(HalfbackTest, TailLossFasterThanVanillaTcp) {

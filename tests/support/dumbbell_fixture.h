@@ -1,57 +1,90 @@
-// Shared test harness: a one-sender dumbbell with transport agents and a
-// scheme factory, used across scheme, integration and property tests.
+// Shared test harness: a dumbbell on an exp::Rig, used across the scheme,
+// transport, integration and audit tests, so every run they make is audited.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
+#include "exp/rig.h"
 #include "net/topology.h"
 #include "schemes/factory.h"
-#include "sim/simulator.h"
-#include "transport/agent.h"
 
 namespace halfback::testing {
 
-/// A dumbbell network with one agent per host and convenience helpers to
-/// launch flows of any scheme between host i pairs.
+/// A dumbbell with one sender host and one receiver host.
+inline net::DumbbellConfig one_pair(net::DumbbellConfig config = {}) {
+  config.sender_count = 1;
+  config.receiver_count = 1;
+  return config;
+}
+
+/// A dumbbell with one agent per host and helpers to launch flows of any
+/// scheme between host pairs. finish(), or failing that the destructor,
+/// ends the run; an invariant violation fails the test with the report.
+/// A test that installs a hub or profiler calls finish() while it lives.
 struct DumbbellFixture {
-  sim::Simulator sim;
-  net::Network net;
+  exp::Rig rig;
+  sim::Simulator& sim;
+  net::Network& net;
   net::Dumbbell dumbbell;
   schemes::SchemeContext context;
-  std::vector<std::unique_ptr<transport::TransportAgent>> sender_agents;
-  std::vector<std::unique_ptr<transport::TransportAgent>> receiver_agents;
   net::FlowId next_flow = 1;
 
   explicit DumbbellFixture(net::DumbbellConfig config = {}, std::uint64_t seed = 1)
-      : sim{seed}, net{sim}, dumbbell{net::build_dumbbell(net, config)} {
-    for (net::NodeId id : dumbbell.senders) {
-      sender_agents.push_back(std::make_unique<transport::TransportAgent>(sim, net, id));
-    }
-    for (net::NodeId id : dumbbell.receivers) {
-      receiver_agents.push_back(
-          std::make_unique<transport::TransportAgent>(sim, net, id));
-    }
+      : rig{seed},
+        sim{rig.simulator()},
+        net{rig.network()},
+        dumbbell{net::build_dumbbell(net, config)} {
+    for (net::NodeId id : dumbbell.senders) rig.add_agent(id);
+    for (net::NodeId id : dumbbell.receivers) rig.add_agent(id);
+  }
+
+  DumbbellFixture(const DumbbellFixture&) = delete;
+  DumbbellFixture& operator=(const DumbbellFixture&) = delete;
+
+  ~DumbbellFixture() { finish(); }
+
+  /// The agent on sender host `pair` (mod the sender count).
+  transport::TransportAgent& sender_agent(std::size_t pair = 0) {
+    return rig.agent(pair % dumbbell.senders.size());
+  }
+  /// The agent on receiver host `pair` (mod the receiver count).
+  transport::TransportAgent& receiver_agent(std::size_t pair = 0) {
+    return rig.agent(dumbbell.senders.size() + pair % dumbbell.receivers.size());
   }
 
   /// Start a flow of `scheme` from sender host `pair` to receiver host
   /// `pair` (mod the host counts). Returns the live sender.
   transport::SenderBase& start(schemes::Scheme scheme, std::uint64_t bytes,
                                std::size_t pair = 0) {
-    const std::size_t s = pair % sender_agents.size();
-    const std::size_t r = pair % receiver_agents.size();
-    auto sender = schemes::make_sender(
-        scheme, context, sim, net.node(dumbbell.senders[s]), dumbbell.receivers[r],
-        next_flow++, bytes);
-    return sender_agents[s]->start_flow(std::move(sender));
+    return rig.start(sender_agent(pair), context,
+                     exp::FlowSpec{scheme,
+                                   dumbbell.receivers[pair % dumbbell.receivers.size()],
+                                   next_flow++, bytes});
   }
 
   transport::Receiver* receiver_for(net::FlowId flow) {
-    for (auto& agent : receiver_agents) {
-      if (transport::Receiver* r = agent->receiver(flow)) return r;
+    for (std::size_t r = 0; r < dumbbell.receivers.size(); ++r) {
+      if (transport::Receiver* found = receiver_agent(r).receiver(flow)) return found;
     }
     return nullptr;
   }
+
+  /// Rig::finish on the first call; returns the run's record.
+  const exp::RunRecord& finish() {
+    if (!finished_) {
+      finished_ = true;
+      rig.finish(record_);
+      EXPECT_EQ(record_.audit_violations, 0u) << rig.auditor().report();
+    }
+    return record_;
+  }
+
+ private:
+  exp::RunRecord record_;
+  bool finished_ = false;
 };
 
 }  // namespace halfback::testing

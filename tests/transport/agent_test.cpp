@@ -2,72 +2,56 @@
 
 #include <gtest/gtest.h>
 
-#include "net/topology.h"
-#include "sim/simulator.h"
-#include "transport/tcp_sender.h"
+#include "support/dumbbell_fixture.h"
 
 namespace halfback::transport {
 namespace {
 
+using halfback::testing::DumbbellFixture;
+using halfback::testing::one_pair;
 using namespace halfback::sim::literals;
 
-struct AgentFixture {
-  sim::Simulator sim{1};
-  net::Network net{sim};
-  net::Dumbbell dumbbell;
-  std::unique_ptr<TransportAgent> sender_agent;
-  std::unique_ptr<TransportAgent> receiver_agent;
-
-  AgentFixture() {
-    net::DumbbellConfig config;
-    config.sender_count = 1;
-    config.receiver_count = 1;
-    dumbbell = net::build_dumbbell(net, config);
-    sender_agent = std::make_unique<TransportAgent>(sim, net, dumbbell.senders[0]);
-    receiver_agent = std::make_unique<TransportAgent>(sim, net, dumbbell.receivers[0]);
-  }
-
-  SenderBase& start(net::FlowId flow, std::uint64_t bytes,
-                    SenderBase::CompletionRef cb = {}) {
-    auto sender = std::make_unique<TcpSender>(sim, net.node(dumbbell.senders[0]),
-                                              dumbbell.receivers[0], flow, bytes,
-                                              SenderConfig{}, "tcp");
-    return sender_agent->start_flow(std::move(sender), cb);
-  }
-};
+/// Start a TCP flow with an explicit id from the one sender host.
+SenderBase& start(DumbbellFixture& f, net::FlowId flow, std::uint64_t bytes,
+                  SenderBase::CompletionRef cb = {}) {
+  return f.rig.start(f.sender_agent(), f.context,
+                     exp::FlowSpec{schemes::Scheme::tcp, f.dumbbell.receivers[0],
+                                   flow, bytes},
+                     cb);
+}
 
 TEST(TransportAgentTest, DemultiplexesConcurrentFlows) {
-  AgentFixture f;
-  SenderBase& flow1 = f.start(1, 30'000);
-  SenderBase& flow2 = f.start(2, 60'000);
+  DumbbellFixture f{one_pair()};
+  SenderBase& flow1 = start(f, 1, 30'000);
+  SenderBase& flow2 = start(f, 2, 60'000);
   f.sim.run();
   EXPECT_TRUE(flow1.complete());
   EXPECT_TRUE(flow2.complete());
-  ASSERT_NE(f.receiver_agent->receiver(1), nullptr);
-  ASSERT_NE(f.receiver_agent->receiver(2), nullptr);
-  EXPECT_EQ(f.receiver_agent->receiver(1)->stats().unique_segments,
+  ASSERT_NE(f.receiver_agent().receiver(1), nullptr);
+  ASSERT_NE(f.receiver_agent().receiver(2), nullptr);
+  EXPECT_EQ(f.receiver_agent().receiver(1)->stats().unique_segments,
             flow1.record().total_segments);
-  EXPECT_EQ(f.receiver_agent->receiver(2)->stats().unique_segments,
+  EXPECT_EQ(f.receiver_agent().receiver(2)->stats().unique_segments,
             flow2.record().total_segments);
 }
 
 TEST(TransportAgentTest, SenderLookup) {
-  AgentFixture f;
-  SenderBase& flow = f.start(7, 10'000);
-  EXPECT_EQ(f.sender_agent->sender(7), &flow);
-  EXPECT_EQ(f.sender_agent->sender(8), nullptr);
+  DumbbellFixture f{one_pair()};
+  SenderBase& flow = start(f, 7, 10'000);
+  EXPECT_EQ(f.sender_agent().sender(7), &flow);
+  EXPECT_EQ(f.sender_agent().sender(8), nullptr);
 }
 
 TEST(TransportAgentTest, ReceiverCreatedOnSyn) {
-  AgentFixture f;
-  EXPECT_EQ(f.receiver_agent->receiver(1), nullptr);
-  f.start(1, 10'000);
+  DumbbellFixture f{one_pair()};
+  EXPECT_EQ(f.receiver_agent().receiver(1), nullptr);
+  start(f, 1, 10'000);
   f.sim.run_until(100_ms);  // SYN has crossed
-  EXPECT_NE(f.receiver_agent->receiver(1), nullptr);
+  EXPECT_NE(f.receiver_agent().receiver(1), nullptr);
 }
 
 TEST(TransportAgentTest, CompletionCallbackAndRecordKeeping) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   int callbacks = 0;
   // CompletionRef is non-owning: the callable must outlive the flow.
   auto on_done = [&](const FlowRecord& r) {
@@ -75,34 +59,34 @@ TEST(TransportAgentTest, CompletionCallbackAndRecordKeeping) {
     EXPECT_EQ(r.flow, 1u);
     EXPECT_TRUE(r.completed);
   };
-  f.start(1, 10'000, SenderBase::CompletionRef{on_done});
+  start(f, 1, 10'000, SenderBase::CompletionRef{on_done});
   f.sim.run();
   EXPECT_EQ(callbacks, 1);
-  ASSERT_EQ(f.sender_agent->completed().size(), 1u);
-  EXPECT_EQ(f.sender_agent->completed()[0].flow, 1u);
+  ASSERT_EQ(f.sender_agent().completed().size(), 1u);
+  EXPECT_EQ(f.sender_agent().completed()[0].flow, 1u);
 }
 
 TEST(TransportAgentTest, ActiveSenderCountTracksLifecycle) {
-  AgentFixture f;
-  EXPECT_EQ(f.sender_agent->active_sender_count(), 0u);
-  f.start(1, 10'000);
-  f.start(2, 10'000);
-  EXPECT_EQ(f.sender_agent->active_sender_count(), 2u);
+  DumbbellFixture f{one_pair()};
+  EXPECT_EQ(f.sender_agent().active_sender_count(), 0u);
+  start(f, 1, 10'000);
+  start(f, 2, 10'000);
+  EXPECT_EQ(f.sender_agent().active_sender_count(), 2u);
   f.sim.run();
-  EXPECT_EQ(f.sender_agent->active_sender_count(), 0u);
+  EXPECT_EQ(f.sender_agent().active_sender_count(), 0u);
 }
 
 TEST(TransportAgentTest, ReceiverCompletionCallbackFires) {
-  AgentFixture f;
-  f.start(1, 10'000);
+  DumbbellFixture f{one_pair()};
+  start(f, 1, 10'000);
   f.sim.run();
-  ASSERT_NE(f.receiver_agent->receiver(1), nullptr);
-  EXPECT_TRUE(f.receiver_agent->receiver(1)->stats().complete);
+  ASSERT_NE(f.receiver_agent().receiver(1), nullptr);
+  EXPECT_TRUE(f.receiver_agent().receiver(1)->stats().complete);
 }
 
 TEST(TransportAgentTest, StrayPacketsIgnored) {
   // ACKs / data for unknown flows must not crash the agent.
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   net::Packet stray;
   stray.flow = 99;
   stray.type = net::PacketType::ack;
@@ -115,7 +99,7 @@ TEST(TransportAgentTest, StrayPacketsIgnored) {
   stray.dst = f.dumbbell.receivers[0];
   f.net.node(f.dumbbell.senders[0]).send(stray);
   f.sim.run();  // no crash, nothing recorded
-  EXPECT_EQ(f.sender_agent->completed().size(), 0u);
+  EXPECT_EQ(f.sender_agent().completed().size(), 0u);
 }
 
 // --- delivery hardening (checksum + dedup) ----------------------------------
@@ -144,7 +128,7 @@ class EveryPacketHook final : public net::FaultHook {
 
 /// A packet stamped with `uid`, handed straight to the receiving host's
 /// transport as its last link would.
-void deliver(AgentFixture& f, net::PacketType type, std::uint64_t uid,
+void deliver(DumbbellFixture& f, net::PacketType type, std::uint64_t uid,
              net::FlowId flow) {
   net::Packet p;
   p.flow = flow;
@@ -157,91 +141,91 @@ void deliver(AgentFixture& f, net::PacketType type, std::uint64_t uid,
 }
 
 TEST(TransportAgentTest, DataAndAckSharingAUidAreBothAccepted) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   const std::uint64_t uid = (5ULL << 24) + 3;
   deliver(f, net::PacketType::data, uid, 5);
   deliver(f, net::PacketType::ack, uid, 5);
-  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  const DeliveryStats& r = f.receiver_agent().delivery_stats();
   EXPECT_EQ(r.accepted, 2u);
   EXPECT_EQ(r.duplicate_rejected, 0u);
 }
 
 TEST(TransportAgentTest, RepeatOfAUidPastTheDenseRangeIsRejected) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   const std::uint64_t uid = (1ULL << 24) + (1ULL << 23);
   deliver(f, net::PacketType::data, uid, 1);
   deliver(f, net::PacketType::data, uid, 1);
-  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  const DeliveryStats& r = f.receiver_agent().delivery_stats();
   EXPECT_EQ(r.accepted, 1u);
   EXPECT_EQ(r.duplicate_rejected, 1u);
 }
 
 TEST(TransportAgentTest, DedupKeysOnTypeAndUidNotTheFlowField) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   const std::uint64_t uid = (5ULL << 24) + 9;
   deliver(f, net::PacketType::data, uid, 5);
   deliver(f, net::PacketType::data, uid, 6);
-  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  const DeliveryStats& r = f.receiver_agent().delivery_stats();
   EXPECT_EQ(r.accepted, 1u);
   EXPECT_EQ(r.duplicate_rejected, 1u);
 }
 
 TEST(TransportAgentTest, CleanRunRejectsNothing) {
-  AgentFixture f;
-  f.start(1, 30'000);
+  DumbbellFixture f{one_pair()};
+  start(f, 1, 30'000);
   f.sim.run();
-  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  const DeliveryStats& r = f.receiver_agent().delivery_stats();
   EXPECT_GT(r.accepted, 0u);
   EXPECT_EQ(r.corrupted_rejected, 0u);
   EXPECT_EQ(r.duplicate_rejected, 0u);
-  EXPECT_EQ(f.sender_agent->delivery_stats().duplicate_rejected, 0u);
+  EXPECT_EQ(f.sender_agent().delivery_stats().duplicate_rejected, 0u);
 }
 
 TEST(TransportAgentTest, DuplicatedDataIsDeliveredExactlyOnce) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   net::FaultDecision dup;
   dup.duplicates = 1;
   EveryPacketHook hook{dup};
   f.dumbbell.bottleneck_forward->set_fault_hook(&hook);
-  SenderBase& flow = f.start(1, 30'000);
+  SenderBase& flow = start(f, 1, 30'000);
   f.sim.run();
   ASSERT_TRUE(flow.complete());
-  const DeliveryStats& r = f.receiver_agent->delivery_stats();
+  const DeliveryStats& r = f.receiver_agent().delivery_stats();
   // Every data packet arrived twice; the duplicate filter ate one of each,
   // so the receiver saw each segment exactly once.
   EXPECT_GT(r.duplicate_rejected, 0u);
-  ASSERT_NE(f.receiver_agent->receiver(1), nullptr);
-  EXPECT_EQ(f.receiver_agent->receiver(1)->stats().duplicate_segments, 0u);
+  ASSERT_NE(f.receiver_agent().receiver(1), nullptr);
+  EXPECT_EQ(f.receiver_agent().receiver(1)->stats().duplicate_segments, 0u);
   // The reverse path was untouched: the sender rejected nothing.
-  EXPECT_EQ(f.sender_agent->delivery_stats().duplicate_rejected, 0u);
+  EXPECT_EQ(f.sender_agent().delivery_stats().duplicate_rejected, 0u);
 }
 
 TEST(TransportAgentTest, DuplicatedAcksAreFilteredAtTheSender) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   net::FaultDecision dup;
   dup.duplicates = 2;
   EveryPacketHook hook{dup, net::PacketType::ack};
   f.dumbbell.bottleneck_reverse->set_fault_hook(&hook);
-  SenderBase& flow = f.start(1, 30'000);
+  SenderBase& flow = start(f, 1, 30'000);
   f.sim.run();
   ASSERT_TRUE(flow.complete());
-  EXPECT_GT(f.sender_agent->delivery_stats().duplicate_rejected, 0u);
+  EXPECT_GT(f.sender_agent().delivery_stats().duplicate_rejected, 0u);
   // Dedup means the copies never reached the sender's ACK processing: no
   // spurious loss detection from repeated acknowledgements.
   EXPECT_EQ(flow.record().normal_retx, 0u);
 }
 
 TEST(TransportAgentTest, CorruptedDataIsRejectedAndRecovered) {
-  AgentFixture f;
+  DumbbellFixture f{one_pair()};
   net::FaultDecision corrupt;
   corrupt.corrupt = true;
   EveryPacketHook hook{corrupt, net::PacketType::data, /*limit=*/3};
   f.dumbbell.bottleneck_forward->set_fault_hook(&hook);
-  SenderBase& flow = f.start(1, 30'000);
+  SenderBase& flow = start(f, 1, 30'000);
   f.sim.run();
   // The checksum dropped the mangled payloads; retransmission recovered.
   ASSERT_TRUE(flow.complete());
-  EXPECT_EQ(f.receiver_agent->delivery_stats().corrupted_rejected, 3u);
+  EXPECT_EQ(f.receiver_agent().delivery_stats().corrupted_rejected, 3u);
   EXPECT_GT(flow.record().normal_retx + flow.record().timeouts, 0u);
 }
 

@@ -83,6 +83,7 @@ class ReferenceScoreboard {
 
   bool complete() const { return cum_ >= total_; }
   std::uint32_t cum() const { return cum_; }
+  bool lost(std::uint32_t seq) const { return lost_.contains(seq); }
 
  private:
   std::uint32_t total_;
@@ -141,13 +142,19 @@ TEST(ScoreboardFuzzTest, MatchesReferenceModelOnRandomTraces) {
         std::uint32_t ref_newly = ref.apply_ack(receiver_cum, sacks);
         ASSERT_EQ(update.newly_acked_total(), ref_newly) << "trial " << trial;
       } else {
-        auto real_losses = real.detect_losses();
-        auto ref_losses = ref.detect_losses(3);  // the duplicate-ACK threshold
-        ASSERT_EQ(real_losses, ref_losses) << "trial " << trial;
+        const std::size_t real_losses = real.detect_losses();
+        const auto ref_losses = ref.detect_losses(3);  // the duplicate-ACK threshold
+        ASSERT_EQ(real_losses, ref_losses.size()) << "trial " << trial;
       }
       ASSERT_EQ(real.pipe(), ref.pipe()) << "trial " << trial << " step " << step;
       ASSERT_EQ(real.cum_ack(), ref.cum()) << "trial " << trial;
       ASSERT_EQ(real.complete(), ref.complete()) << "trial " << trial;
+      // The scoreboard forgets segments below the cumulative ACK.
+      for (std::uint32_t seq = real.cum_ack(); seq < total; ++seq) {
+        const SegmentState* s = real.state(seq);
+        ASSERT_EQ(s != nullptr && s->lost, ref.lost(seq))
+            << "trial " << trial << " step " << step << " seq " << seq;
+      }
     }
   }
 }

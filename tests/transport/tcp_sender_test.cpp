@@ -2,45 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 
-#include "net/topology.h"
-#include "sim/simulator.h"
-#include "transport/agent.h"
+#include "support/dumbbell_fixture.h"
 
 namespace halfback::transport {
 namespace {
 
+using schemes::Scheme;
+using halfback::testing::DumbbellFixture;
+using halfback::testing::one_pair;
 using namespace halfback::sim::literals;
-
-struct DumbbellFixture {
-  sim::Simulator sim{1};
-  net::Network net{sim};
-  net::Dumbbell dumbbell;
-  std::unique_ptr<TransportAgent> sender_agent;
-  std::unique_ptr<TransportAgent> receiver_agent;
-
-  explicit DumbbellFixture(net::DumbbellConfig config = {}) {
-    config.sender_count = 1;
-    config.receiver_count = 1;
-    dumbbell = net::build_dumbbell(net, config);
-    sender_agent = std::make_unique<TransportAgent>(sim, net, dumbbell.senders[0]);
-    receiver_agent = std::make_unique<TransportAgent>(sim, net, dumbbell.receivers[0]);
-  }
-
-  SenderBase& start_tcp(std::uint64_t bytes, SenderConfig config = {},
-                        std::string name = "tcp") {
-    auto sender = std::make_unique<TcpSender>(
-        sim, net.node(dumbbell.senders[0]), dumbbell.receivers[0],
-        /*flow=*/1, bytes, config, std::move(name));
-    return sender_agent->start_flow(std::move(sender));
-  }
-};
 
 TEST(TcpSenderTest, SmallFlowCompletesInTwoRtts) {
   // 2 segments fit in the initial window: 1 RTT handshake + 1 RTT data.
-  DumbbellFixture f;
-  SenderBase& s = f.start_tcp(2 * net::kSegmentPayloadBytes);
+  DumbbellFixture f{one_pair()};
+  SenderBase& s = f.start(Scheme::tcp, 2 * net::kSegmentPayloadBytes);
   f.sim.run();
   ASSERT_TRUE(s.complete());
   EXPECT_GT(s.record().fct(), 120_ms);
@@ -51,8 +28,8 @@ TEST(TcpSenderTest, SmallFlowCompletesInTwoRtts) {
 TEST(TcpSenderTest, HundredKbFlowUsesSlowStart) {
   // 100 KB = 70 segments; slow start 2,4,8,16,32 covers 62 after 5 data
   // RTTs, 6th round finishes. FCT ~ 7 RTTs = 420 ms.
-  DumbbellFixture f;
-  SenderBase& s = f.start_tcp(100'000);
+  DumbbellFixture f{one_pair()};
+  SenderBase& s = f.start(Scheme::tcp, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
   EXPECT_EQ(s.record().total_segments, 70u);
@@ -64,14 +41,12 @@ TEST(TcpSenderTest, HundredKbFlowUsesSlowStart) {
 }
 
 TEST(TcpSenderTest, Icw10FinishesFaster) {
-  DumbbellFixture slow;
-  SenderBase& s2 = slow.start_tcp(100'000);
+  DumbbellFixture slow{one_pair()};
+  SenderBase& s2 = slow.start(Scheme::tcp, 100'000);
   slow.sim.run();
 
-  DumbbellFixture fast;
-  SenderConfig config;
-  config.initial_window = 10;
-  SenderBase& s10 = fast.start_tcp(100'000, config, "tcp10");
+  DumbbellFixture fast{one_pair()};
+  SenderBase& s10 = fast.start(Scheme::tcp10, 100'000);
   fast.sim.run();
 
   ASSERT_TRUE(s2.complete());
@@ -82,10 +57,10 @@ TEST(TcpSenderTest, Icw10FinishesFaster) {
 }
 
 TEST(TcpSenderTest, AllDataDeliveredExactlyOnceWithoutLoss) {
-  DumbbellFixture f;
-  f.start_tcp(100'000);
+  DumbbellFixture f{one_pair()};
+  f.start(Scheme::tcp, 100'000);
   f.sim.run();
-  Receiver* r = f.receiver_agent->receiver(1);
+  Receiver* r = f.receiver_for(1);
   ASSERT_NE(r, nullptr);
   EXPECT_TRUE(r->stats().complete);
   EXPECT_EQ(r->stats().unique_segments, 70u);
@@ -97,24 +72,20 @@ TEST(TcpSenderTest, RecoversFromLossViaFastRetransmit) {
   // recovery must still complete the flow without data corruption.
   net::DumbbellConfig config;
   config.bottleneck_buffer_bytes = 20'000;
-  DumbbellFixture f{config};
-  SenderBase& s = f.start_tcp(100'000);
+  DumbbellFixture f{one_pair(config)};
+  SenderBase& s = f.start(Scheme::tcp, 100'000);
   f.sim.run();
   ASSERT_TRUE(s.complete());
   EXPECT_GT(s.record().normal_retx, 0u);
-  Receiver* r = f.receiver_agent->receiver(1);
+  Receiver* r = f.receiver_for(1);
   EXPECT_EQ(r->stats().unique_segments, 70u);
 }
 
 TEST(TcpSenderTest, CongestionWindowHalvesOnLossEpisode) {
   net::DumbbellConfig config;
   config.bottleneck_buffer_bytes = 20'000;
-  DumbbellFixture f{config};
-  auto sender = std::make_unique<TcpSender>(
-      f.sim, f.net.node(f.dumbbell.senders[0]), f.dumbbell.receivers[0],
-      /*flow=*/1, 100'000, SenderConfig{}, "tcp");
-  TcpSender* tcp = sender.get();
-  f.sender_agent->start_flow(std::move(sender));
+  DumbbellFixture f{one_pair(config)};
+  auto* tcp = static_cast<TcpSender*>(&f.start(Scheme::tcp, 100'000));
   double max_cwnd_seen = 0;
   bool saw_recovery = false;
   // Poll cwnd as the sim runs.
@@ -135,12 +106,12 @@ TEST(TcpSenderTest, TailLossTriggersRtoAndStillCompletes) {
   // sender must resort to an RTO.
   net::DumbbellConfig config;
   config.bottleneck_buffer_bytes = 1'400;  // less than one segment
-  DumbbellFixture f{config};
-  SenderBase& s = f.start_tcp(3 * net::kSegmentPayloadBytes);
+  DumbbellFixture f{one_pair(config)};
+  SenderBase& s = f.start(Scheme::tcp, 3 * net::kSegmentPayloadBytes);
   f.sim.run();
   ASSERT_TRUE(s.complete());
   EXPECT_GE(s.record().timeouts, 1u);
-  Receiver* r = f.receiver_agent->receiver(1);
+  Receiver* r = f.receiver_for(1);
   EXPECT_EQ(r->stats().unique_segments, 3u);
 }
 
@@ -149,12 +120,8 @@ TEST(TcpSenderTest, RespectsFlowControlWindow) {
   // than the window outstanding.
   net::DumbbellConfig config;
   config.bottleneck_buffer_bytes = 400'000;  // avoid losses
-  DumbbellFixture f{config};
-  auto sender = std::make_unique<TcpSender>(
-      f.sim, f.net.node(f.dumbbell.senders[0]), f.dumbbell.receivers[0],
-      /*flow=*/1, 500'000, SenderConfig{}, "tcp");
-  TcpSender* tcp = sender.get();
-  f.sender_agent->start_flow(std::move(sender));
+  DumbbellFixture f{one_pair(config)};
+  auto* tcp = static_cast<TcpSender*>(&f.start(Scheme::tcp, 500'000));
   std::uint32_t max_pipe = 0;
   while (!tcp->complete() && f.sim.now() < 60_s) {
     f.sim.run_until(f.sim.now() + 1_ms);
@@ -165,15 +132,15 @@ TEST(TcpSenderTest, RespectsFlowControlWindow) {
 }
 
 TEST(TcpSenderTest, HandshakeRttMeasured) {
-  DumbbellFixture f;
-  SenderBase& s = f.start_tcp(10'000);
+  DumbbellFixture f{one_pair()};
+  SenderBase& s = f.start(Scheme::tcp, 10'000);
   f.sim.run();
   EXPECT_NEAR(s.record().handshake_rtt.to_ms(), 60.0, 1.0);
 }
 
 TEST(TcpSenderTest, FlowRecordAccountsPackets) {
-  DumbbellFixture f;
-  SenderBase& s = f.start_tcp(100'000);
+  DumbbellFixture f{one_pair()};
+  SenderBase& s = f.start(Scheme::tcp, 100'000);
   f.sim.run();
   const FlowRecord& r = s.record();
   EXPECT_EQ(r.data_packets_sent, 70u + r.normal_retx + r.proactive_retx);
@@ -186,28 +153,17 @@ TEST(TcpSenderTest, TwoCompetingFlowsShareAndComplete) {
   net::DumbbellConfig config;
   config.sender_count = 2;
   config.receiver_count = 2;
-  sim::Simulator sim{7};
-  net::Network net{sim};
-  net::Dumbbell d = net::build_dumbbell(net, config);
-  TransportAgent a0{sim, net, d.senders[0]};
-  TransportAgent a1{sim, net, d.senders[1]};
-  TransportAgent r0{sim, net, d.receivers[0]};
-  TransportAgent r1{sim, net, d.receivers[1]};
-
-  auto s0 = std::make_unique<TcpSender>(sim, net.node(d.senders[0]), d.receivers[0],
-                                        1, 200'000, SenderConfig{}, "tcp");
-  auto s1 = std::make_unique<TcpSender>(sim, net.node(d.senders[1]), d.receivers[1],
-                                        2, 200'000, SenderConfig{}, "tcp");
-  SenderBase& f0 = a0.start_flow(std::move(s0));
-  SenderBase& f1 = a1.start_flow(std::move(s1));
-  sim.run();
+  DumbbellFixture f{config, /*seed=*/7};
+  SenderBase& f0 = f.start(Scheme::tcp, 200'000, 0);
+  SenderBase& f1 = f.start(Scheme::tcp, 200'000, 1);
+  f.sim.run();
   EXPECT_TRUE(f0.complete());
   EXPECT_TRUE(f1.complete());
 }
 
 TEST(TcpSenderTest, ZeroByteFlowStillCompletes) {
-  DumbbellFixture f;
-  SenderBase& s = f.start_tcp(0);
+  DumbbellFixture f{one_pair()};
+  SenderBase& s = f.start(Scheme::tcp, 0);
   f.sim.run();
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.record().total_segments, 1u);
