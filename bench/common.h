@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,11 +58,20 @@ inline std::uint64_t parse_count(const char* flag, const char* v) {
   return parsed;
 }
 
-inline double parse_seconds(const char* flag, const char* v) {
+/// Read all of `v` as a finite, non-negative number into `out`. strtod also
+/// accepts "nan" and "inf", which no option means: a NaN slips past any
+/// `< 0` test and reaches sim::Time's integer conversion.
+inline bool read_non_negative(const char* v, double& out) {
   char* end = nullptr;
   errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (*v == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 0.0) {
+  out = std::strtod(v, &end);
+  return *v != '\0' && end != nullptr && *end == '\0' && errno == 0 &&
+         std::isfinite(out) && out >= 0.0;
+}
+
+inline double parse_seconds(const char* flag, const char* v) {
+  double parsed = 0.0;
+  if (!read_non_negative(v, parsed)) {
     std::fprintf(stderr, "%s expects a non-negative number of seconds, got \"%s\"\n",
                  flag, v);
     std::exit(2);
@@ -70,10 +80,8 @@ inline double parse_seconds(const char* flag, const char* v) {
 }
 
 inline double parse_number(const char* flag, const char* v) {
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (*v == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 0.0) {
+  double parsed = 0.0;
+  if (!read_non_negative(v, parsed)) {
     std::fprintf(stderr, "%s expects a non-negative number, got \"%s\"\n", flag,
                  v);
     std::exit(2);

@@ -10,11 +10,14 @@
 //
 //   $ ./examples/datacenter_incast [workers] [response_kb]
 //
-// Exits 1 if the run rig's invariant auditor reports a violation.
+// Exits 1 if the run rig's invariant auditor reports a violation, and 2 if
+// workers is not a positive integer or response_kb not a non-negative one.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "common.h"
 #include "exp/rig.h"
 #include "net/topology.h"
 
@@ -96,8 +99,13 @@ IncastResult run_incast(schemes::Scheme scheme, int workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int workers = argc > 1 ? std::atoi(argv[1]) : 32;
-  const std::uint64_t response_kb = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50;
+  const std::uint64_t worker_count = argc > 1 ? bench::parse_count("workers", argv[1]) : 32;
+  const std::uint64_t response_kb = argc > 2 ? bench::parse_count("response_kb", argv[2]) : 50;
+  if (worker_count == 0 || worker_count > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "workers expects a positive integer, got \"%s\"\n", argv[1]);
+    return 2;
+  }
+  const int workers = static_cast<int>(worker_count);
 
   std::printf("incast: %d workers x %llu KB responses through a 1 Gbps / 64 KB "
               "ToR port (100 us RTT, 5 ms min RTO)\n\n",

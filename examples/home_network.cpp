@@ -4,10 +4,11 @@
 //
 //   $ ./examples/home_network [flow_kb]
 //
-// Exits 1 if any trial's invariant auditor reports a violation.
+// Exits 1 if any trial's invariant auditor reports a violation, and 2 if
+// flow_kb is not a non-negative integer.
 #include <cstdio>
-#include <cstdlib>
 
+#include "common.h"
 #include "exp/homenet.h"
 #include "stats/summary.h"
 
@@ -15,7 +16,7 @@ using namespace halfback;
 
 int main(int argc, char** argv) {
   const std::uint64_t flow_bytes =
-      (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100) * 1000;
+      (argc > 1 ? bench::parse_count("flow_kb", argv[1]) : 100) * 1000;
 
   exp::HomeNetConfig config;
   config.server_count = 40;

@@ -6,10 +6,12 @@
 // This is the smallest complete use of the library: build a topology on a
 // run rig, attach transport agents, start flows via the scheme factory, run
 // the simulator, check the run's invariants, read the flow records. Exits 1
-// if the rig's invariant auditor reports a violation.
+// if the rig's invariant auditor reports a violation, and 2 if flow_bytes is
+// not a non-negative integer.
 #include <cstdio>
 #include <cstdlib>
 
+#include "common.h"
 #include "exp/rig.h"
 #include "net/topology.h"
 
@@ -55,7 +57,7 @@ transport::FlowRecord run_one(schemes::Scheme scheme, std::uint64_t bytes) {
 
 int main(int argc, char** argv) {
   const std::uint64_t bytes =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
+      argc > 1 ? bench::parse_count("flow_bytes", argv[1]) : 100'000;
 
   std::printf("transferring %llu bytes over a 15 Mbps / 60 ms RTT bottleneck\n\n",
               static_cast<unsigned long long>(bytes));

@@ -4,17 +4,23 @@
 //
 //   $ ./examples/web_browsing [utilization_percent]
 //
-// Exits 1 if any run's invariant auditor reports a violation.
+// Exits 1 if any run's invariant auditor reports a violation, and 2 if
+// utilization_percent is not a positive number.
 #include <cstdio>
-#include <cstdlib>
 
+#include "common.h"
 #include "exp/web.h"
 #include "workload/web.h"
 
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  const double utilization = argc > 1 ? std::atof(argv[1]) / 100.0 : 0.30;
+  const double utilization =
+      argc > 1 ? bench::parse_number("utilization_percent", argv[1]) / 100.0 : 0.30;
+  if (utilization == 0.0) {
+    std::fprintf(stderr, "utilization_percent must be positive\n");
+    return 2;
+  }
 
   // A catalog of synthetic front pages (object counts and sizes follow
   // 2015-era top-site measurements; see DESIGN.md).

@@ -1,11 +1,11 @@
 // Audit hook interface for the correctness-analysis layer.
 //
-// The simulator core (sim::EventQueue/Simulator), the network substrate
-// (net::PacketQueue/Link/Network) and the transport (transport::SenderBase)
-// invoke these hooks at every state transition worth checking: event
-// scheduling and dispatch, queue admission/drop/drain, link delivery, and
-// scoreboard updates. Hook call sites are always compiled; an uninstalled
-// auditor costs one null-pointer test per hook.
+// The network substrate (net::PacketQueue/Link/Network) and the transport
+// (transport::SenderBase) invoke these hooks at every state transition
+// worth checking: queue admission/drop/drain, link offer/delivery and
+// injected faults, and scoreboard updates. Hook call sites are always
+// compiled; an uninstalled auditor costs one null-pointer test per hook.
+// No hook fires per event: the event core checks its own order.
 //
 // This header sits below every other layer: it depends only on sim/time.h
 // and forward declarations, so sim/net/transport can call hooks without
@@ -49,13 +49,11 @@ class Auditor {
   virtual ~Auditor() = default;
 
   // --- sim: event engine ---------------------------------------------------
-
-  /// An event was scheduled at absolute time `at` while the clock read
-  /// `now`. A sane caller never schedules in the past.
+  // Neither hook has a call site: sim::Simulator's schedule methods throw on
+  // a time in the past and sim::EventQueue::run_next throws on a dispatch
+  // out of (time, seq) order. Both stay declared only because perfbench's
+  // ForwardingAuditor (perfbench/src/replay.cpp) overrides every hook.
   virtual void on_event_scheduled(sim::Time /*now*/, sim::Time /*at*/) {}
-
-  /// The event with scheduling sequence number `seq` is about to run at
-  /// time `at`. Dispatch must be time-monotone with FIFO tie-breaks.
   virtual void on_event_run(sim::Time /*at*/, std::uint64_t /*seq*/) {}
 
   // --- net: links and queues ----------------------------------------------
@@ -78,7 +76,8 @@ class Auditor {
   virtual void on_link_corrupted(const net::Link& /*link*/,
                                  const net::Packet& /*packet*/) {}
 
-  /// The packet finished propagation and is about to reach the far node.
+  /// The packet finished propagation and is about to reach the link's far
+  /// end, Link::far_end() (its destination, or a forwarding hop).
   virtual void on_link_delivered(const net::Link& /*link*/,
                                  const net::Packet& /*packet*/) {}
 
@@ -116,8 +115,8 @@ class Auditor {
   virtual void on_queue_dequeued(const net::PacketQueue& /*queue*/,
                                  const net::Packet& /*packet*/) {}
 
-  /// A packet arrived at node `node` (delivered by Network's link receiver,
-  /// before forwarding or local handling).
+  /// Has no call site: on_link_delivered reports every arrival. Kept
+  /// declared only because perfbench's ForwardingAuditor overrides it.
   virtual void on_node_received(std::uint32_t /*node*/,
                                 const net::Packet& /*packet*/) {}
 

@@ -89,38 +89,6 @@ std::string InvariantAuditor::report() const {
   return out.str();
 }
 
-// --- sim -------------------------------------------------------------------
-
-void InvariantAuditor::on_event_scheduled(sim::Time now, sim::Time at) {
-  if (at < now) {
-    std::ostringstream out;
-    out << "event scheduled in the past: at=" << at.to_string()
-        << " now=" << now.to_string();
-    violation(out.str());
-  }
-}
-
-void InvariantAuditor::on_event_run(sim::Time at, std::uint64_t seq) {
-  if (have_last_event_) {
-    if (at < last_event_time_) {
-      std::ostringstream out;
-      out << "event time went backwards: " << last_event_time_.to_string()
-          << " -> " << at.to_string();
-      violation(out.str());
-    } else if (at == last_event_time_ && seq <= last_event_seq_) {
-      std::ostringstream out;
-      out << "FIFO tie-break violated at " << at.to_string() << ": seq "
-          << last_event_seq_ << " ran before seq " << seq;
-      violation(out.str());
-    }
-  }
-  have_last_event_ = true;
-  last_event_time_ = at;
-  last_event_seq_ = seq;
-  mix(static_cast<std::uint64_t>(at.ns()));
-  mix(seq);
-}
-
 // --- net: links ------------------------------------------------------------
 
 void InvariantAuditor::on_link_registered(const net::Link& link) {
@@ -134,6 +102,7 @@ void InvariantAuditor::on_link_offered(const net::Link& link,
   if (packet.type == net::PacketType::data) {
     flow_shadow(packet.flow).wire_seqs.insert(packet.seq);
   }
+  mix(static_cast<std::uint64_t>(link.now().ns()));
   mix(packet.uid);
 }
 
@@ -158,8 +127,32 @@ void InvariantAuditor::on_link_delivered(const net::Link& link,
         << " (uid " << packet.uid << ")";
     violation(out.str());
   }
+  mix(static_cast<std::uint64_t>(link.now().ns()));
   mix(packet.uid);
   mix(packet.seq);
+  // Delivery-uniqueness check at the destination: a wire transmission (one
+  // uid) must reach its destination at most once. Forwarding hops are
+  // excluded — the same uid legitimately transits several nodes.
+  if (packet.type != net::PacketType::data || packet.uid == 0) return;
+  if (packet.dst != link.far_end()) return;
+  // Note: uniqueness per uid is the invariant; comparing the count of
+  // delivered uids against sender-side sends would be unsound, because some
+  // schemes (RC3's low-priority RLP copies) transmit outside the
+  // SenderBase::send_segment path that feeds on_segment_sent.
+  FlowShadow& flow = flow_shadow(packet.flow);
+  // A first arrival is always within budget; only repeats need the books.
+  if (flow.arrived.insert(packet.uid)) return;
+  RepeatBook& book = flow.repeats[packet.uid];
+  const std::uint32_t count = 1 + ++book.repeats;
+  const std::uint32_t allowed = 1 + book.credit;
+  if (count > allowed) {
+    std::ostringstream out;
+    out << "packet delivered to its destination more often than sent: flow "
+        << packet.flow << " seq " << packet.seq << " uid " << packet.uid
+        << " arrived " << count << "x with a budget of " << allowed
+        << " (1 + injected duplicates)";
+    violation(out.str());
+  }
 }
 
 // --- net: injected faults ----------------------------------------------------
@@ -253,35 +246,6 @@ void InvariantAuditor::on_queue_dequeued(const net::PacketQueue& queue,
     std::ostringstream out;
     out << "queue byte accounting diverged after dequeue: queue reports "
         << held << " B, audit expects " << shadow.bytes << " B";
-    violation(out.str());
-  }
-}
-
-// --- net: nodes ------------------------------------------------------------
-
-void InvariantAuditor::on_node_received(std::uint32_t node,
-                                        const net::Packet& packet) {
-  // Delivery-uniqueness check at the destination: a wire transmission (one
-  // uid) must reach its destination at most once. Forwarding hops are
-  // excluded — the same uid legitimately transits several nodes.
-  if (packet.type != net::PacketType::data || packet.uid == 0) return;
-  if (packet.dst != node) return;
-  // Note: uniqueness per uid is the invariant; comparing the count of
-  // delivered uids against sender-side sends would be unsound, because some
-  // schemes (RC3's low-priority RLP copies) transmit outside the
-  // SenderBase::send_segment path that feeds on_segment_sent.
-  FlowShadow& flow = flow_shadow(packet.flow);
-  // A first arrival is always within budget; only repeats need the books.
-  if (flow.arrived.insert(packet.uid)) return;
-  RepeatBook& book = flow.repeats[packet.uid];
-  const std::uint32_t count = 1 + ++book.repeats;
-  const std::uint32_t allowed = 1 + book.credit;
-  if (count > allowed) {
-    std::ostringstream out;
-    out << "packet delivered to its destination more often than sent: flow "
-        << packet.flow << " seq " << packet.seq << " uid " << packet.uid
-        << " arrived " << count << "x with a budget of " << allowed
-        << " (1 + injected duplicates)";
     violation(out.str());
   }
 }

@@ -1,8 +1,6 @@
-// Runtime invariant checker for the discrete-event core.
+// Runtime invariant checker for the network and transport layers.
 //
 // Checks, continuously while a simulation runs:
-//  - event-time monotonicity and FIFO tie-break order in the event engine,
-//    and that nothing is scheduled in the past;
 //  - queue byte/packet accounting (a queue's reported byte_length must equal
 //    the bytes of the packets it admitted and has not yet released) and the
 //    capacity bound (drop-tail may never hold more than its configured
@@ -11,14 +9,15 @@
 //    eventually delivered, corrupted, or dropped by its queue or its fault
 //    hook — never duplicated, never lost without account;
 //  - per-flow delivery uniqueness: no wire transmission (uid) reaches the
-//    destination twice;
+//    destination twice, checked on the link delivery whose far end is the
+//    packet's destination;
 //  - scoreboard consistency: the cumulative ACK is monotone, SACKed
 //    segments were actually sent, and pipe() never exceeds the flow length;
 //  - Halfback's ROPR reverse-order property: proactive retransmissions of a
 //    "halfback" flow walk strictly backwards;
-//  - per-seed determinism, via an order-sensitive hash of the run trace
-//    (event times, dispatch order, deliveries, sends, ACKs) that two
-//    same-seed runs must reproduce exactly.
+//  - per-seed determinism, via an order-sensitive hash of what the run does
+//    (trace_hash) that two same-seed runs must reproduce exactly.
+// The event core checks its own order (sim::Simulator, sim::EventQueue).
 //
 // Violations are collected, not thrown: a run completes and the caller
 // inspects ok()/violations(). Install with Network::install_auditor (which
@@ -96,9 +95,10 @@ class InvariantAuditor final : public Auditor {
   /// Multi-line report of all stored violations (empty string when ok()).
   std::string report() const;
 
-  /// Order-sensitive FNV-1a hash over the run trace so far (see
-  /// fnv1a_mix). Two runs of the same scenario with the same seed must
-  /// produce identical hashes.
+  /// Order-sensitive FNV-1a hash (see fnv1a_mix) over every link offer and
+  /// delivery with the link's sim time, fault hit, segment sent and ACK
+  /// applied so far, and nothing of the event schedule. Two runs of the
+  /// same scenario with the same seed must produce identical hashes.
   std::uint64_t trace_hash() const { return trace_hash_; }
 
   /// End-of-run conservation sweep. Pass `drained` = true when the
@@ -109,8 +109,6 @@ class InvariantAuditor final : public Auditor {
   void finalize(bool drained);
 
   // --- Auditor hooks -------------------------------------------------------
-  void on_event_scheduled(sim::Time now, sim::Time at) override;
-  void on_event_run(sim::Time at, std::uint64_t seq) override;
   void on_link_registered(const net::Link& link) override;
   void on_link_offered(const net::Link& link, const net::Packet& packet) override;
   void on_link_corrupted(const net::Link& link, const net::Packet& packet) override;
@@ -124,7 +122,6 @@ class InvariantAuditor final : public Auditor {
                         DropContext context) override;
   void on_queue_dequeued(const net::PacketQueue& queue,
                          const net::Packet& packet) override;
-  void on_node_received(std::uint32_t node, const net::Packet& packet) override;
   void on_segment_sent(const transport::Scoreboard& scoreboard, std::uint64_t flow,
                        const std::string& scheme, std::uint32_t seq, bool proactive,
                        std::uint64_t uid) override;
@@ -229,11 +226,6 @@ class InvariantAuditor final : public Auditor {
   std::vector<std::string> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t trace_hash_ = kFnvOffsetBasis;
-
-  // Event-engine state.
-  bool have_last_event_ = false;
-  sim::Time last_event_time_;
-  std::uint64_t last_event_seq_ = 0;
 
   ShadowIndex index_;
   std::vector<LinkShadow> links_;

@@ -130,7 +130,6 @@ void Link::deliver(PacketEvent& node) {
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_delivered(*this, p));
-  HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_node_received(dst_node_.id(), p));
   dst_node_.handle(std::move(p));
 }
 

@@ -105,6 +105,10 @@ class Link {
   void send(Packet p) HB_EFFECTS(alloc, throw);
 
   sim::DataRate rate() const { return rate_; }
+  /// The simulation clock, the time of whatever the link is doing now.
+  sim::Time now() const { return simulator_.now(); }
+  /// Id of the far-end node every delivered packet is handed to.
+  NodeId far_end() const { return dst_node_.id(); }
   PacketQueue& queue() { return *queue_; }
   const PacketQueue& queue() const { return *queue_; }
   const LinkStats& stats() const { return stats_; }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "audit/auditor.h"
-
 namespace halfback::sim {
 
 /// Slab node backing the std::function shim. Owned by the queue; recycled
@@ -225,7 +223,14 @@ Time EventQueue::run_next() {
   if (empty()) throw std::logic_error{"EventQueue::run_next on empty queue"};
   Event* event = pop_earliest();
   const Time at = event->at_;
-  HALFBACK_AUDIT_HOOK(auditor_, on_event_run(at, event->seq_));
+  // Spelled out rather than earlier(), so a broken heap order cannot hide
+  // behind the comparator that broke it.
+  if (at < last_at_ || (at == last_at_ && event->seq_ < last_seq_)) {
+    // lint: hot-ok(programming-error guard; unreachable in a correct scheduler)
+    throw std::logic_error{"EventQueue::run_next: dispatch out of (time, seq) order"};
+  }
+  last_at_ = at;
+  last_seq_ = event->seq_;
   // fire() may reschedule the event, or even destroy it (a timer firing its
   // owner's completion path); do not touch it after this call.
   event->fire();

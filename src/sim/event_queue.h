@@ -22,16 +22,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "sim/annotations.h"
 #include "sim/function_ref.h"
 #include "sim/time.h"
-
-namespace halfback::audit {
-class Auditor;
-}  // namespace halfback::audit
 
 namespace halfback::sim {
 
@@ -148,6 +145,8 @@ class EventQueue {
   }
 
   /// Pop and run the earliest event; returns its time. Requires !empty().
+  /// Throws std::logic_error instead if the event sorts before the previous
+  /// dispatch in (time, seq) order, in every build.
   Time run_next() HB_EFFECTS(alloc, throw, rng);
 
   /// Drop all pending events.
@@ -164,12 +163,6 @@ class EventQueue {
   /// Number of shim slab nodes ever allocated (diagnostics: steady-state
   /// shim traffic must not grow this).
   std::size_t shim_slab_size() const { return slab_.size(); }
-
-  /// Install an audit observer (nullptr detaches). The queue reports each
-  /// dispatch so the auditor can verify time monotonicity and FIFO
-  /// tie-break order. Owned by the caller.
-  void set_auditor(audit::Auditor* auditor) { auditor_ = auditor; }
-  audit::Auditor* auditor() const { return auditor_; }
 
  private:
   friend class EventHandle;
@@ -234,7 +227,9 @@ class EventQueue {
   std::vector<std::unique_ptr<FunctionEvent>> slab_;
   FunctionEvent* free_head_ = nullptr;
 
-  audit::Auditor* auditor_ = nullptr;
+  /// (time, seq) of the last dispatch; none yet is the lowest time.
+  Time last_at_ = Time::nanoseconds(std::numeric_limits<std::int64_t>::min());
+  std::uint64_t last_seq_ = 0;
 };
 
 }  // namespace halfback::sim

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "audit/auditor.h"
@@ -25,7 +26,9 @@ class DispatchProfiler;
 /// Components hold a Simulator& and use it to read the clock, schedule
 /// future work, and draw randomness. The simulator is not thread-safe; a
 /// run is strictly single-threaded (parallelism, where wanted, is across
-/// independent Simulator instances).
+/// independent Simulator instances). Scheduling in the past is a
+/// programming error: every schedule method throws std::logic_error on a
+/// time before now(), in every build.
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : random_{seed} {}
@@ -42,37 +45,32 @@ class Simulator {
   /// sim::Timer and use the schedule_event family below instead.
   EventHandle schedule(Time delay, std::function<void()> fn)
       HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, now_ + delay));
-    return queue_.schedule(now_ + delay, std::move(fn));
+    return queue_.schedule(not_in_past(now_ + delay), std::move(fn));
   }
 
   /// Schedule `fn` at absolute time `at` (>= now).
   EventHandle schedule_at(Time at, std::function<void()> fn)
       HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, at));
-    return queue_.schedule(at, std::move(fn));
+    return queue_.schedule(not_in_past(at), std::move(fn));
   }
 
   /// Schedule an intrusive event after `delay` (>= 0) from now. The event
   /// must not already be queued; the caller keeps ownership and must keep
   /// it alive until it fires or is cancelled.
   void schedule_event(Time delay, Event& event) HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, now_ + delay));
-    queue_.schedule_event(event, now_ + delay);
+    queue_.schedule_event(event, not_in_past(now_ + delay));
   }
 
   /// Move an intrusive event to `delay` from now, scheduling it if idle.
   /// Equivalent to cancel + schedule (fresh FIFO tie-break) without
   /// touching the heap twice.
   void reschedule_event(Time delay, Event& event) HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, now_ + delay));
-    queue_.reschedule_event(event, now_ + delay);
+    queue_.reschedule_event(event, not_in_past(now_ + delay));
   }
 
   /// Move an intrusive event to absolute time `at`, scheduling it if idle.
   void reschedule_event_at(Time at, Event& event) HB_EFFECTS(alloc, throw) {
-    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, at));
-    queue_.reschedule_event(event, at);
+    queue_.reschedule_event(event, not_in_past(at));
   }
 
   /// Remove an intrusive event if queued; no-op otherwise.
@@ -98,14 +96,11 @@ class Simulator {
   /// Number of events executed so far (for diagnostics and benchmarks).
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Install an audit observer for this run (nullptr detaches). The pointer
-  /// is shared with the event queue; network components reach it through
-  /// their Simulator&. Owned by the caller. Install before any traffic
-  /// starts so the auditor's shadow accounting sees every transition.
-  void set_auditor(audit::Auditor* auditor) {
-    auditor_ = auditor;
-    queue_.set_auditor(auditor);
-  }
+  /// Install an audit observer for this run (nullptr detaches). Network
+  /// and transport components reach it through their Simulator&. Owned by
+  /// the caller. Install before any traffic starts so the auditor's shadow
+  /// accounting sees every transition.
+  void set_auditor(audit::Auditor* auditor) { auditor_ = auditor; }
   audit::Auditor* auditor() const { return auditor_; }
 
   /// Install a telemetry hub for this run (nullptr detaches). Owned by the
@@ -133,6 +128,13 @@ class Simulator {
   DispatchProfiler* profiler() const { return profiler_; }
 
  private:
+  /// `at`, once checked not to lie before now().
+  Time not_in_past(Time at) const HB_EFFECTS(throw) {
+    // lint: hot-ok(programming-error guard; unreachable in a correct scheduler)
+    if (at < now_) throw std::logic_error{"Simulator: event scheduled in the past"};
+    return at;
+  }
+
   /// Run the loop instantiation for the mask `observers` of installed
   /// observers (see simulator.cpp); run_until() only computes the mask.
   void dispatch(unsigned observers, Time deadline)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace halfback::workload {
 
@@ -45,6 +46,10 @@ std::vector<WebRequest> make_web_schedule(const WebsiteCatalog& catalog,
                                           double target_utilization,
                                           sim::DataRate bottleneck,
                                           sim::Time duration, sim::Random& rng) {
+  // Otherwise the inter-arrival mean is not positive: an endless schedule.
+  if (!(target_utilization > 0.0) || !std::isfinite(target_utilization)) {
+    throw std::invalid_argument{"target utilization must be positive and finite"};
+  }
   std::vector<WebRequest> schedule;
   const double pages_per_second =
       target_utilization * bottleneck.bytes_per_second() / catalog.mean_page_bytes();

@@ -67,7 +67,8 @@ struct WebRequest {
 };
 
 /// Poisson page requests paced to a target utilization (given the catalog's
-/// mean page weight).
+/// mean page weight). Throws std::invalid_argument unless the utilization
+/// is positive and finite.
 std::vector<WebRequest> make_web_schedule(const WebsiteCatalog& catalog,
                                           double target_utilization,
                                           sim::DataRate bottleneck,

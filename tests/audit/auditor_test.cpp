@@ -1,9 +1,10 @@
 // The auditor must stay silent on correct runs and fire on every class of
-// seeded violation: stale events, reordered dispatch, double delivery,
-// over-full queues, scoreboard inconsistencies, broken ROPR order, and the
-// end-of-run conservation sweep. Its per-flow state must stay exact as it
-// grows; this binary replaces the global operator new with a byte counter
-// so a test can bound what the auditor allocates.
+// seeded violation: double delivery, over-full queues, scoreboard
+// inconsistencies, broken ROPR order, and the end-of-run conservation
+// sweep. (The event core checks its own order; see tests/sim/.) Its
+// per-flow state must stay exact as it grows; this binary replaces the
+// global operator new with a byte counter so a test can bound what the
+// auditor allocates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,15 +57,28 @@ net::Packet make_data_packet(std::uint64_t uid, std::uint32_t seq = 0) {
   return p;
 }
 
-/// A bare link: no Network, so no hook reaches the auditor unless a test
-/// calls it.
+/// make_data_packet's destination, and a transit node on the way to it.
+constexpr net::NodeId kDestination = 2;
+constexpr net::NodeId kTransit = 1;
+
+/// A bare link to node `far_end`: no Network, so no hook reaches the
+/// auditor unless a test calls it.
 struct BareLink {
+  explicit BareLink(net::NodeId far_end = 0) : sink{far_end} {}
+
   sim::Simulator sim{1};
   net::PacketPool pool;
-  net::Node sink{0};
+  net::Node sink;
   net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
                  std::make_unique<net::DropTailQueue>(1 << 20), pool, sink};
 };
+
+/// Report `p` crossing `link` as Link::send and Link::deliver do: one offer
+/// and one delivery to the link's far end, so the link's books balance.
+void cross(InvariantAuditor& auditor, const net::Link& link, const net::Packet& p) {
+  auditor.on_link_offered(link, p);
+  auditor.on_link_delivered(link, p);
+}
 
 // --- clean runs -------------------------------------------------------------
 
@@ -95,46 +109,17 @@ TEST(InvariantAuditorTest, LossyCoDelBottleneckRunIsClean) {
   EXPECT_EQ(fx.finish().audit_violations, 0u);
 }
 
-// --- event-engine violations ------------------------------------------------
-
-TEST(InvariantAuditorTest, SchedulingInThePastIsFlagged) {
-  sim::Simulator simulator;
-  InvariantAuditor auditor;
-  simulator.set_auditor(&auditor);
-
-  // An event at t=5ms schedules another at absolute t=1ms — in the past.
-  // Both the stale scheduling and the resulting backwards dispatch must be
-  // flagged.
-  simulator.schedule_at(5_ms, [&] { simulator.schedule_at(1_ms, [] {}); });
-  simulator.run();
-
-  EXPECT_FALSE(auditor.ok());
-  EXPECT_GE(auditor.total_violations(), 2u) << auditor.report();
-}
-
-TEST(InvariantAuditorTest, FifoTieBreakViolationIsFlagged) {
-  InvariantAuditor auditor;
-  auditor.on_event_run(2_ms, 7);
-  auditor.on_event_run(2_ms, 7);  // same time, non-increasing seq
-  EXPECT_FALSE(auditor.ok());
-}
-
-TEST(InvariantAuditorTest, MonotoneEqualTimeDispatchIsClean) {
-  InvariantAuditor auditor;
-  auditor.on_event_run(1_ms, 1);
-  auditor.on_event_run(1_ms, 2);
-  auditor.on_event_run(3_ms, 0);  // seq may reset across times
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
-}
-
 // --- packet conservation ----------------------------------------------------
 
 TEST(InvariantAuditorTest, DoubleDeliveredPacketIsFlagged) {
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   const net::Packet p = make_data_packet(/*uid=*/7);
-  auditor.on_node_received(2, p);
+  cross(auditor, last_hop.link, p);
   EXPECT_TRUE(auditor.ok());
-  auditor.on_node_received(2, p);  // the same wire transmission arrives again
+  // The same wire transmission is sent and arrives again: the link's books
+  // balance, the destination's do not.
+  cross(auditor, last_hop.link, p);
   ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
   EXPECT_EQ(auditor.violations().front(),
             "packet delivered to its destination more often than sent: flow 1 "
@@ -145,14 +130,14 @@ TEST(InvariantAuditorTest, InjectedDuplicateExtendsTheDeliveryBudget) {
   // netfault duplication legitimately lands the same uid at its
   // destination more than once; each on_link_fault_duplicated event buys
   // exactly one extra arrival, no more.
-  BareLink bare;
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   const net::Packet p = make_data_packet(/*uid=*/21);
-  auditor.on_link_fault_duplicated(bare.link, p);  // one injected copy
-  auditor.on_node_received(2, p);
-  auditor.on_node_received(2, p);  // the copy: within the extended budget
+  auditor.on_link_fault_duplicated(last_hop.link, p);  // one injected copy
+  cross(auditor, last_hop.link, p);
+  auditor.on_link_delivered(last_hop.link, p);  // the copy: within the budget
   EXPECT_TRUE(auditor.ok()) << auditor.report();
-  auditor.on_node_received(2, p);  // a third arrival exceeds 1 + 1
+  cross(auditor, last_hop.link, p);  // a third arrival exceeds 1 + 1
   ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
   EXPECT_EQ(auditor.violations().front(),
             "packet delivered to its destination more often than sent: flow 1 "
@@ -160,10 +145,12 @@ TEST(InvariantAuditorTest, InjectedDuplicateExtendsTheDeliveryBudget) {
 }
 
 TEST(InvariantAuditorTest, ForwardingHopsDoNotCountAsDeliveries) {
+  BareLink to_transit{kTransit};
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   const net::Packet p = make_data_packet(/*uid=*/9);
-  auditor.on_node_received(1, p);  // transit hop: p.dst == 2
-  auditor.on_node_received(2, p);  // destination
+  cross(auditor, to_transit.link, p);  // delivered to node 1; p.dst == 2
+  cross(auditor, last_hop.link, p);    // delivered to its destination
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
@@ -384,15 +371,16 @@ TEST(InvariantAuditorTest, ForwardAblationIsExemptFromRoprOrder) {
 // --- growth of the per-flow state -------------------------------------------
 
 TEST(InvariantAuditorTest, HundredThousandDistinctUidsStayClean) {
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   for (std::uint64_t uid = 1; uid <= 100'000; ++uid) {
-    auditor.on_node_received(
-        2, make_data_packet(uid, static_cast<std::uint32_t>(uid % 70)));
+    cross(auditor, last_hop.link,
+          make_data_packet(uid, static_cast<std::uint32_t>(uid % 70)));
   }
   EXPECT_TRUE(auditor.ok()) << auditor.report();
   // The set still answers exactly after growing: one old uid again is
   // exactly one violation.
-  auditor.on_node_received(2, make_data_packet(4'242, 42));
+  cross(auditor, last_hop.link, make_data_packet(4'242, 42));
   ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
   EXPECT_NE(auditor.violations().front().find("arrived 2x with a budget of 1"),
             std::string::npos)
@@ -403,16 +391,17 @@ TEST(InvariantAuditorTest, HundredThousandSenderStampedUidsStayCleanInAFewKiB) {
   // Senders stamp uids (flow << 24) + counter, so flow 1's arrivals are
   // dense above its uid prefix and its books stay a small bitmap.
   constexpr std::uint64_t kFlowPrefix = 1ULL << 24;
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   const std::size_t before = g_allocated_bytes.load();
   for (std::uint64_t i = 0; i < 100'000; ++i) {
-    auditor.on_node_received(
-        2, make_data_packet(kFlowPrefix + i, static_cast<std::uint32_t>(i % 70)));
+    cross(auditor, last_hop.link,
+          make_data_packet(kFlowPrefix + i, static_cast<std::uint32_t>(i % 70)));
   }
   const std::size_t grown = g_allocated_bytes.load() - before;
   EXPECT_TRUE(auditor.ok()) << auditor.report();
   EXPECT_LT(grown, 64u * 1024u);
-  auditor.on_node_received(2, make_data_packet(kFlowPrefix + 4'242, 42));
+  cross(auditor, last_hop.link, make_data_packet(kFlowPrefix + 4'242, 42));
   ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
   EXPECT_NE(auditor.violations().front().find("arrived 2x with a budget of 1"),
             std::string::npos)
@@ -420,14 +409,15 @@ TEST(InvariantAuditorTest, HundredThousandSenderStampedUidsStayCleanInAFewKiB) {
 }
 
 TEST(InvariantAuditorTest, CreditedDuplicateIsCleanAtTwoArrivalsAndRedAtThree) {
-  BareLink bare;
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
   const net::Packet p = make_data_packet(77, 3);
-  auditor.on_node_received(2, p);
-  auditor.on_link_fault_duplicated(bare.link, p);  // credited after the first arrival
-  auditor.on_node_received(2, p);
+  cross(auditor, last_hop.link, p);
+  // Credited after the first arrival.
+  auditor.on_link_fault_duplicated(last_hop.link, p);
+  auditor.on_link_delivered(last_hop.link, p);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
-  auditor.on_node_received(2, p);
+  cross(auditor, last_hop.link, p);
   ASSERT_EQ(auditor.total_violations(), 1u) << auditor.report();
   EXPECT_NE(auditor.violations().front().find("arrived 3x with a budget of 2"),
             std::string::npos)
@@ -465,12 +455,13 @@ TEST(InvariantAuditorTest, HugeSeqSatisfiesSackedImpliesSentWithoutProportionalM
 // --- reporting --------------------------------------------------------------
 
 TEST(InvariantAuditorTest, ReportListsViolationsAndCapsStorage) {
+  BareLink last_hop{kDestination};
   InvariantAuditor auditor;
-  for (int i = 0; i < 200; ++i) {
-    auditor.on_event_run(2_ms, 1);
-    auditor.on_event_run(1_ms, 2);  // time goes backwards every iteration
+  const net::Packet p = make_data_packet(/*uid=*/5);
+  for (int i = 0; i < 201; ++i) {
+    cross(auditor, last_hop.link, p);  // every arrival after the first repeats
   }
-  EXPECT_FALSE(auditor.ok());
+  EXPECT_EQ(auditor.total_violations(), 200u);
   EXPECT_LE(auditor.violations().size(), InvariantAuditor::kMaxStoredViolations);
   EXPECT_GT(auditor.total_violations(), auditor.violations().size());
   EXPECT_NE(auditor.report().find("further violations"), std::string::npos);

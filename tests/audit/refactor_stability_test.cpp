@@ -1,17 +1,19 @@
-// Refactor-stability anchors: golden trace hashes captured from the seed
-// implementation (std::function event queue, per-hop packet allocation)
-// before the intrusive-event/packet-pool refactor. The refactor — and any
-// future scheduling-layer change — must keep same-seed runs bit-identical:
-// every event sequence number, dispatch order, and packet uid feeds the
-// hash, so a single reordered or extra schedule() call shows up here.
+// Refactor-stability anchors: golden trace hashes of one run of every
+// driver (PlanetLab, Emulab, the Fig. 15 traces, web, HomeNet, the RED and
+// CoDel bottlenecks and the parking-lot chain). The trace hash pins what a
+// run sends, delivers and ACKs, with the sim time of every link offer and
+// delivery, not the event schedule: a refactor of the event or packet core
+// that fires other events for the same packets keeps every constant here,
+// and one that moves a single delivery by a nanosecond changes them.
 //
 // If one of these fails after an intentional semantic change to the
-// schemes or workloads, re-capture the constants and say so in the PR; if
-// it fails after a "pure" performance or refactoring change, the change is
-// not pure.
+// schemes or workloads, re-capture the constants (tests/support/golden.h
+// says how) and list each in CHANGES.md; if it fails after a "pure"
+// performance or refactoring change, the change is not pure.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "exp/emulab.h"
 #include "exp/homenet.h"
@@ -21,82 +23,65 @@
 #include "exp/web.h"
 #include "net/topology.h"
 #include "schemes/scheme.h"
+#include "support/golden.h"
 #include "workload/flow_schedule.h"
 #include "workload/web.h"
 
 namespace halfback::exp {
 namespace {
 
-// Captured from the seed build (commit 624a883) with the configs below.
-constexpr std::uint64_t kGoldenPlanetLabTcp = 0xe6e86e6f4b6fd07dULL;
-constexpr std::uint64_t kGoldenPlanetLabHalfback = 0xc1ea3c0a33978304ULL;
-constexpr std::uint64_t kGoldenPlanetLabRc3 = 0xa9ca10dd2bef1ccaULL;
-constexpr std::uint64_t kGoldenEmulabHalfback = 0xf36e16201b236f8aULL;
+using testing::expect_golden;
+using testing::kGoldenEmulabHalfback;
+using testing::kGoldenPlanetLabHalfback;
 
-// Captured when run_trace, WebRunner and HomeNetEnv moved onto exp::Rig.
-// The trace and web drivers ran unaudited before; the previous tree with
-// an auditor added to both gives these same hashes. HomeNet's watched flow
-// now starts on a t=0 event, as PlanetLab's does, which moved its hashes
-// but no FCT.
+// All re-pinned together when the trace hash stopped mixing each dispatch's
+// (time, seq) and began mixing each link offer's and delivery's sim time.
+// kGoldenEmulabHalfback and kGoldenPlanetLabHalfback live in
+// tests/support/golden.h, which the hub's invariance tests share.
+constexpr std::uint64_t kGoldenPlanetLabTcp = 0xb071cf8d25c27a84ULL;
+constexpr std::uint64_t kGoldenPlanetLabRc3 = 0x815a13a345f37b2fULL;
 constexpr std::array<std::uint64_t, 4> kGoldenTrace{
-    0x377baaf71cfab0aeULL,   // optimal
-    0xfdc00bfc6cee98d8ULL,   // halfback
-    0xfe30a0c5b91a1fd6ULL,   // single-tcp
-    0xe282b2dae3a7a9e3ULL};  // two-tcp-halves
-constexpr std::uint64_t kGoldenWebHalfback = 0x6625da7839adf16fULL;
+    0x2cb83a2ee4f8d281ULL,   // optimal
+    0xb6d66c3d63dc4dabULL,   // halfback
+    0x79d1fe5a35b47349ULL,   // single-tcp
+    0xbe81354131d1cc71ULL};  // two-tcp-halves
+constexpr std::uint64_t kGoldenWebHalfback = 0x6a29d511fd052209ULL;
 constexpr std::array<std::uint64_t, 4> kGoldenHomeNetWifiHalfback{
-    0x06b74e486a9c5b8bULL, 0xacfcb23011596f8fULL, 0x6d85aa64614d962dULL,
-    0x237e328dd73ba11cULL};
+    0x358b382c78f4cd5fULL, 0x8f0308939fd63b90ULL, 0x24db4f6c8b49b226ULL,
+    0xe3d90c3b53514bd7ULL};
+constexpr std::uint64_t kGoldenRedDumbbell = 0xcce752c958323386ULL;
+constexpr std::uint64_t kGoldenCoDelDumbbell = 0xdb195e206d1d5d4bULL;
+constexpr std::uint64_t kGoldenParkingLot = 0xcd0456335c843774ULL;
 
-// Captured before the AQM and parking-lot tuning became named constants:
-// the two AQM bottlenecks and the multi-hop chain had no pinned run.
-constexpr std::uint64_t kGoldenRedDumbbell = 0xb08d81027c47ebc6ULL;
-constexpr std::uint64_t kGoldenCoDelDumbbell = 0xbfc03b006a9d07dfULL;
-constexpr std::uint64_t kGoldenParkingLot = 0xa03977ae73abfec5ULL;
-
-PlanetLabEnv golden_env() {
-  PlanetLabConfig config;
-  config.pair_count = 4;
-  config.seed = 7;
-  config.per_trial_timeout = sim::Time::seconds(60);
-  return PlanetLabEnv{config};
+/// `name[i]`, for an array element's capture line.
+std::string element(const char* name, std::size_t i) {
+  return std::string{name} + "[" + std::to_string(i) + "]";
 }
 
 TEST(RefactorStability, PlanetLabTraceHashesMatchSeedGolden) {
-  const PlanetLabEnv env = golden_env();
+  const PlanetLabEnv env = testing::golden_planetlab_env();
   const PathSample& path = env.paths().front();
 
   const TrialResult tcp = env.run_one(schemes::Scheme::tcp, path, 1234);
   EXPECT_EQ(tcp.audit_violations, 0u);
-  EXPECT_EQ(tcp.trace_hash, kGoldenPlanetLabTcp);
+  expect_golden("kGoldenPlanetLabTcp", tcp.trace_hash, kGoldenPlanetLabTcp);
 
   const TrialResult halfback = env.run_one(schemes::Scheme::halfback, path, 1234);
   EXPECT_EQ(halfback.audit_violations, 0u);
-  EXPECT_EQ(halfback.trace_hash, kGoldenPlanetLabHalfback);
+  expect_golden("kGoldenPlanetLabHalfback", halfback.trace_hash,
+                kGoldenPlanetLabHalfback);
 
   const TrialResult rc3 = env.run_one(schemes::Scheme::rc3, path, 1234);
   EXPECT_EQ(rc3.audit_violations, 0u);
-  EXPECT_EQ(rc3.trace_hash, kGoldenPlanetLabRc3);
+  expect_golden("kGoldenPlanetLabRc3", rc3.trace_hash, kGoldenPlanetLabRc3);
 }
 
 TEST(RefactorStability, EmulabTraceHashMatchesSeedGolden) {
-  EmulabRunner::Config config;
-  config.seed = 5;
-  config.dumbbell.sender_count = 4;
-  config.dumbbell.receiver_count = 4;
-  config.drain = sim::Time::seconds(20);
-
-  std::vector<WorkloadPart> parts(1);
-  parts[0].scheme = schemes::Scheme::halfback;
-  for (int i = 0; i < 6; ++i) {
-    parts[0].schedule.push_back(workload::FlowArrival{
-        sim::Time::milliseconds(50.0 * i), /*bytes=*/100'000});
-  }
-
-  const RunResult run = EmulabRunner{config}.run(parts);
+  const RunResult run =
+      EmulabRunner{testing::golden_emulab_config()}.run(testing::golden_emulab_parts());
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.flows.size(), 6u);
-  EXPECT_EQ(run.trace_hash, kGoldenEmulabHalfback);
+  expect_golden("kGoldenEmulabHalfback", run.trace_hash, kGoldenEmulabHalfback);
 }
 
 TEST(RefactorStability, TraceHashesMatchGolden) {
@@ -107,7 +92,7 @@ TEST(RefactorStability, TraceHashesMatchGolden) {
     SCOPED_TRACE(to_string(scenarios[i]));
     const TraceResult run = run_trace(1, scenarios[i]);
     EXPECT_EQ(run.audit_violations, 0u);
-    EXPECT_EQ(run.trace_hash, kGoldenTrace[i]);
+    expect_golden(element("kGoldenTrace", i).c_str(), run.trace_hash, kGoldenTrace[i]);
   }
 }
 
@@ -121,7 +106,7 @@ TEST(RefactorStability, WebTraceHashMatchesGolden) {
       WebRunner{3}.run(schemes::Scheme::halfback, catalog, requests);
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.unfinished_pages(), 0u);
-  EXPECT_EQ(run.trace_hash, kGoldenWebHalfback);
+  expect_golden("kGoldenWebHalfback", run.trace_hash, kGoldenWebHalfback);
 }
 
 /// Eight Halfback flows started together into a 40 KB bottleneck run by
@@ -147,7 +132,7 @@ TEST(RefactorStability, RedDumbbellTraceHashMatchesGolden) {
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.unfinished_count(FlowRole::primary), 0u);
   EXPECT_GT(run.bottleneck_drops_total, 0u);
-  EXPECT_EQ(run.trace_hash, kGoldenRedDumbbell);
+  expect_golden("kGoldenRedDumbbell", run.trace_hash, kGoldenRedDumbbell);
 }
 
 TEST(RefactorStability, CoDelDumbbellTraceHashMatchesGolden) {
@@ -155,7 +140,7 @@ TEST(RefactorStability, CoDelDumbbellTraceHashMatchesGolden) {
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.unfinished_count(FlowRole::primary), 0u);
   EXPECT_GT(run.bottleneck_drops_total, 0u);
-  EXPECT_EQ(run.trace_hash, kGoldenCoDelDumbbell);
+  expect_golden("kGoldenCoDelDumbbell", run.trace_hash, kGoldenCoDelDumbbell);
 }
 
 TEST(RefactorStability, ParkingLotTraceHashMatchesGolden) {
@@ -167,7 +152,7 @@ TEST(RefactorStability, ParkingLotTraceHashMatchesGolden) {
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.flows, 3u);  // every main-path start fired
   EXPECT_EQ(run.unfinished, 0u);
-  EXPECT_EQ(run.trace_hash, kGoldenParkingLot);
+  expect_golden("kGoldenParkingLot", run.trace_hash, kGoldenParkingLot);
 }
 
 TEST(RefactorStability, HomeNetWifiTraceHashesMatchGolden) {
@@ -181,7 +166,8 @@ TEST(RefactorStability, HomeNetWifiTraceHashesMatchGolden) {
   for (std::size_t i = 0; i < trials.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(trials[i].audit_violations, 0u);
-    EXPECT_EQ(trials[i].trace_hash, kGoldenHomeNetWifiHalfback[i]);
+    expect_golden(element("kGoldenHomeNetWifiHalfback", i).c_str(),
+                  trials[i].trace_hash, kGoldenHomeNetWifiHalfback[i]);
   }
 }
 

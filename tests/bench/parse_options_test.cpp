@@ -114,6 +114,32 @@ TEST(ParseOptionsDeath, RejectsNegativeDuration) {
               "--duration expects a non-negative number of seconds");
 }
 
+TEST(ParseOptionsDeath, RejectsNonFiniteDuration) {
+  // strtod reads these; NaN slips past a `< 0` test.
+  for (const char* arg : {"--duration=nan", "--duration=inf"}) {
+    EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(2),
+                "--duration expects a non-negative number of seconds")
+        << arg;
+  }
+}
+
+TEST(ParseOptionsDeath, RejectsNonFiniteStormRate) {
+  for (const char* arg :
+       {"--storm-rate=nan", "--storm-rate=-inf", "--storm-rate=INFINITY"}) {
+    EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(2),
+                "--storm-rate expects a non-negative number")
+        << arg;
+  }
+}
+
+TEST(ParseOptionsDeath, ParseNumberRejectsNonFiniteValues) {
+  // The parser behind custom_scenario's key=value numbers.
+  EXPECT_EXIT(parse_number("rtt_ms", "nan"), ::testing::ExitedWithCode(2),
+              "rtt_ms expects a non-negative number, got \"nan\"");
+  EXPECT_EXIT(parse_number("rtt_ms", "inf"), ::testing::ExitedWithCode(2),
+              "rtt_ms expects a non-negative number, got \"inf\"");
+}
+
 TEST(ParseOptionsDeath, RejectsUnknownOption) {
   EXPECT_EXIT(parse({"--bogus"}), ::testing::ExitedWithCode(2),
               "unknown option");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace halfback::sim {
@@ -135,6 +136,36 @@ TEST(EventQueueTest, RescheduleAheadOfTheEarliestEventRunsFirst) {
   EXPECT_EQ(q.size(), 2U);
   while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueueTest, MonotoneEqualTimeDispatchIsClean) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder a{order, 1};
+  Recorder b{order, 2};
+  Recorder c{order, 3};
+  Recorder d{order, 4};
+  q.schedule_event(a, 1_ms);
+  q.schedule_event(b, 1_ms);
+  q.schedule_event(c, 3_ms);
+  q.run_next();
+  q.schedule_event(d, 1_ms);  // at the time just run: after it, not behind it
+  while (!q.empty()) EXPECT_NO_THROW(q.run_next());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+}
+
+TEST(EventQueueTest, DispatchBehindThePreviousOneThrows) {
+  // A bare queue has no clock to refuse a past schedule, so the dispatch
+  // check is what stops time from running backwards.
+  EventQueue q;
+  std::vector<int> order;
+  Recorder late{order, 1};
+  Recorder early{order, 2};
+  q.schedule_event(late, 2_ms);
+  q.run_next();
+  q.schedule_event(early, 1_ms);
+  EXPECT_THROW(q.run_next(), std::logic_error);
+  EXPECT_EQ(order, (std::vector<int>{1}));
 }
 
 TEST(EventQueueTest, ClearDropsEverything) {

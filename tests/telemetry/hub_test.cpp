@@ -1,48 +1,25 @@
 // Hub acceptance contract: installing telemetry is purely observational.
-// The golden same-seed trace hashes from tests/audit/refactor_stability_test.cpp
-// must stay bit-identical with a Hub recording, faults on or off — and the
-// hub must actually have recorded something, so the invariance is not
-// vacuous.
+// The golden same-seed trace hashes shared with
+// tests/audit/refactor_stability_test.cpp (tests/support/golden.h) must
+// stay bit-identical with a Hub recording, faults on or off — and the hub
+// must actually have recorded something, so the invariance is not vacuous.
 #include "telemetry/hub.h"
 
 #include <gtest/gtest.h>
 
 #include "exp/emulab.h"
 #include "exp/planetlab.h"
+#include "support/golden.h"
 #include "telemetry/manifest.h"
 
 namespace halfback::telemetry {
 namespace {
 
 using exp::EmulabRunner;
-using exp::PlanetLabConfig;
-using exp::PlanetLabEnv;
 using exp::TrialResult;
-using exp::WorkloadPart;
-
-// Golden hashes anchored in tests/audit/refactor_stability_test.cpp; if a
-// deliberate simulator change re-baselines them there, update here too.
-constexpr std::uint64_t kGoldenEmulabHalfback = 0xf36e16201b236f8aULL;
-constexpr std::uint64_t kGoldenPlanetLabHalfback = 0xc1ea3c0a33978304ULL;
-
-EmulabRunner::Config golden_emulab_config() {
-  EmulabRunner::Config config;
-  config.seed = 5;
-  config.dumbbell.sender_count = 4;
-  config.dumbbell.receiver_count = 4;
-  config.drain = sim::Time::seconds(20);
-  return config;
-}
-
-std::vector<WorkloadPart> golden_emulab_parts() {
-  std::vector<WorkloadPart> parts(1);
-  parts[0].scheme = schemes::Scheme::halfback;
-  for (int i = 0; i < 6; ++i) {
-    parts[0].schedule.push_back(workload::FlowArrival{
-        sim::Time::milliseconds(50.0 * i), /*bytes=*/100'000});
-  }
-  return parts;
-}
+using testing::expect_golden;
+using testing::golden_emulab_config;
+using testing::golden_emulab_parts;
 
 TEST(HubInvariance, EmulabGoldenHashUnchangedWithHubInstalled) {
   Hub hub;
@@ -50,7 +27,8 @@ TEST(HubInvariance, EmulabGoldenHashUnchangedWithHubInstalled) {
   config.telemetry = &hub;
   const exp::RunResult run = EmulabRunner{config}.run(golden_emulab_parts());
   EXPECT_EQ(run.audit_violations, 0u);
-  EXPECT_EQ(run.trace_hash, kGoldenEmulabHalfback);
+  expect_golden("kGoldenEmulabHalfback", run.trace_hash,
+                testing::kGoldenEmulabHalfback);
   // Not vacuous: the hub observed the run.
   EXPECT_GT(hub.sim().events_dispatched->value(), 0u);
   EXPECT_EQ(hub.transport().flows_started->value(), 6u);
@@ -60,18 +38,15 @@ TEST(HubInvariance, EmulabGoldenHashUnchangedWithHubInstalled) {
 }
 
 TEST(HubInvariance, PlanetLabGoldenHashUnchangedWithHubInstalled) {
-  PlanetLabConfig config;
-  config.pair_count = 4;
-  config.seed = 7;
-  config.per_trial_timeout = sim::Time::seconds(60);
-  const PlanetLabEnv env{config};
+  const exp::PlanetLabEnv env = testing::golden_planetlab_env();
   const exp::PathSample& path = env.paths().front();
 
   Hub hub;
   const TrialResult with_hub =
       env.run_one(schemes::Scheme::halfback, path, 1234, &hub);
   EXPECT_EQ(with_hub.audit_violations, 0u);
-  EXPECT_EQ(with_hub.trace_hash, kGoldenPlanetLabHalfback);
+  expect_golden("kGoldenPlanetLabHalfback", with_hub.trace_hash,
+                testing::kGoldenPlanetLabHalfback);
   EXPECT_GT(hub.sim().events_dispatched->value(), 0u);
   EXPECT_EQ(hub.transport().flows_completed->value(), 1u);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace halfback::workload {
 namespace {
 
@@ -78,6 +81,20 @@ TEST(WebScheduleTest, LoadScalesWithUtilization) {
                               600_s, rng2);
   EXPECT_NEAR(static_cast<double>(hi.size()) / static_cast<double>(lo.size()), 5.0,
               1.5);
+}
+
+TEST(WebScheduleTest, RejectsUtilizationThatIsNotPositiveAndFinite) {
+  // Each of these once grew the schedule until std::bad_alloc.
+  const WebsiteCatalog catalog = make_catalog(6);
+  const auto rate = sim::DataRate::megabits_per_second(15);
+  for (const double utilization :
+       {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(utilization);
+    sim::Random rng{7};
+    EXPECT_THROW(make_web_schedule(catalog, utilization, rate, 60_s, rng),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
